@@ -2,9 +2,7 @@
 
 from .model import (
     MAX_CHILDREN,
-    BinomialPMF,
     ModelParams,
-    PolicyTable,
     binomial_pmf,
     policy_table,
     policy_value,
@@ -35,8 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_CHILDREN",
     "ModelParams",
-    "BinomialPMF",
-    "PolicyTable",
     "binomial_pmf",
     "policy_value",
     "policy_table",

@@ -67,11 +67,11 @@ def _cmd_policy(args) -> str:
     table = policy_table(params)
     if args.format == "csv":
         lines = ["k,f"]
-        lines += [f"{k},{_fmt(v)}" for k, v in enumerate(table.values)]
+        lines += [f"{k},{_fmt(v)}" for k, v in enumerate(table)]
         return "\n".join(lines) + "\n"
     report = {
         "spec": _echo_params("policy", params, format=args.format),
-        "policy": {str(k): float(v) for k, v in enumerate(table.values)},
+        "policy": {str(k): float(v) for k, v in enumerate(table)},
     }
     return _to_json(report)
 

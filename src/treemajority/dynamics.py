@@ -1,12 +1,14 @@
 """Fixed points, stability, trajectories, and phase thresholds of the update map.
 
 The update map is a degree-m polynomial sending [0,1] into itself, so its
-fixed points are roots of h(x) = g(x) - x.  Roots are located by a dense scan
-for sign changes followed by bisection; points where the curve merely touches
-the diagonal (double roots) are recovered from near-zero local minima of |h|
-polished by Newton steps on h'.  Limits of the recursion pi_{t+1} = g(pi_t)
-are predicted from the fixed-point layout using the cobweb argument for
-strictly increasing maps.
+fixed points are roots of h(x) = g(x) - x, whose Bernstein coefficients are
+f(k) - k/m.  Roots are isolated on those coefficients by Descartes' rule of
+signs and de Casteljau subdivision (Lane & Riesenfeld 1981; Mourrain &
+Rouillier 2009): a simple root gets an isolating interval and is bisected, a
+double root (the curve touching the diagonal) is the extremum of an interval
+where h has exactly one, with h zero there to rounding.  Limits of the
+recursion pi_{t+1} = g(pi_t) are predicted from the fixed-point layout using
+the cobweb argument for strictly increasing maps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .model import MAX_CHILDREN, ModelParams
-from .update_map import UpdateMap, g_double_prime, g_eval, g_prime, g_prime_at_half
+from .update_map import UpdateMap, g_eval, g_prime, g_prime_at_half
 
 __all__ = [
     "ATTRACTIVE",
@@ -44,9 +46,6 @@ REPULSIVE = "repulsive"
 NEUTRAL = "neutral"
 
 _STABILITY_TOL = 1e-8
-_MERGE_TOL = 1e-7
-_TOUCH_TOL = 1e-7  # |h| threshold for a tangency candidate
-_SCAN_POINTS = 10_001
 
 
 class SolverError(RuntimeError):
@@ -124,34 +123,50 @@ def _bisect(h, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _newton_polish(h, hp, x: float, lo: float, hi: float) -> float:
-    for _ in range(3):
-        d = hp(x)
-        if abs(d) < 1e-8:
-            break
-        step = h(x) / d
-        x_new = x - step
-        if not lo <= x_new <= hi:
-            break
-        x = x_new
-    return x
+def _signs(c: np.ndarray) -> np.ndarray:
+    """Signs of the nonzero entries of a coefficient sequence, in order."""
+    return np.sign(c[c != 0.0])
+
+
+def _changes(signs: np.ndarray) -> int:
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def _split(c: np.ndarray, t: float) -> tuple:
+    """De Casteljau: Bernstein coefficients of the same polynomial on [0, t] and on [t, 1]."""
+    left, right = [c[0]], [c[-1]]
+    while len(c) > 1:
+        c = (1.0 - t) * c[:-1] + t * c[1:]
+        left.append(c[0])
+        right.append(c[-1])
+    return np.array(left), np.array(right[::-1])
 
 
 def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
     """All solutions of g(x) = x in [0, 1], with stability and tangency flags.
 
     Endpoint fixed points are matched exactly (g(0) = 0 iff p_r = 1, g(1) = 1
-    iff p_b = 1).  Interior simple roots come from sign changes of h on a
-    10^4-cell grid, bisected to ``tol``; tangential double roots are detected
-    as near-zero local minima of |h| away from the crossing roots, polished by
-    damped Newton iteration on h'.  Roots closer than 1e-7 merge into a single
-    point whose tangency is decided by a local crossing test.
+    iff p_b = 1).  Interior roots are isolated on the Bernstein coefficients
+    c_k = f(k) - k/m of h(x) = g(x) - x: an interval whose coefficients change
+    sign once holds one root, bisected to ``tol``; one whose coefficient
+    differences change sign once holds one extremum of h, and the sign of h
+    there decides between no root, two simple roots and a double (tangent)
+    root; any other interval is split at its midpoint.  Adjacent roots merge
+    into one point when h is within rounding of zero on the whole gap.
     """
     if tol < 1e-13:
         raise ValueError(f"tol must be at least 1e-13, got {tol!r}")
     gm = UpdateMap.from_params(params)
     m = params.m
-    if np.max(np.abs(gm.coeffs - np.arange(m + 1) / m)) < 1e-12:
+    coeffs = gm.coeffs - np.arange(m + 1) / m
+    # Rounding bound on h.  g_eval sums m+1 terms f(k) w_k with f(k) in [0, 1],
+    # sum w_k = 1 and under 3m eps of relative error in each weight from its
+    # recurrence; a de Casteljau coefficient is m rounds of convex combinations
+    # of values below 1.  Either way the absolute error stays below
+    # 4 (m+1) eps.  The bound only decides that h is zero at an extremum or
+    # across a gap; the signs of the coefficients are always taken as they are.
+    noise = 4.0 * (m + 1) * np.finfo(float).eps
+    if np.max(np.abs(coeffs)) <= noise:
         raise IdentityMapError(
             "update map coincides with the identity; every point of [0,1] is fixed"
         )
@@ -162,90 +177,68 @@ def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
     def hp(x: float) -> float:
         return g_prime(gm, x) - 1.0
 
-    def hpp(x: float) -> float:
-        return g_double_prime(gm, x)
+    # (root, sign of h just left of it, sign just right of it), ascending
+    found: list = []
 
-    xs = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    hs = g_eval(gm, xs) - xs
-    cell = xs[1] - xs[0]
+    def isolate(c: np.ndarray, a: float, b: float) -> None:
+        """Append the roots of h in the open interval (a, b), where c are its coefficients."""
+        s, d = _signs(c), _signs(np.diff(c))
+        changes = _changes(s)
+        if changes == 0:
+            return
+        left, right = s[0], s[-1]
+        one_extremum = _changes(d) == 1
+        if changes == 1 or (one_extremum and left != right):
+            found.append((_bisect(h, a, b, left, right, tol), left, right))
+        elif one_extremum:
+            xc = _bisect(hp, a, b, d[0], d[-1], tol)
+            v = h(xc)
+            if abs(v) <= noise:
+                found.append((xc, left, right))
+            elif (v > 0.0) != (left > 0.0):
+                found.append((_bisect(h, a, xc, left, v, tol), left, -left))
+                found.append((_bisect(h, xc, b, v, right, tol), -left, right))
+        elif b - a <= tol or np.max(np.abs(c)) <= noise:
+            # a cluster no finer split can resolve: one point
+            found.append((0.5 * (a + b), left, right))
+        else:
+            mid = 0.5 * (a + b)
+            lower, upper = _split(c, 0.5)
+            isolate(lower, a, mid)
+            if upper[0] == 0.0:
+                found.append((mid, _signs(lower)[-1], _signs(upper)[0]))
+            isolate(upper, mid, b)
 
-    # (value, tangent-or-None); None means "decide by the crossing test later"
-    roots: list[tuple[float, Optional[bool]]] = []
-    if gm.coeffs[0] == 0.0:
-        roots.append((0.0, False))
-    if gm.coeffs[-1] == 1.0:
+    isolate(coeffs, 0.0, 1.0)
+
+    def flat(a: float, b: float) -> bool:
+        """h is within rounding of zero on all of [a, b]."""
+        upper = _split(coeffs, a)[1]
+        return bool(np.max(np.abs(_split(upper, (b - a) / (1.0 - a))[0])) <= noise)
+
+    # clusters: (first root, last root, sign left of the first, sign right of the last)
+    clusters: list = []
+    for x, left, right in found:
+        if clusters and flat(clusters[-1][1], x):
+            clusters[-1] = (clusters[-1][0], x, clusters[-1][2], right)
+        else:
+            clusters.append((x, x, left, right))
+    roots = [(0.5 * (lo + hi), left == right) for lo, hi, left, right in clusters]
+    if coeffs[0] == 0.0:
+        roots.insert(0, (0.0, False))
+    if coeffs[-1] == 0.0:
         roots.append((1.0, False))
 
-    for i in np.nonzero(hs[1:-1] == 0.0)[0] + 1:
-        roots.append((float(xs[i]), False))
-
-    for i in range(_SCAN_POINTS - 1):
-        fa, fb = hs[i], hs[i + 1]
-        if fa == 0.0 or fb == 0.0:
-            continue
-        if (fa > 0.0) != (fb > 0.0):
-            root = _bisect(h, float(xs[i]), float(xs[i + 1]), float(fa), float(fb), tol)
-            lo = max(0.0, float(xs[i]) - cell)
-            hi = min(1.0, float(xs[i + 1]) + cell)
-            roots.append((_newton_polish(h, hp, root, lo, hi), False))
-
-    # Tangency pass.  Candidates within two cells of a crossing root are the
-    # crossing root's own shoulder, not a tangency; skip them.
-    guard = 2.0 * cell
-
-    def near_known(x: float) -> bool:
-        return any(abs(x - r) < guard for r, _ in roots)
-
-    ah = np.abs(hs)
-    for i in range(1, _SCAN_POINTS - 1):
-        if ah[i] >= _TOUCH_TOL or ah[i] > ah[i - 1] or ah[i] > ah[i + 1]:
-            continue
-        x0 = float(xs[i])
-        if near_known(x0):
-            continue
-        lo, hi = max(0.0, x0 - guard), min(1.0, x0 + guard)
-        x = x0
-        for _ in range(60):
-            d2 = hpp(x)
-            if d2 == 0.0:
-                break
-            step = hp(x) / d2
-            step = min(max(step, -cell), cell)
-            x_new = min(max(x - step, lo), hi)
-            if abs(x_new - x) < 1e-15:
-                x = x_new
-                break
-            x = x_new
-        if abs(h(x)) <= _TOUCH_TOL and abs(hp(x)) <= 1e-4 and not near_known(x):
-            roots.append((x, None))
-
-    roots.sort(key=lambda rt: rt[0])
-    merged: list[tuple[float, Optional[bool]]] = []
-    for val, tang in roots:
-        if merged and val - merged[-1][0] <= _MERGE_TOL:
-            merged[-1] = (0.5 * (merged[-1][0] + val), None)
-        else:
-            merged.append((val, tang))
-
-    points = []
-    for val, tang in merged:
-        if tang is None:
-            left = h(val - cell) if val - cell >= 0.0 else None
-            right = h(val + cell) if val + cell <= 1.0 else None
-            if left is None or right is None or left == 0.0 or right == 0.0:
-                tang = False  # one-sided at the boundary; not a tangency
-            else:
-                tang = (left > 0.0) == (right > 0.0)
-        slope = g_prime(gm, val)
-        points.append(
-            FixedPoint(
-                value=val,
-                stability=_stability_label(slope),
-                tangent=bool(tang),
-                residual=abs(h(val)),
-            )
+    points = tuple(
+        FixedPoint(
+            value=val,
+            stability=_stability_label(g_prime(gm, val)),
+            tangent=bool(tang),
+            residual=abs(h(val)),
         )
-    return FixedPointSet(points=tuple(points), params=params)
+        for val, tang in roots
+    )
+    return FixedPointSet(points=points, params=params)
 
 
 def classify_stability(gm: UpdateMap, x_star: float) -> str:

@@ -18,8 +18,6 @@ import numpy as np
 __all__ = [
     "MAX_CHILDREN",
     "ModelParams",
-    "BinomialPMF",
-    "PolicyTable",
     "binomial_pmf",
     "policy_value",
     "policy_table",
@@ -70,24 +68,6 @@ class ModelParams:
         return self.p_b == self.p_r
 
 
-@dataclass(frozen=True)
-class BinomialPMF:
-    """Probability masses of Binomial(n, p) on outcomes 0..n."""
-
-    n: int
-    p: float
-    mass: np.ndarray
-
-
-@dataclass(frozen=True)
-class PolicyTable:
-    """Adoption probabilities f(0..m): entry k is the chance a parent adopts B
-    given exactly k of its m children are in state B."""
-
-    m: int
-    values: np.ndarray
-
-
 def bernstein_weights(n: int, x) -> np.ndarray:
     """Weights C(n,k) x^k (1-x)^(n-k) for k = 0..n.
 
@@ -110,13 +90,13 @@ def bernstein_weights(n: int, x) -> np.ndarray:
     return w[0] if scalar else w
 
 
-def binomial_pmf(n: int, p: float) -> BinomialPMF:
-    """Exact Binomial(n, p) mass vector; degenerate at 0 when n = 0 or p = 0."""
+def binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Exact Binomial(n, p) masses on outcomes 0..n; degenerate at 0 when n = 0 or p = 0."""
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     p = _check_prob("p", p)
-    return BinomialPMF(n=n, p=p, mass=bernstein_weights(n, p))
+    return bernstein_weights(n, p)
 
 
 def policy_value(params: ModelParams, k: int) -> float:
@@ -137,7 +117,7 @@ def policy_value(params: ModelParams, k: int) -> float:
     return min(max(win + 0.5 * tie, 0.0), 1.0)
 
 
-def policy_table(params: ModelParams) -> PolicyTable:
-    """Adoption probabilities for every possible B-child count 0..m."""
-    values = np.array([policy_value(params, k) for k in range(params.m + 1)])
-    return PolicyTable(m=params.m, values=values)
+def policy_table(params: ModelParams) -> np.ndarray:
+    """Adoption probabilities f(0..m): entry k is the chance a parent adopts B
+    given exactly k of its m children are in state B."""
+    return np.array([policy_value(params, k) for k in range(params.m + 1)])

@@ -39,7 +39,7 @@ class UpdateMap:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "UpdateMap":
-        return cls(params=params, coeffs=policy_table(params).values)
+        return cls(params=params, coeffs=policy_table(params))
 
 
 def _check_unit(x):

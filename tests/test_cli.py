@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import treemajority.cli as cli
-from treemajority.dynamics import SolverError
+from treemajority.dynamics import SolverError, m3_pb1_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -96,7 +96,7 @@ class TestGmapCommand:
 class TestFixedPointsCommand:
     def test_tangent_report(self, capsys):
         code, out, _ = run_cli(
-            capsys, "fixed-points", "--m", "3", "--p-b", "1", "--p-r", "0.732050808"
+            capsys, "fixed-points", "--m", "3", "--p-b", "1", "--p-r", repr(math.sqrt(3) - 1)
         )
         assert code == 0
         report = json.loads(out)
@@ -105,6 +105,19 @@ class TestFixedPointsCommand:
         assert report["points"][0]["value"] == pytest.approx(
             2 / 3 - 1 / math.sqrt(3), abs=1e-6
         )
+
+    def test_just_above_tangency_report(self, capsys):
+        # 0.732050808 is 4.3e-10 above sqrt3 - 1: the double root has split in two
+        code, out, _ = run_cli(
+            capsys, "fixed-points", "--m", "3", "--p-b", "1", "--p-r", "0.732050808"
+        )
+        assert code == 0
+        report = json.loads(out)
+        closed = m3_pb1_closed_form(0.732050808)
+        assert report["count"] == len(closed.points) == 3
+        for got, want in zip(report["points"], closed.points):
+            assert got["value"] == pytest.approx(want.value, abs=1e-6)
+            assert got["tangent"] is want.tangent is False
 
     def test_identity_map_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "fixed-points", "--m", "2", "--p", "1")

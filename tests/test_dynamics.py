@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,8 @@ from treemajority.dynamics import (
 )
 from treemajority.model import ModelParams
 from treemajority.update_map import UpdateMap, g_eval
+
+from conftest import enumerate_policy
 
 SQRT3M1 = math.sqrt(3.0) - 1.0
 ALPHA_TANGENT = 2.0 / 3.0 - 1.0 / math.sqrt(3.0)
@@ -102,6 +105,56 @@ class TestFindFixedPoints:
                 assert np.min(np.abs(v - 0.5)) <= 1e-9
                 np.testing.assert_allclose(np.sort(1.0 - v), v, atol=1e-8)
                 assert np.all(np.diff(v) > 1e-12)
+
+
+class TestRootIsolation:
+    """The isolation on Bernstein coefficients against oracles it does not use."""
+
+    @pytest.mark.parametrize(
+        "offset", [0.0] + [s * 10.0**-k for s in (1, -1) for k in range(3, 11)]
+    )
+    def test_m3_pb1_near_tangency_matches_closed_form(self, offset):
+        p_r = SQRT3M1 + offset
+        got = find_fixed_points(ModelParams(3, 1.0, p_r)).points
+        want = m3_pb1_closed_form(p_r).points
+        assert len(got) == len(want), [fp.value for fp in got]
+        for g, w in zip(got, want):
+            assert g.tangent == w.tangent
+            assert g.value == pytest.approx(w.value, abs=1e-6)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 16, 64])
+    def test_triple_cluster_at_threshold_is_one_point(self, m):
+        # at p(m) the roots alpha, 1/2, 1 - alpha coincide; rounding cannot
+        # separate them, so they must come back as a single neutral point
+        p = solve_threshold(m).p_threshold
+        points = find_fixed_points(ModelParams.symmetric(m, p)).points
+        assert len(points) == 1, [fp.value for fp in points]
+        assert points[0].value == pytest.approx(0.5, abs=1e-4)
+        assert points[0].stability == NEUTRAL
+
+    def test_interior_roots_match_high_precision_polyroots(self):
+        rng = np.random.default_rng(20251018)
+        x = mpmath.mpf(1)
+        with mpmath.workdps(50):
+            for _ in range(40):
+                m = int(rng.integers(2, 7))
+                p_b, p_r = (float(v) for v in rng.uniform(0.02, 0.98, size=2))
+                # power-basis coefficients of h(x) = sum_k f(k) C(m,k) x^k (1-x)^(m-k) - x
+                poly = [mpmath.mpf(0)] * (m + 1)
+                poly[1] = -x
+                for k in range(m + 1):
+                    fk = mpmath.mpf(enumerate_policy(m, p_b, p_r, k)) * math.comb(m, k)
+                    for j in range(m - k + 1):
+                        poly[k + j] += fk * math.comb(m - k, j) * (-1) ** j
+                while poly[-1] == 0:
+                    poly.pop()
+                roots = mpmath.polyroots(poly[::-1], maxsteps=200, extraprec=200)
+                expected = sorted(
+                    float(r.real) for r in roots if abs(r.imag) < 1e-25 and 0 < r.real < 1
+                )
+                got = find_fixed_points(ModelParams(m, p_b, p_r)).values
+                assert len(got) == len(expected), (m, p_b, p_r, got, expected)
+                np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 class TestClassifyStability:

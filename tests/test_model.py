@@ -38,23 +38,23 @@ class TestModelParams:
 
 class TestBinomialPMF:
     def test_degenerate_n0(self):
-        assert binomial_pmf(0, 0.7).mass.tolist() == [1.0]
+        assert binomial_pmf(0, 0.7).tolist() == [1.0]
 
     def test_fair_coin_n2(self):
-        assert binomial_pmf(2, 0.5).mass.tolist() == [0.25, 0.5, 0.25]
+        assert binomial_pmf(2, 0.5).tolist() == [0.25, 0.5, 0.25]
 
     def test_n3_p07(self):
         expected = [0.3**3, 3 * 0.7 * 0.3**2, 3 * 0.7**2 * 0.3, 0.7**3]
-        np.testing.assert_allclose(binomial_pmf(3, 0.7).mass, expected, atol=1e-15)
+        np.testing.assert_allclose(binomial_pmf(3, 0.7), expected, atol=1e-15)
 
     def test_exact_at_p0_p1(self):
-        m0 = binomial_pmf(5, 0.0).mass
+        m0 = binomial_pmf(5, 0.0)
         assert m0[0] == 1.0 and m0[1:].sum() == 0.0
-        m1 = binomial_pmf(5, 1.0).mass
+        m1 = binomial_pmf(5, 1.0)
         assert m1[-1] == 1.0 and m1[:-1].sum() == 0.0
 
     def test_no_underflow_near_one(self):
-        mass = binomial_pmf(64, 1.0 - 1e-9).mass
+        mass = binomial_pmf(64, 1.0 - 1e-9)
         assert abs(mass.sum() - 1.0) < 1e-12
         assert mass[-1] > 0.999
 
@@ -65,7 +65,7 @@ class TestBinomialPMF:
     @given(n=st.integers(min_value=0, max_value=64), p=probs)
     @settings(max_examples=150)
     def test_mass_properties(self, n, p):
-        mass = binomial_pmf(n, p).mass
+        mass = binomial_pmf(n, p)
         assert mass.size == n + 1
         assert np.all(mass >= 0.0) and np.all(mass <= 1.0)
         assert abs(mass.sum() - 1.0) <= 1e-12
@@ -111,7 +111,7 @@ class TestPolicyValue:
     def test_pb1_degeneracy(self):
         # with p_b = 1 the B-success count is exactly k
         for m, k, p_r in [(4, 1, 0.6), (5, 2, 0.35), (6, 3, 0.8)]:
-            b = binomial_pmf(m - k, p_r).mass
+            b = binomial_pmf(m - k, p_r)
             expected = b[:k].sum() + 0.5 * (b[k] if k <= m - k else 0.0)
             got = policy_value(ModelParams(m, 1.0, p_r), k)
             assert got == pytest.approx(expected, abs=1e-13)
@@ -120,23 +120,23 @@ class TestPolicyValue:
 class TestPolicyTable:
     def test_m2_p1(self):
         np.testing.assert_allclose(
-            policy_table(ModelParams(2, 1.0, 1.0)).values, [0.0, 0.5, 1.0], atol=1e-15
+            policy_table(ModelParams(2, 1.0, 1.0)), [0.0, 0.5, 1.0], atol=1e-15
         )
 
     def test_m3_pb1_pr04(self):
         np.testing.assert_allclose(
-            policy_table(ModelParams(3, 1.0, 0.4)).values, [0.108, 0.6, 1.0, 1.0], atol=1e-15
+            policy_table(ModelParams(3, 1.0, 0.4)), [0.108, 0.6, 1.0, 1.0], atol=1e-15
         )
 
     def test_m4_p0_all_half(self):
         np.testing.assert_allclose(
-            policy_table(ModelParams.symmetric(4, 0.0)).values, np.full(5, 0.5), atol=0
+            policy_table(ModelParams.symmetric(4, 0.0)), np.full(5, 0.5), atol=0
         )
 
     @given(m=st.integers(min_value=2, max_value=10), p_b=probs, p_r=probs)
     @settings(max_examples=120, deadline=None)
     def test_boundary_identities(self, m, p_b, p_r):
-        values = policy_table(ModelParams(m, p_b, p_r)).values
+        values = policy_table(ModelParams(m, p_b, p_r))
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
         assert values[0] == pytest.approx(0.5 * (1.0 - p_r) ** m, abs=1e-12)
         assert values[-1] == pytest.approx(1.0 - 0.5 * (1.0 - p_b) ** m, abs=1e-12)
@@ -144,5 +144,5 @@ class TestPolicyTable:
     @given(m=st.integers(min_value=2, max_value=12), p=probs)
     @settings(max_examples=120, deadline=None)
     def test_symmetry_criterion(self, m, p):
-        values = policy_table(ModelParams.symmetric(m, p)).values
+        values = policy_table(ModelParams.symmetric(m, p))
         np.testing.assert_allclose(values + values[::-1], 1.0, atol=1e-12)
