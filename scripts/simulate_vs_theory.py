@@ -3,50 +3,31 @@
 
 Runs the truncated-tree simulator and prints, per time step, the simulated
 marginal, the analytic marginal, and whether the simulation lands inside the
-95% band implied by the replication count.
+95% band implied by the replication count.  Takes the flags of
+``treemajority simulate`` (``--out`` and ``--format`` are accepted and
+ignored); exits 1 when any marginal falls outside its band.
 
 Usage:
     python scripts/simulate_vs_theory.py --m 3 --p-b 1 --p-r 0.85 --pi0 0.2 \
         --depth 8 --horizon 8 --reps 2000 --seed 7
 """
 
-import argparse
 import math
 import sys
 
+from treemajority.cli import _params_from_args, build_parser
 from treemajority.mc import SimConfig, simulate_tree
-from treemajority.model import ModelParams
 from treemajority.update_map import UpdateMap, g_eval
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--m", type=int, default=3)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--p-b", type=float, default=None, dest="p_b")
-    parser.add_argument("--p-r", type=float, default=None, dest="p_r")
-    parser.add_argument("--pi0", type=float, default=0.2)
-    parser.add_argument("--depth", type=int, default=8)
-    parser.add_argument("--horizon", type=int, default=8)
-    parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    if args.p is not None:
-        params = ModelParams.symmetric(args.m, args.p)
-    elif args.p_b is not None and args.p_r is not None:
-        params = ModelParams(args.m, args.p_b, args.p_r)
-    else:
-        parser.error("pass --p, or both --p-b and --p-r")
-
-    cfg = SimConfig(
-        params=params,
-        depth=args.depth,
-        horizon=args.horizon,
-        pi_0=args.pi0,
-        seed=args.seed,
-        replications=args.reps,
-    )
+    parser = build_parser()
+    args = parser.parse_args(["simulate", *sys.argv[1:]])
+    try:
+        params = _params_from_args(args)
+        cfg = SimConfig(params, args.depth, args.horizon, args.pi0, args.seed, args.reps)
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")
     result = simulate_tree(cfg)
 
     gm = UpdateMap.from_params(params)

@@ -108,6 +108,27 @@ def _stability_label(slope: float) -> str:
     return NEUTRAL
 
 
+def _rounding_bound(m: int) -> float:
+    """Absolute rounding bound on h = g - x and on Bernstein coefficients.
+
+    g_eval sums m+1 terms f(k) w_k with f(k) in [0, 1], sum w_k = 1 and under
+    3m eps of relative error in each weight from its recurrence; a de Casteljau
+    coefficient is m rounds of convex combinations of values below 1.  Either
+    way the absolute error stays below 4 (m+1) eps.  The bound only decides
+    that a quantity is zero to rounding; signs are always taken as they are.
+    """
+    return 4.0 * (m + 1) * np.finfo(float).eps
+
+
+def _fixed_point(gm: UpdateMap, value: float, tangent: bool) -> FixedPoint:
+    return FixedPoint(
+        value=value,
+        stability=_stability_label(g_prime(gm, value)),
+        tangent=bool(tangent),
+        residual=abs(g_eval(gm, value) - value),
+    )
+
+
 def _bisect(h, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     for _ in range(200):
         if b - a <= tol:
@@ -159,13 +180,7 @@ def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
     gm = UpdateMap.from_params(params)
     m = params.m
     coeffs = gm.coeffs - np.arange(m + 1) / m
-    # Rounding bound on h.  g_eval sums m+1 terms f(k) w_k with f(k) in [0, 1],
-    # sum w_k = 1 and under 3m eps of relative error in each weight from its
-    # recurrence; a de Casteljau coefficient is m rounds of convex combinations
-    # of values below 1.  Either way the absolute error stays below
-    # 4 (m+1) eps.  The bound only decides that h is zero at an extremum or
-    # across a gap; the signs of the coefficients are always taken as they are.
-    noise = 4.0 * (m + 1) * np.finfo(float).eps
+    noise = _rounding_bound(m)
     if np.max(np.abs(coeffs)) <= noise:
         raise IdentityMapError(
             "update map coincides with the identity; every point of [0,1] is fixed"
@@ -229,15 +244,7 @@ def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
     if coeffs[-1] == 0.0:
         roots.append((1.0, False))
 
-    points = tuple(
-        FixedPoint(
-            value=val,
-            stability=_stability_label(g_prime(gm, val)),
-            tangent=bool(tang),
-            residual=abs(h(val)),
-        )
-        for val, tang in roots
-    )
+    points = tuple(_fixed_point(gm, val, tang) for val, tang in roots)
     return FixedPointSet(points=points, params=params)
 
 
@@ -299,8 +306,13 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
     A unique fixed point attracts every initial value (no monotonicity
     needed).  With two or three fixed points the map must be strictly
     increasing, and the trajectory is monotone toward the nearest fixed point
-    in its direction of motion; regimes with more fixed points or a
-    non-monotone map are refused rather than guessed.
+    in its direction of motion; regimes with more fixed points are refused
+    rather than guessed.  Monotonicity holds for every map of the model:
+    moving one child from R to B can only raise the B-minus-R success count,
+    so the policy values f(k) are nondecreasing in k, g' = m sum (f(k+1) -
+    f(k)) B_{k,m-1} is nonnegative, and a nonconstant g is strictly
+    increasing.  The computed f(k) are checked against that to within the
+    rounding bound.
     """
     pi_0 = float(pi_0)
     if not 0.0 <= pi_0 <= 1.0:
@@ -317,9 +329,8 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
         raise UnsupportedRegimeError(
             f"{len(vals)} fixed points found; limit prediction covers at most 3"
         )
-    grid = np.linspace(0.0, 1.0, 2001)
-    if np.min(g_prime(gm, grid)) < -1e-12 or np.any(np.diff(g_eval(gm, grid)) <= 0.0):
-        raise UnsupportedRegimeError("update map is not strictly increasing on [0, 1]")
+    if np.min(np.diff(gm.coeffs)) < -_rounding_bound(params.m):
+        raise UnsupportedRegimeError("update map is not increasing on [0, 1]")
     if g_eval(gm, pi_0) > pi_0:
         above = [v for v in vals if v > pi_0]
         if not above:
@@ -407,13 +418,5 @@ def m3_pb1_closed_form(p_r: float) -> FixedPointSet:
         for root in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
             entries.append((min(max(root, 0.0), 1.0), False))
     entries.append((1.0, False))
-    points = tuple(
-        FixedPoint(
-            value=val,
-            stability=_stability_label(g_prime(gm, val)),
-            tangent=tang,
-            residual=abs(g_eval(gm, val) - val),
-        )
-        for val, tang in sorted(entries)
-    )
+    points = tuple(_fixed_point(gm, val, tang) for val, tang in sorted(entries))
     return FixedPointSet(points=points, params=params)

@@ -4,22 +4,25 @@ Two estimators:
 
 * a one-step estimator that replays the raw update rule (child states, child
   experiment outcomes, tie-break coin) and estimates the update map at a point;
-* a full synchronous simulation on a depth-truncated tree, which reproduces
-  the infinite-tree marginals exactly inside the validity window t <= D - d
-  (a depth-d vertex's time-t law is uncontaminated by the missing subtree
-  below the leaves only up to that horizon).
+* a full synchronous simulation on a depth-truncated tree.  A depth-d vertex
+  follows the infinite-tree law only inside the validity window t <= D - d
+  (later, the missing subtree below the leaves reaches it), so step t updates
+  only levels 0..D-t-1 and each level ends at time min(T, D-d).  The root
+  trajectory, the level means, the root's children and the
+  ``independence_check`` pairs are all read from that one pass.
 
-Randomness comes from counter-based Philox streams keyed by seed, replication,
-and time step, with each (vertex, variable) pair owning a fixed position in
-its stream, so results are reproducible bit-for-bit under any execution order
-of the replications.  Leaves have no children in the truncation and stay
-frozen at their initial draw.
+Randomness comes from counter-based Philox streams keyed by seed, purpose,
+time step and replication.  Each step draws experiment outcomes for levels
+1..D, then tie-break coins for levels 0..D-1, including those of levels past
+their window, so each (vertex, variable) pair owns a fixed position in its
+stream: the window changes no draw, and results are reproducible bit-for-bit
+under any execution order of the replications.  Leaves have no children in
+the truncation and stay frozen at their initial draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -85,10 +88,6 @@ class SimConfig:
                 f"m**depth = {self.params.m}**{self.depth} exceeds the {_LEAF_GUARD:.0e} leaf guard"
             )
 
-    @property
-    def level_sizes(self) -> list[int]:
-        return [self.params.m**d for d in range(self.depth + 1)]
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -147,88 +146,61 @@ def estimate_g_one_step(
     return float(est), float(half)
 
 
-def _run_replication(cfg: SimConfig, rep: int, record: Optional[tuple[int, np.ndarray]]):
-    """One replication: root trajectory, children-of-root snapshot, level means.
+def _evolve(cfg: SimConfig, rep: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One replication: the root trajectory and every level at its last valid time.
 
-    ``record=(level, indices)`` additionally captures those vertex states at
-    time ``cfg.horizon``.  Draw order per step is fixed: experiment outcomes
-    for levels 1..D, then tie-break coins for levels 0..D-1.
+    Step t updates only levels 0..D-t-1, the ones still inside their validity
+    window; in ascending order each reads its children at time t.  So
+    ``states[d]`` ends at time min(T, D-d), the time every output reads.
+    Each step still draws experiment outcomes for levels 1..D, then coins for
+    levels 0..D-1, whether or not a level is updated.
     """
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
     D, T = cfg.depth, cfg.horizon
-    sizes = cfg.level_sizes
 
     init = _stream(cfg.seed, _INIT, 0, rep)
-    states = [init.random(sizes[d]) < cfg.pi_0 for d in range(D + 1)]
-
+    states = [init.random(m**d) < cfg.pi_0 for d in range(D + 1)]
     root_traj = np.empty(T + 1, dtype=bool)
     root_traj[0] = states[0][0]
-    level_means = np.full(D + 1, np.nan)
-    children_snapshot = None
-    recorded = None
-
-    t_children = min(T, D - 1)  # latest time level 1 is valid
-    for d in range(D + 1):
-        if min(T, D - d) == 0:
-            level_means[d] = states[d].mean()
-    if t_children == 0:
-        children_snapshot = states[1].copy()
-    if record is not None and T == 0:
-        recorded = states[record[0]][record[1]].copy()
 
     for t in range(T):
         gen = _stream(cfg.seed, _STEP, t, rep)
-        u_x = [gen.random(sizes[d]) for d in range(1, D + 1)]
-        u_y = [gen.random(sizes[d]) for d in range(D)]
-        new_states = []
-        for d in range(D):
-            child = states[d + 1].reshape(sizes[d], m)
-            u = u_x[d].reshape(sizes[d], m)
-            success = u < np.where(child, p_b, p_r)
+        u_x = [gen.random(m**d) for d in range(1, D + 1)]
+        u_y = [gen.random(m**d) for d in range(D)]
+        for d in range(D - t):
+            child = states[d + 1].reshape(-1, m)
+            success = u_x[d].reshape(-1, m) < np.where(child, p_b, p_r)
             n_b = (success & child).sum(axis=1)
             n_r = (success & ~child).sum(axis=1)
-            new_states.append((n_b > n_r) | ((n_b == n_r) & (u_y[d] < 0.5)))
-        new_states.append(states[D])
-        states = new_states
+            states[d] = (n_b > n_r) | ((n_b == n_r) & (u_y[d] < 0.5))
         root_traj[t + 1] = states[0][0]
-        for d in range(D + 1):
-            if min(T, D - d) == t + 1:
-                level_means[d] = states[d].mean()
-        if t + 1 == t_children:
-            children_snapshot = states[1].copy()
-        if record is not None and t + 1 == T:
-            recorded = states[record[0]][record[1]].copy()
 
-    return root_traj, children_snapshot, level_means, recorded
+    return root_traj, states
 
 
 def simulate_tree(config: SimConfig) -> SimResult:
     """Synchronous simulation of the full truncated tree across replications."""
     R = config.replications
-    T = config.horizon
-    roots = np.empty((R, T + 1), dtype=bool)
+    roots = np.empty((R, config.horizon + 1), dtype=bool)
     children = np.empty((R, config.params.m), dtype=bool)
     level_means = np.zeros(config.depth + 1)
     for rep in range(R):
-        traj, snap, means, _ = _run_replication(config, rep, record=None)
-        roots[rep] = traj
-        children[rep] = snap
-        level_means += means
+        roots[rep], states = _evolve(config, rep)
+        children[rep] = states[1]
+        level_means += [s.mean() for s in states]
     level_means /= R
     pi_hat = roots.mean(axis=0)
-    ci = 1.96 * np.sqrt(pi_hat * (1.0 - pi_hat) / R)
-    pair_corr = _max_abs_correlation(children)
     return SimResult(
         config=config,
         pi_hat=pi_hat,
-        ci_half_width=ci,
-        pair_correlation=pair_corr,
+        ci_half_width=1.96 * np.sqrt(pi_hat * (1.0 - pi_hat) / R),
+        pair_correlation=_max_abs_correlation(children),
         replications_used=R,
         level_averages=level_means,
     )
 
 
-def _max_abs_correlation(columns: np.ndarray, pairs: Optional[np.ndarray] = None) -> float:
+def _max_abs_correlation(columns: np.ndarray, pairs: np.ndarray | None = None) -> float:
     """Max |Pearson correlation| over column pairs of a (R, n) 0/1 matrix.
 
     Constant columns have undefined correlation and are skipped; NaN when no
@@ -285,15 +257,10 @@ def independence_check(config: SimConfig, level: int, pairs: int) -> float:
             i, j = (int(v) for v in gen.integers(0, n, size=2))
             if i != j:
                 chosen.add((min(i, j), max(i, j)))
-    pair_list = sorted(chosen)
-    indices = sorted({v for ij in pair_list for v in ij})
-    remap = {v: k for k, v in enumerate(indices)}
-    local_pairs = np.array([(remap[i], remap[j]) for i, j in pair_list])
-    idx = np.array(indices)
+    pair_array = np.array(sorted(chosen))
+    idx, local_pairs = np.unique(pair_array, return_inverse=True)
 
-    R = config.replications
-    recorded = np.empty((R, idx.size), dtype=bool)
-    for rep in range(R):
-        _, _, _, rec = _run_replication(config, rep, record=(level, idx))
-        recorded[rep] = rec
-    return _max_abs_correlation(recorded, local_pairs)
+    recorded = np.array(
+        [_evolve(config, rep)[1][level][idx] for rep in range(config.replications)]
+    )
+    return _max_abs_correlation(recorded, local_pairs.reshape(pair_array.shape))

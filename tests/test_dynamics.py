@@ -264,6 +264,16 @@ class TestPredictLimit:
         with pytest.raises(UnsupportedRegimeError):
             predict_limit(ModelParams.symmetric(2, 1.0), 0.4)
 
+    @pytest.mark.parametrize("m", [24, 32, 64])
+    def test_saturating_wide_maps(self, m):
+        # g rounds to the same float at neighbouring points near 0 and 1 here;
+        # the map is still increasing, because its policy values are
+        params = ModelParams.symmetric(m, 0.9)
+        lowest = find_fixed_points(params).points[0].value
+        predicted = predict_limit(params, 0.3)
+        assert predicted == lowest
+        assert abs(iterate_dynamics(params, 0.3).values[-1] - predicted) <= 1e-12
+
 
 class TestSolveThreshold:
     def test_m3_analytic(self):

@@ -161,3 +161,62 @@ class TestIndependenceCheck:
         cfg = sym_config(depth=5, horizon=0)
         with pytest.raises(ValueError):
             independence_check(cfg, level=0, pairs=1)
+
+
+class TestStreamLayoutGolden:
+    """Exact outputs pinned to the Philox draw layout.
+
+    Streams are keyed by (seed, purpose, t, rep); each step draws experiment
+    outcomes for levels 1..D and then coins for levels 0..D-1.  Any change to
+    that layout, or to which draw feeds which vertex, moves these bits.
+    """
+
+    CASES = {
+        "horizon_below_depth": (
+            dict(params=ModelParams(3, 0.7, 0.4), depth=5, horizon=3, pi_0=0.4, seed=2024, replications=60),
+            [0.36666666666666664, 0.4, 0.6166666666666667, 0.7666666666666667],
+            [
+                0.7666666666666667,
+                0.8055555555555552,
+                0.7944444444444446,
+                0.6814814814814815,
+                0.5421810699588475,
+                0.40281207133058977,
+            ],
+            0.09631426606617739,
+        ),
+        "horizon_zero": (
+            dict(params=ModelParams(4, 0.6, 0.5), depth=3, horizon=0, pi_0=0.35, seed=7, replications=40),
+            [0.4],
+            [0.4, 0.3625, 0.3484375, 0.349609375],
+            0.2844627935584562,
+        ),
+        "binary": (
+            dict(params=ModelParams(2, 0.9, 0.6), depth=6, horizon=6, pi_0=0.5, seed=99, replications=50),
+            [0.5, 0.52, 0.78, 0.8, 0.84, 0.8, 0.86],
+            [0.86, 0.87, 0.77, 0.7275, 0.69125, 0.598125, 0.4978125],
+            0.20575139211410245,
+        ),
+        "depth_one": (
+            dict(params=ModelParams(5, 0.8, 0.3), depth=1, horizon=1, pi_0=0.6, seed=3, replications=80),
+            [0.5625, 0.875],
+            [0.875, 0.6275000000000002],
+            0.2474358296526967,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_simulate_tree_bits(self, name):
+        kwargs, pi_hat, level_averages, pair_correlation = self.CASES[name]
+        res = simulate_tree(SimConfig(**kwargs))
+        assert res.pi_hat.tolist() == pi_hat
+        assert res.level_averages.tolist() == level_averages
+        assert res.pair_correlation == pair_correlation
+
+    def test_independence_check_bits_at_horizon_zero(self):
+        cfg = SimConfig(ModelParams.symmetric(3, 0.5), depth=4, horizon=0, pi_0=0.5, seed=21, replications=100)
+        assert independence_check(cfg, level=2, pairs=12) == 0.14002800840280102
+
+    def test_independence_check_bits_after_steps(self):
+        cfg = SimConfig(ModelParams(3, 0.8, 0.6), depth=6, horizon=2, pi_0=0.45, seed=22, replications=100)
+        assert independence_check(cfg, level=3, pairs=15) == 0.18359665121716515
