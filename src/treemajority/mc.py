@@ -11,18 +11,30 @@ Two estimators:
   trajectory, the level means, the root's children and the
   ``independence_check`` pairs are all read from that one pass.
 
+The simulation runs replications in groups: each level of a group is one
+``(group size, m**d)`` boolean array, so a level update is one set of array
+operations per group, not per replication.  A group holds as many
+replications as fit their uniforms in ``_UNIFORM_BYTES`` (at least one); the
+one-step estimator sizes its chunks of trials by the same budget.
+
 Randomness comes from counter-based Philox streams keyed by seed, purpose,
-time step and replication.  Each step draws experiment outcomes for levels
-1..D, then tie-break coins for levels 0..D-1, including those of levels past
-their window, so each (vertex, variable) pair owns a fixed position in its
-stream: the window changes no draw, and results are reproducible bit-for-bit
-under any execution order of the replications.  Leaves have no children in
-the truncation and stay frozen at their initial draw.
+time step and replication.  Step t's stream holds experiment outcomes for
+levels 1..D from position 0, then tie-break coins for levels 0..D-1 from
+position S = m + m**2 + ... + m**D, so each (vertex, variable) pair owns a
+fixed position in its stream.  Step t reads only what its updates use, the
+outcomes of levels 1..D-t and the coins of levels 0..D-t-1: one Philox per
+call jumps to the start of each prefix (``_Streams.at``) instead of drawing
+the rest.  Which bits feed which vertex is independent of the window, the
+grouping and the execution order, so results are reproducible bit-for-bit.
+Leaves have no children in the truncation and stay frozen at their initial
+draw.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -39,6 +51,10 @@ __all__ = [
 
 _LEAF_GUARD = 10**8
 
+# byte budget on the uniforms held at once: a group of tree replications, or
+# a chunk of one-step trials
+_UNIFORM_BYTES = 2 * 2**20
+
 # stream purposes (second counter word)
 _INIT = 1
 _STEP = 0
@@ -46,8 +62,29 @@ _ONESTEP = 2
 _PAIRS = 3
 
 
-def _stream(seed: int, purpose: int, time: int = 0, rep: int = 0) -> Generator:
-    return Generator(Philox(key=np.uint64(seed), counter=[0, purpose, time, rep]))
+class _Streams:
+    """One Philox generator that visits every stream of a seed.
+
+    Stream (seed, purpose, time, rep) is the Philox stream with key ``seed``
+    that opens at counter [0, purpose, time, rep].  Philox emits four doubles
+    per block and steps its counter before each block, so the stream's block
+    b is computed at counter [b + 1, purpose, time, rep].  ``at`` sets the
+    counter to [pos // 4, ...] with an empty buffer and discards pos % 4
+    draws, so the next draw is the stream's draw ``pos`` whatever came
+    before: one state reset, not a new generator, per stream visited.
+    """
+
+    def __init__(self, seed: int) -> None:
+        bitgen = Philox(key=np.uint64(seed))
+        # a fresh state, so its buffer is empty; ``at`` rewrites only the counter
+        self._gen, self._state = Generator(bitgen), bitgen.state
+
+    def at(self, purpose: int, time: int = 0, rep: int = 0, pos: int = 0) -> Generator:
+        self._state["state"]["counter"][:] = (pos // 4, purpose, time, rep)
+        self._gen.bit_generator.state = self._state
+        if pos % 4:
+            self._gen.random(pos % 4)
+        return self._gen
 
 
 def _check_seed(seed) -> int:
@@ -127,55 +164,104 @@ def estimate_g_one_step(
         raise ValueError("samples must be at least 1")
     seed = _check_seed(seed)
     m, p_b, p_r = params.m, params.p_b, params.p_r
-    gen = _stream(seed, _ONESTEP)
+    gen = _Streams(seed).at(_ONESTEP)
     adopted = 0
-    chunk = max(1, min(samples, 2**22 // (2 * m + 1)))
+    chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * (2 * m + 1))))
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
         u = gen.random((n, 2 * m + 1))
-        child_b = u[:, :m] < x
-        success = u[:, m : 2 * m] < np.where(child_b, p_b, p_r)
-        n_b = (success & child_b).sum(axis=1)
-        n_r = (success & ~child_b).sum(axis=1)
-        coin = u[:, 2 * m] < 0.5
-        adopted += int(((n_b > n_r) | ((n_b == n_r) & coin)).sum())
+        adopted += int(_adopt(u[:, :m] < x, u[:, m : 2 * m], u[:, 2 * m], p_b, p_r).sum())
         done += n
     est = adopted / samples
     half = 1.96 * np.sqrt(est * (1.0 - est) / samples)
     return float(est), float(half)
 
 
-def _evolve(cfg: SimConfig, rep: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One replication: the root trajectory and every level at its last valid time.
+def _level_starts(cfg: SimConfig) -> list[int]:
+    """starts[d] = 1 + m + ... + m**(d-1): where level d opens in a flat tree."""
+    return list(accumulate((cfg.params.m**d for d in range(cfg.depth + 1)), initial=0))
 
-    Step t updates only levels 0..D-t-1, the ones still inside their validity
+
+def _uniforms_per_rep(starts: list[int]) -> int:
+    """Step 0's outcomes (levels 1..D) and coins (levels 0..D-1); no draw needs more."""
+    return starts[-1] - 1 + starts[-2]
+
+
+def _groups(cfg: SimConfig) -> Iterator[range]:
+    """Consecutive replication groups whose uniforms fit in ``_UNIFORM_BYTES``."""
+    size = max(1, _UNIFORM_BYTES // (8 * _uniforms_per_rep(_level_starts(cfg))))
+    for lo in range(0, cfg.replications, size):
+        yield range(lo, min(lo + size, cfg.replications))
+
+
+def _count_children(flags: np.ndarray) -> np.ndarray:
+    """Sum a (..., m) boolean array over its last axis, as int8 (m <= 64).
+
+    One strided add per child: a reduction over a short last axis costs
+    about twice as much at small m.
+    """
+    flags = flags.view(np.int8)
+    total = flags[..., 0].copy()
+    for k in range(1, flags.shape[-1]):
+        total += flags[..., k]
+    return total
+
+
+def _adopt(
+    child: np.ndarray, u_x: np.ndarray, u_y: np.ndarray, p_b: float, p_r: float
+) -> np.ndarray:
+    """The raw update rule, replayed from its draws.
+
+    ``child`` (..., m) holds the children's states (True for B) and ``u_x``
+    the uniforms of their experiments: a child succeeds when its uniform is
+    below its state's success rate.  A vertex adopts B when more B children
+    than R children succeed, and on a tie when its coin ``u_y`` (...) is
+    below 1/2.
+    """
+    success = u_x < np.where(child, p_b, p_r)
+    n_b = _count_children(success & child)
+    n_r = _count_children(success & ~child)
+    return (n_b > n_r) | ((n_b == n_r) & (u_y < 0.5))
+
+
+def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A group of replications: root trajectories and every level at its last valid time.
+
+    Row i of ``roots`` (shape (len(reps), T+1)) and of each ``states[d]``
+    (shape (len(reps), m**d)) belongs to replication ``reps[i]``.  Step t
+    updates only levels 0..D-t-1, the ones still inside their validity
     window; in ascending order each reads its children at time t.  So
     ``states[d]`` ends at time min(T, D-d), the time every output reads.
-    Each step still draws experiment outcomes for levels 1..D, then coins for
-    levels 0..D-1, whether or not a level is updated.
+    Step t reads the outcome prefix for levels 1..D-t and the coin prefix for
+    levels 0..D-t-1 of each replication's stream, and skips the rest.
     """
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
     D, T = cfg.depth, cfg.horizon
+    starts = _level_starts(cfg)
+    coins_at = starts[-1] - 1
+    streams = _Streams(cfg.seed)
+    u = np.empty((len(reps), _uniforms_per_rep(starts)))
 
-    init = _stream(cfg.seed, _INIT, 0, rep)
-    states = [init.random(m**d) < cfg.pi_0 for d in range(D + 1)]
-    root_traj = np.empty(T + 1, dtype=bool)
-    root_traj[0] = states[0][0]
+    for i, rep in enumerate(reps):
+        streams.at(_INIT, 0, rep).random(out=u[i, : starts[-1]])
+    states = [u[:, starts[d] : starts[d + 1]] < cfg.pi_0 for d in range(D + 1)]
+    roots = np.empty((len(reps), T + 1), dtype=bool)
+    roots[:, 0] = states[0][:, 0]
 
     for t in range(T):
-        gen = _stream(cfg.seed, _STEP, t, rep)
-        u_x = [gen.random(m**d) for d in range(1, D + 1)]
-        u_y = [gen.random(m**d) for d in range(D)]
+        n_x, n_y = starts[D - t + 1] - 1, starts[D - t]
+        for i, rep in enumerate(reps):
+            streams.at(_STEP, t, rep).random(out=u[i, :n_x])
+            streams.at(_STEP, t, rep, coins_at).random(out=u[i, n_x : n_x + n_y])
         for d in range(D - t):
-            child = states[d + 1].reshape(-1, m)
-            success = u_x[d].reshape(-1, m) < np.where(child, p_b, p_r)
-            n_b = (success & child).sum(axis=1)
-            n_r = (success & ~child).sum(axis=1)
-            states[d] = (n_b > n_r) | ((n_b == n_r) & (u_y[d] < 0.5))
-        root_traj[t + 1] = states[0][0]
+            child = states[d + 1].reshape(len(reps), -1, m)
+            u_x = u[:, starts[d + 1] - 1 : starts[d + 2] - 1].reshape(child.shape)
+            u_y = u[:, n_x + starts[d] : n_x + starts[d + 1]]
+            states[d] = _adopt(child, u_x, u_y, p_b, p_r)
+        roots[:, t + 1] = states[0][:, 0]
 
-    return root_traj, states
+    return roots, states
 
 
 def simulate_tree(config: SimConfig) -> SimResult:
@@ -184,10 +270,13 @@ def simulate_tree(config: SimConfig) -> SimResult:
     roots = np.empty((R, config.horizon + 1), dtype=bool)
     children = np.empty((R, config.params.m), dtype=bool)
     level_means = np.zeros(config.depth + 1)
-    for rep in range(R):
-        roots[rep], states = _evolve(config, rep)
-        children[rep] = states[1]
-        level_means += [s.mean() for s in states]
+    for reps in _groups(config):
+        rows = slice(reps.start, reps.stop)
+        roots[rows], states = _evolve(config, reps)
+        children[rows] = states[1]
+        # one replication at a time, in order, so the sum does not depend on the grouping
+        for means in np.column_stack([s.mean(axis=1) for s in states]):
+            level_means += means
     level_means /= R
     pi_hat = roots.mean(axis=0)
     return SimResult(
@@ -247,7 +336,7 @@ def independence_check(config: SimConfig, level: int, pairs: int) -> float:
     if pairs < 1:
         raise ValueError("pairs must be at least 1")
 
-    gen = _stream(config.seed, _PAIRS)
+    gen = _Streams(config.seed).at(_PAIRS)
     total = n * (n - 1) // 2
     chosen: set[tuple[int, int]] = set()
     if pairs >= total:
@@ -260,7 +349,7 @@ def independence_check(config: SimConfig, level: int, pairs: int) -> float:
     pair_array = np.array(sorted(chosen))
     idx, local_pairs = np.unique(pair_array, return_inverse=True)
 
-    recorded = np.array(
-        [_evolve(config, rep)[1][level][idx] for rep in range(config.replications)]
-    )
+    recorded = np.empty((config.replications, idx.size), dtype=bool)
+    for reps in _groups(config):
+        recorded[reps.start : reps.stop] = _evolve(config, reps)[1][level][:, idx]
     return _max_abs_correlation(recorded, local_pairs.reshape(pair_array.shape))

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+from treemajority import mc
 from treemajority.mc import SimConfig, estimate_g_one_step, independence_check, simulate_tree
 from treemajority.model import ModelParams
 from treemajority.update_map import UpdateMap, g_eval
@@ -220,3 +222,131 @@ class TestStreamLayoutGolden:
     def test_independence_check_bits_after_steps(self):
         cfg = SimConfig(ModelParams(3, 0.8, 0.6), depth=6, horizon=2, pi_0=0.45, seed=22, replications=100)
         assert independence_check(cfg, level=3, pairs=15) == 0.18359665121716515
+
+
+# The per-replication replay the grouped simulator replaced, kept as an
+# independent oracle: one fresh generator per stream, and every draw of every
+# step, used or not.  Stream purposes: 0 for steps, 1 for initial states.
+_STEP = 0
+_INIT = 1
+
+
+def _stream(seed: int, purpose: int, time: int = 0, rep: int = 0) -> Generator:
+    return Generator(Philox(key=np.uint64(seed), counter=[0, purpose, time, rep]))
+
+
+def _reference_evolve(cfg: SimConfig, rep: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
+    D, T = cfg.depth, cfg.horizon
+
+    init = _stream(cfg.seed, _INIT, 0, rep)
+    states = [init.random(m**d) < cfg.pi_0 for d in range(D + 1)]
+    root_traj = np.empty(T + 1, dtype=bool)
+    root_traj[0] = states[0][0]
+
+    for t in range(T):
+        gen = _stream(cfg.seed, _STEP, t, rep)
+        u_x = [gen.random(m**d) for d in range(1, D + 1)]
+        u_y = [gen.random(m**d) for d in range(D)]
+        for d in range(D - t):
+            child = states[d + 1].reshape(-1, m)
+            success = u_x[d].reshape(-1, m) < np.where(child, p_b, p_r)
+            n_b = (success & child).sum(axis=1)
+            n_r = (success & ~child).sum(axis=1)
+            states[d] = (n_b > n_r) | ((n_b == n_r) & (u_y[d] < 0.5))
+        root_traj[t + 1] = states[0][0]
+
+    return root_traj, states
+
+
+def _reference_outputs(cfg: SimConfig):
+    """Each replication's replay; pi_hat and level_averages summed in replication order."""
+    runs = [_reference_evolve(cfg, rep) for rep in range(cfg.replications)]
+    level_means = np.zeros(cfg.depth + 1)
+    for _, states in runs:
+        level_means += [s.mean() for s in states]
+    level_means /= cfg.replications
+    roots = np.array([root for root, _ in runs])
+    return runs, roots.mean(axis=0), level_means
+
+
+def _replay_config(m, depth, horizon, replications=None):
+    rng = np.random.default_rng([m, depth, horizon])
+    if replications is None:
+        replications = min(41, max(1, 20_000 // m**depth)) | 1
+    return SimConfig(
+        params=ModelParams(m, float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))),
+        depth=depth,
+        horizon=horizon,
+        pi_0=float(rng.uniform(0.1, 0.9)),
+        seed=int(rng.integers(2**63)),
+        replications=replications,
+    )
+
+
+def _assert_replays_reference(cfg: SimConfig) -> None:
+    runs, pi_hat, level_means = _reference_outputs(cfg)
+    for reps in mc._groups(cfg):
+        roots, states = mc._evolve(cfg, reps)
+        for i, rep in enumerate(reps):
+            ref_root, ref_states = runs[rep]
+            assert np.array_equal(roots[i], ref_root), (cfg, rep)
+            for d, ref in enumerate(ref_states):
+                assert np.array_equal(states[d][i], ref), (cfg, rep, d)
+    res = simulate_tree(cfg)
+    assert res.pi_hat.tolist() == pi_hat.tolist()
+    assert res.level_averages.tolist() == level_means.tolist()
+    children = np.array([states[1] for _, states in runs])
+    ref_corr = mc._max_abs_correlation(children)
+    assert res.pair_correlation == ref_corr or (
+        math.isnan(res.pair_correlation) and math.isnan(ref_corr)
+    )
+
+
+class TestGroupedReplay:
+    """The grouped simulator reproduces the per-replication replay bit for bit."""
+
+    @pytest.mark.parametrize("depth", range(1, 8))
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_matches_reference_replay(self, m, depth):
+        for horizon in sorted({0, depth // 2, depth}):
+            _assert_replays_reference(_replay_config(m, depth, horizon))
+
+    def test_many_groups(self):
+        # m = 3 makes the level means inexact in binary, so the order in which
+        # replications are summed shows in the bits
+        m, depth = 3, 8
+        cfg = _replay_config(m, depth, depth, replications=41)
+        per_rep = sum(m**d for d in range(1, depth + 1)) + sum(m**d for d in range(depth))
+        group = max(1, mc._UNIFORM_BYTES // (8 * per_rep))
+        assert math.ceil(cfg.replications / group) >= 3
+        assert [len(reps) for reps in mc._groups(cfg)][0] == group
+        _assert_replays_reference(cfg)
+
+
+class TestStreamJump:
+    @pytest.mark.parametrize("seed,purpose,time,rep", [(5, 0, 3, 7), (2**64 - 1, 1, 0, 2**40)])
+    def test_at_matches_one_long_draw(self, seed, purpose, time, rep):
+        long = _stream(seed, purpose, time, rep).random(120)
+        streams = mc._Streams(seed)
+        for n in range(40):
+            for target in range(n, n + 60):
+                streams.at(purpose, time, rep).random(n)
+                got = streams.at(purpose, time, rep, target).random(4)
+                assert np.array_equal(got, long[target : target + 4]), (n, target)
+
+
+class TestOneStepChunking:
+    def test_chunks_match_one_block(self):
+        params, x, samples, seed = ModelParams(64, 0.55, 0.5), 0.45, 20_000, 11
+        m = params.m
+        assert samples > mc._UNIFORM_BYTES // (8 * (2 * m + 1))  # more than one chunk
+        # purpose 2: the one-step estimator's stream
+        u = _stream(seed, 2).random((samples, 2 * m + 1))
+        child_b = u[:, :m] < x
+        success = u[:, m : 2 * m] < np.where(child_b, params.p_b, params.p_r)
+        n_b = (success & child_b).sum(axis=1)
+        n_r = (success & ~child_b).sum(axis=1)
+        adopted = int(((n_b > n_r) | ((n_b == n_r) & (u[:, 2 * m] < 0.5))).sum())
+        est, _ = estimate_g_one_step(params, x, samples, seed)
+        assert est == adopted / samples
