@@ -135,7 +135,7 @@ def _cmd_trajectory(args) -> str:
         "steps_taken": len(traj.values) - 1,
         "converged": traj.converged,
         "limit": traj.limit,
-        "values": list(traj.values),
+        "values": traj.values.tolist(),
     }
     if args.predict:
         report["predicted_limit"] = predict_limit(params, args.pi0)

@@ -112,7 +112,8 @@ def _rounding_bound(m: int) -> float:
     """Absolute rounding bound on h = g - x and on Bernstein coefficients.
 
     g_eval sums m+1 terms f(k) w_k with f(k) in [0, 1], sum w_k = 1 and under
-    3m eps of relative error in each weight from its recurrence; a de Casteljau
+    3m eps of relative error in each weight from its recurrence
+    (``model.bernstein_sum``); a de Casteljau
     coefficient is m rounds of convex combinations of values below 1.  Either
     way the absolute error stays below 4 (m+1) eps.  The bound only decides
     that a quantity is zero to rounding; signs are always taken as they are.
@@ -309,10 +310,11 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
     in its direction of motion; regimes with more fixed points are refused
     rather than guessed.  Monotonicity holds for every map of the model:
     moving one child from R to B can only raise the B-minus-R success count,
-    so the policy values f(k) are nondecreasing in k, g' = m sum (f(k+1) -
-    f(k)) B_{k,m-1} is nonnegative, and a nonconstant g is strictly
-    increasing.  The computed f(k) are checked against that to within the
-    rounding bound.
+    so the steps f(k+1) - f(k) are nonnegative, g' = m sum (f(k+1) - f(k))
+    B_{k,m-1} is nonnegative, and a nonconstant g is strictly increasing.
+    The computed steps are sums of nonnegative terms
+    (``model.policy_differences``), so the computed g' is never negative
+    either and there is nothing to check.
     """
     pi_0 = float(pi_0)
     if not 0.0 <= pi_0 <= 1.0:
@@ -329,8 +331,6 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
         raise UnsupportedRegimeError(
             f"{len(vals)} fixed points found; limit prediction covers at most 3"
         )
-    if np.min(np.diff(gm.coeffs)) < -_rounding_bound(params.m):
-        raise UnsupportedRegimeError("update map is not increasing on [0, 1]")
     if g_eval(gm, pi_0) > pi_0:
         above = [v for v in vals if v > pi_0]
         if not above:

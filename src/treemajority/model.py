@@ -7,6 +7,10 @@ the B-success count is Binomial(k, p_b) and the R-success count is
 Binomial(m - k, p_r), independent of each other, so the adoption probability
 is ``P[win] + P[tie] / 2`` computed by a double sum over the two mass
 functions.
+
+Every binomial mass and every Bernstein weight comes from one pure-Python
+recurrence, ``bernstein_weights``, run from the smaller tail; ``bernstein_sum``
+evaluates a Bernstein form at a point as a running sum over its weights.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "binomial_pmf",
     "policy_value",
     "policy_table",
+    "policy_differences",
 ]
 
 # Desk-scale cap: keeps double-precision sums at ~1e-14 accuracy.
@@ -68,26 +73,44 @@ class ModelParams:
         return self.p_b == self.p_r
 
 
-def bernstein_weights(n: int, x) -> np.ndarray:
-    """Weights C(n,k) x^k (1-x)^(n-k) for k = 0..n.
+def bernstein_weights(n: int, x: float) -> list:
+    """Weights C(n,k) x^k (1-x)^(n-k) for k = 0..n at one point x, as Python floats.
 
-    Uses the multiplicative recurrence mass[k+1] = mass[k] * (n-k)/(k+1) * x/(1-x),
-    run from the smaller tail so nothing underflows for x near 1, and exact at
-    x in {0, 1}.  Accepts a scalar or an array of points; an array input adds a
-    leading axis to the result.
+    The one recurrence behind every point evaluation of a Bernstein form:
+    w[k+1] = w[k] * (n-k)/(k+1) * x/(1-x), run from the smaller tail (so from
+    (1-x)^n when x <= 1/2, and mirrored above), so nothing underflows for x
+    near 1 and the weights are exact at x in {0, 1}.  Each weight carries a
+    relative error of about 3n machine epsilons.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    pts = np.atleast_1d(arr)
-    flip = pts > 0.5
-    base = np.where(flip, 1.0 - pts, pts)
-    w = np.empty((pts.size, n + 1))
-    w[:, 0] = (1.0 - base) ** n
+    flip = x > 0.5
+    base = 1.0 - x if flip else x
+    w = (1.0 - base) ** n
     ratio = base / (1.0 - base)  # base <= 1/2, so the denominator is >= 1/2
+    out = [w]
     for k in range(n):
-        w[:, k + 1] = w[:, k] * ((n - k) / (k + 1)) * ratio
-    w[flip] = w[flip, ::-1]
-    return w[0] if scalar else w
+        w = w * ((n - k) / (k + 1)) * ratio
+        out.append(w)
+    if flip:
+        out.reverse()
+    return out
+
+
+def _dot(u, v) -> float:
+    """Running sum of u[i] * v[i] over the shorter of the two sequences."""
+    acc = 0.0
+    for a, b in zip(u, v):
+        acc += a * b
+    return acc
+
+
+def bernstein_sum(c: list, x: float) -> float:
+    """sum_k c[k] C(n,k) x^k (1-x)^(n-k), n = len(c) - 1, at one point x in [0, 1].
+
+    With every c[k] in [0, 1] the absolute rounding error stays below
+    4 (n+1) machine epsilons: the weights sum to 1 and each is within about
+    3n epsilons of its exact value.
+    """
+    return _dot(bernstein_weights(len(c) - 1, x), c)
 
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -96,7 +119,7 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     p = _check_prob("p", p)
-    return bernstein_weights(n, p)
+    return np.array(bernstein_weights(n, p))
 
 
 def policy_value(params: ModelParams, k: int) -> float:
@@ -107,13 +130,12 @@ def policy_value(params: ModelParams, k: int) -> float:
         raise ValueError(f"k must lie in 0..{m}, got {k}")
     a = bernstein_weights(k, params.p_b)  # successes among the k B-children
     b = bernstein_weights(m - k, params.p_r)  # successes among the m-k R-children
-    b_cum = np.cumsum(b)
-    # P[R-successes < i] for i = 0..k; saturates at 1 once i-1 >= m-k
-    idx = np.minimum(np.arange(k + 1) - 1, m - k)
-    p_less = np.where(idx < 0, 0.0, b_cum[np.maximum(idx, 0)])
-    win = float(a @ p_less)
-    top = min(k, m - k)
-    tie = float(a[: top + 1] @ b[: top + 1])
+    win = below = 0.0  # below: P[R-successes < i], saturating once i > m-k
+    for i, ai in enumerate(a):
+        win += ai * below
+        if i <= m - k:
+            below += b[i]
+    tie = _dot(a, b)
     return min(max(win + 0.5 * tie, 0.0), 1.0)
 
 
@@ -121,3 +143,29 @@ def policy_table(params: ModelParams) -> np.ndarray:
     """Adoption probabilities f(0..m): entry k is the chance a parent adopts B
     given exactly k of its m children are in state B."""
     return np.array([policy_value(params, k) for k in range(params.m + 1)])
+
+
+def policy_differences(params: ModelParams) -> list:
+    """Steps f(k+1) - f(k) for k = 0..m-1 as Python floats, each a sum of nonnegative terms.
+
+    Couple the two configurations by moving one child from R to B and keeping
+    the other m-1 (k in B, m-1-k in R) fixed.  With d their B-minus-R success
+    count, the moved child changes the adoption probability only when d is
+    within one of a tie, which gives
+
+        f(k+1) - f(k) = (p_b P[d in {-1, 0}] + p_r P[d in {0, 1}]) / 2.
+
+    No policy values are subtracted, so a step is accurate to rounding relative
+    to itself even where f(k) and f(k+1) both round to 1, and it is never
+    negative: the policy values are nondecreasing in k.
+    """
+    m, p_b, p_r = params.m, params.p_b, params.p_r
+    steps = []
+    for k in range(m):
+        a = bernstein_weights(k, p_b)  # successes among the k B-children
+        b = bernstein_weights(m - 1 - k, p_r)  # among the m-1-k R-children
+        tie = _dot(a, b)  # P[d = 0]
+        behind = _dot(a, b[1:])  # P[d = -1]
+        ahead = _dot(a[1:], b)  # P[d = 1]
+        steps.append(0.5 * (p_b * (behind + tie) + p_r * (tie + ahead)))
+    return steps

@@ -7,6 +7,7 @@ from treemajority.model import (
     MAX_CHILDREN,
     ModelParams,
     binomial_pmf,
+    policy_differences,
     policy_table,
     policy_value,
 )
@@ -146,3 +147,22 @@ class TestPolicyTable:
     def test_symmetry_criterion(self, m, p):
         values = policy_table(ModelParams.symmetric(m, p))
         np.testing.assert_allclose(values + values[::-1], 1.0, atol=1e-12)
+
+
+class TestPolicyDifferences:
+    @given(m=st.integers(min_value=2, max_value=7), p_b=probs, p_r=probs)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_enumeration(self, m, p_b, p_r):
+        exact = [enumerate_policy(m, p_b, p_r, k) for k in range(m + 1)]
+        steps = policy_differences(ModelParams(m, p_b, p_r))
+        assert len(steps) == m
+        for k, step in enumerate(steps):
+            assert step >= 0.0
+            assert step == pytest.approx(exact[k + 1] - exact[k], abs=1e-12)
+
+    @given(m=st.integers(min_value=2, max_value=64), p_b=probs, p_r=probs)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_table_differences(self, m, p_b, p_r):
+        params = ModelParams(m, p_b, p_r)
+        steps = policy_differences(params)
+        np.testing.assert_allclose(steps, np.diff(policy_table(params)), rtol=0, atol=1e-14)

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemajority.model import ModelParams, policy_value
+from treemajority.dynamics import _rounding_bound
+from treemajority.model import ModelParams, bernstein_sum, policy_value
 from treemajority.update_map import (
     UpdateMap,
     df_dp,
@@ -86,6 +88,46 @@ class TestGEval:
             np.testing.assert_allclose(g_eval(gm, xs) + g_eval(gm, 1.0 - xs), 1.0, atol=1e-12)
 
 
+def mp_bernstein_sum(c: list, x: float):
+    """sum_k c[k] C(n,k) x^k (1-x)^(n-k) of the exact float inputs, in 50 digits."""
+    n = len(c) - 1
+    with mpmath.workdps(50):
+        t = mpmath.mpf(x)
+        return sum(
+            mpmath.mpf(ck) * math.comb(n, k) * t**k * (1 - t) ** (n - k) for k, ck in enumerate(c)
+        )
+
+
+class TestKernel:
+    @given(
+        m=st.integers(min_value=2, max_value=64),
+        x=st.one_of(unit, st.sampled_from([0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53])),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_against_mpmath(self, m, x, data):
+        c = data.draw(st.lists(unit, min_size=m + 1, max_size=m + 1))
+        got = bernstein_sum(c, x)
+        assert abs(got - float(mp_bernstein_sum(c, x))) <= _rounding_bound(m)
+
+    def test_array_matches_scalar_exactly(self):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([rng.random(40), [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53]])
+        for m in (2, 3, 8, 64):
+            gm = UpdateMap.from_params(ModelParams(m, float(rng.random()), float(rng.random())))
+            for fn in (g_eval, g_prime, g_double_prime):
+                got = fn(gm, xs.reshape(5, 9))
+                assert got.shape == (5, 9)
+                assert got.ravel().tolist() == [fn(gm, float(x)) for x in xs]
+
+    @pytest.mark.parametrize("fn", [g_eval, g_prime, g_double_prime])
+    def test_nan_rejected(self, fn):
+        gm = UpdateMap.from_params(ModelParams(3, 0.5, 0.5))
+        for x in (float("nan"), np.float64("nan"), np.array(np.nan), np.array([0.2, np.nan])):
+            with pytest.raises(ValueError):
+                fn(gm, x)
+
+
 class TestDerivatives:
     def test_slope_at_half_p1(self):
         # p = 1 pins the map to explicit polynomials: x for m=2, 3x^2-2x^3 for m=3
@@ -141,6 +183,15 @@ class TestDerivatives:
             # ~1e-103 of them the positive value underflows to 0.0
             assert d >= 0.0
         assert d == pytest.approx(g_prime(gm, 1.0 - x), abs=1e-12)
+
+    def test_saturated_slope_stays_positive(self):
+        # f(3) and f(4) both round to 1.0 here, so differencing the policy
+        # values gave g'(1) = 0.0; exactly, g'(1) = 4 (f(4) - f(3)) = 6 q^2 (1 - q^2 / 2)
+        q = 2.0**-53
+        gm = UpdateMap.from_params(ModelParams.symmetric(4, 1.0 - q))
+        assert gm.coeffs[3] == gm.coeffs[4] == 1.0
+        assert g_prime(gm, 1.0) == pytest.approx(6.0 * q * q, rel=1e-14)
+        assert g_prime(gm, 0.0) == pytest.approx(g_prime(gm, 1.0), rel=1e-14)
 
     def test_convex_concave_split(self):
         for m in range(2, 9):
