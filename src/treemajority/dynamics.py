@@ -1,12 +1,11 @@
 """Fixed points, stability, trajectories, and phase thresholds of the update map.
 
-The update map is a degree-m polynomial sending [0,1] into itself, so its
-fixed points are roots of h(x) = g(x) - x, whose Bernstein coefficients are
-f(k) - k/m.  Roots are isolated on those coefficients by Descartes' rule of
-signs and de Casteljau subdivision (Lane & Riesenfeld 1981; Mourrain &
-Rouillier 2009): a simple root gets an isolating interval and is bisected, a
-double root (the curve touching the diagonal) is the extremum of an interval
-where h has exactly one, with h zero there to rounding.  Limits of the
+Fixed points and the symmetric-regime threshold p(m) share one root finder,
+``_bernstein_roots``: Descartes' rule of signs and de Casteljau subdivision on
+Bernstein coefficients (Lane & Riesenfeld 1981; Mourrain & Rouillier 2009).
+Fixed points are the roots of h(x) = g(x) - x, with coefficients f(k) - k/m;
+p(m) is the root of g'(1/2) - 1 = E|S_N| - 1 as a polynomial in p, with
+N ~ Binomial(m, p) and S a simple symmetric random walk.  Limits of the
 recursion pi_{t+1} = g(pi_t) are predicted from the fixed-point layout using
 the cobweb argument for strictly increasing maps.
 """
@@ -19,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import MAX_CHILDREN, ModelParams
-from .update_map import UpdateMap, g_eval, g_prime, g_prime_at_half
+from .model import MAX_CHILDREN, ModelParams, bernstein_sum
+from .update_map import UpdateMap, g_eval, g_prime
 
 __all__ = [
     "ATTRACTIVE",
@@ -49,11 +48,7 @@ _STABILITY_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
-    """Root polishing or bracketing failed; carries the best bracket found."""
-
-    def __init__(self, message: str, bracket: Optional[tuple] = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """A solver could not reach an answer its structure guarantees."""
 
 
 class UnsupportedRegimeError(RuntimeError):
@@ -130,19 +125,18 @@ def _fixed_point(gm: UpdateMap, value: float, tangent: bool) -> FixedPoint:
     )
 
 
-def _bisect(h, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    for _ in range(200):
-        if b - a <= tol:
-            break
+def _bisect(h, a: float, b: float, fa: float, tol: float) -> tuple:
+    """Final bracket (a, b) of a sign change of h, of width at most tol; (x, x) on an exact zero."""
+    while b - a > tol:
         mid = 0.5 * (a + b)
         fm = h(mid)
         if fm == 0.0:
-            return mid
+            return mid, mid
         if (fm > 0.0) == (fa > 0.0):
             a, fa = mid, fm
         else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
+            b = mid
+    return a, b
 
 
 def _signs(c: np.ndarray) -> np.ndarray:
@@ -164,36 +158,20 @@ def _split(c: np.ndarray, t: float) -> tuple:
     return np.array(left), np.array(right[::-1])
 
 
-def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
-    """All solutions of g(x) = x in [0, 1], with stability and tangency flags.
+def _bernstein_roots(coeffs: np.ndarray, h, hp, tol: float) -> list:
+    """Ascending (root, tangent, final bracket width) for each root of h in [0, 1].
 
-    Endpoint fixed points are matched exactly (g(0) = 0 iff p_r = 1, g(1) = 1
-    iff p_b = 1).  Interior roots are isolated on the Bernstein coefficients
-    c_k = f(k) - k/m of h(x) = g(x) - x: an interval whose coefficients change
-    sign once holds one root, bisected to ``tol``; one whose coefficient
-    differences change sign once holds one extremum of h, and the sign of h
-    there decides between no root, two simple roots and a double (tangent)
-    root; any other interval is split at its midpoint.  Adjacent roots merge
-    into one point when h is within rounding of zero on the whole gap.
+    ``coeffs`` are the Bernstein coefficients of h; ``h`` and ``hp`` evaluate
+    h and h' at a point.  An endpoint is a root iff
+    its coefficient is zero.  An interval whose coefficients change sign once
+    holds one root, bisected on h to ``tol``; one whose coefficient differences
+    change sign once holds one extremum, bisected on h', and the sign of h there
+    decides between no root, two simple roots and a double (tangent) root; any
+    other interval is split at its midpoint.  Adjacent roots merge when h is
+    within ``_rounding_bound`` of zero on the whole gap between them.
     """
-    if tol < 1e-13:
-        raise ValueError(f"tol must be at least 1e-13, got {tol!r}")
-    gm = UpdateMap.from_params(params)
-    m = params.m
-    coeffs = gm.coeffs - np.arange(m + 1) / m
-    noise = _rounding_bound(m)
-    if np.max(np.abs(coeffs)) <= noise:
-        raise IdentityMapError(
-            "update map coincides with the identity; every point of [0,1] is fixed"
-        )
-
-    def h(x: float) -> float:
-        return g_eval(gm, x) - x
-
-    def hp(x: float) -> float:
-        return g_prime(gm, x) - 1.0
-
-    # (root, sign of h just left of it, sign just right of it), ascending
+    noise = _rounding_bound(len(coeffs) - 1)
+    # (final bracket, sign of h just left of the root, sign just right of it), ascending
     found: list = []
 
     def isolate(c: np.ndarray, a: float, b: float) -> None:
@@ -205,24 +183,25 @@ def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
         left, right = s[0], s[-1]
         one_extremum = _changes(d) == 1
         if changes == 1 or (one_extremum and left != right):
-            found.append((_bisect(h, a, b, left, right, tol), left, right))
+            found.append((_bisect(h, a, b, left, tol), left, right))
         elif one_extremum:
-            xc = _bisect(hp, a, b, d[0], d[-1], tol)
+            lo, hi = _bisect(hp, a, b, d[0], tol)
+            xc = 0.5 * (lo + hi)
             v = h(xc)
             if abs(v) <= noise:
-                found.append((xc, left, right))
+                found.append(((lo, hi), left, right))
             elif (v > 0.0) != (left > 0.0):
-                found.append((_bisect(h, a, xc, left, v, tol), left, -left))
-                found.append((_bisect(h, xc, b, v, right, tol), -left, right))
+                found.append((_bisect(h, a, xc, left, tol), left, -left))
+                found.append((_bisect(h, xc, b, v, tol), -left, right))
         elif b - a <= tol or np.max(np.abs(c)) <= noise:
             # a cluster no finer split can resolve: one point
-            found.append((0.5 * (a + b), left, right))
+            found.append(((a, b), left, right))
         else:
             mid = 0.5 * (a + b)
             lower, upper = _split(c, 0.5)
             isolate(lower, a, mid)
             if upper[0] == 0.0:
-                found.append((mid, _signs(lower)[-1], _signs(upper)[0]))
+                found.append(((mid, mid), _signs(lower)[-1], _signs(upper)[0]))
             isolate(upper, mid, b)
 
     isolate(coeffs, 0.0, 1.0)
@@ -232,20 +211,41 @@ def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
         upper = _split(coeffs, a)[1]
         return bool(np.max(np.abs(_split(upper, (b - a) / (1.0 - a))[0])) <= noise)
 
-    # clusters: (first root, last root, sign left of the first, sign right of the last)
+    # [first root, last root, bracket start, bracket end, sign left of first, of last]
     clusters: list = []
-    for x, left, right in found:
+    for (lo, hi), left, right in found:
+        x = 0.5 * (lo + hi)
         if clusters and flat(clusters[-1][1], x):
-            clusters[-1] = (clusters[-1][0], x, clusters[-1][2], right)
+            clusters[-1][1], clusters[-1][3], clusters[-1][5] = x, hi, right
         else:
-            clusters.append((x, x, left, right))
-    roots = [(0.5 * (lo + hi), left == right) for lo, hi, left, right in clusters]
+            clusters.append([x, x, lo, hi, left, right])
+    roots = [(0.5 * (x0 + x1), left == right, hi - lo) for x0, x1, lo, hi, left, right in clusters]
     if coeffs[0] == 0.0:
-        roots.insert(0, (0.0, False))
+        roots.insert(0, (0.0, False, 0.0))
     if coeffs[-1] == 0.0:
-        roots.append((1.0, False))
+        roots.append((1.0, False, 0.0))
+    return roots
 
-    points = tuple(_fixed_point(gm, val, tang) for val, tang in roots)
+
+def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
+    """All solutions of g(x) = x in [0, 1], with stability and tangency flags.
+
+    They are the roots of h(x) = g(x) - x, whose Bernstein coefficients are
+    f(k) - k/m; interior roots are bisected to ``tol``.
+    """
+    if not (math.isfinite(tol) and tol >= 1e-13):
+        raise ValueError(f"tol must be finite and at least 1e-13, got {tol!r}")
+    gm = UpdateMap.from_params(params)
+    m = params.m
+    coeffs = gm.coeffs - np.arange(m + 1) / m
+    if np.max(np.abs(coeffs)) <= _rounding_bound(m):
+        raise IdentityMapError(
+            "update map coincides with the identity; every point of [0,1] is fixed"
+        )
+    roots = _bernstein_roots(
+        coeffs, lambda x: g_eval(gm, x) - x, lambda x: g_prime(gm, x) - 1.0, tol
+    )
+    points = tuple(_fixed_point(gm, val, tang) for val, tang, _ in roots)
     return FixedPointSet(points=points, params=params)
 
 
@@ -275,8 +275,8 @@ def iterate_dynamics(
         raise ValueError("pi_0 must lie in [0, 1]")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    if conv_tol <= 0.0:
-        raise ValueError("conv_tol must be positive")
+    if not (math.isfinite(conv_tol) and conv_tol > 0.0):
+        raise ValueError(f"conv_tol must be finite and positive, got {conv_tol!r}")
     gm = UpdateMap.from_params(params)
     values = [pi_0]
     x = pi_0
@@ -342,47 +342,43 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
     return max(below)
 
 
-def solve_threshold(m: int, tol: float = 1e-12) -> ThresholdResult:
-    """The success rate at which the symmetric-regime slope at 1/2 crosses 1.
+def _threshold_coeffs(m: int) -> list:
+    """E|S_s| - 1 for s = 0..m, each rounded once from integers (see ``solve_threshold``)."""
+    return [-1.0] + [
+        (s * math.comb(s - 1, (s - 1) // 2) - 2 ** (s - 1)) / 2 ** (s - 1) for s in range(1, m + 1)
+    ]
 
-    Bisection on p -> g'(1/2) - 1 over [1e-6, 1 - 1e-6]; valid because the
-    slope is strictly increasing in p.  For m = 2 the slope equals 2p - p^2,
-    which reaches 1 only at p = 1, so the boundary value is reported with
-    ``at_boundary=True`` instead of bisecting.
+
+def solve_threshold(m: int, tol: float = 1e-12) -> ThresholdResult:
+    """The success rate p(m) at which the symmetric-regime slope at 1/2 crosses 1.
+
+    At x = 1/2 each child is B with probability 1/2 whatever its success, so
+    g'(1/2) = E|S_N| with N ~ Binomial(m, p) successful children and S a simple
+    symmetric random walk: g'(1/2) - 1 has Bernstein coefficients in p
+    c_0 = -1, c_s = E|S_s| - 1 = s C(s-1, floor((s-1)/2)) / 2^(s-1) - 1.  They run
+    -1, 0, 0, 1/2, 1/2, 7/8, 7/8, ... and never decrease, so for m >= 3 one sign
+    change certifies p(m) unique in (0, 1), and ``_bernstein_roots`` bisects it
+    to ``tol``; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
     """
     m = int(m)
     if m < 2 or m > MAX_CHILDREN:
         raise ValueError(f"m must lie in 2..{MAX_CHILDREN}, got {m}")
-    if tol < 1e-12:
-        raise ValueError(f"tol must be at least 1e-12, got {tol!r}")
-    if m == 2:
-        return ThresholdResult(
-            m=2, p_threshold=1.0, bracket_width=0.0, evaluations=0, at_boundary=True
-        )
+    if not (math.isfinite(tol) and tol >= 1e-12):
+        raise ValueError(f"tol must be finite and at least 1e-12, got {tol!r}")
+    c = _threshold_coeffs(m)
+    steps = [m * (b - a) for a, b in zip(c, c[1:])]
+    evaluations = 0
 
     def excess(p: float) -> float:
-        return g_prime_at_half(ModelParams.symmetric(m, p)) - 1.0
-
-    lo, hi = 1e-6, 1.0 - 1e-6
-    f_lo, f_hi = excess(lo), excess(hi)
-    evaluations = 2
-    if f_lo >= 0.0 or f_hi <= 0.0:
-        raise SolverError(
-            f"slope-excess does not bracket a crossing on [{lo}, {hi}]", bracket=(lo, hi)
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        nonlocal evaluations
         evaluations += 1
-        if excess(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
+        return bernstein_sum(c, p)
+
+    [(p_m, _, width)] = _bernstein_roots(
+        np.array(c), excess, lambda p: bernstein_sum(steps, p), tol
+    )
     return ThresholdResult(
-        m=m,
-        p_threshold=0.5 * (lo + hi),
-        bracket_width=hi - lo,
-        evaluations=evaluations,
-        at_boundary=False,
+        m=m, p_threshold=p_m, bracket_width=width, evaluations=evaluations, at_boundary=p_m == 1.0
     )
 
 

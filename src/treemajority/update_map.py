@@ -107,7 +107,9 @@ def g_prime_at_half(params: ModelParams) -> float:
         g'(1/2) = m/2^(m-1) * C(m-1, floor((m-1)/2))
                 + m/2^(m-2) * sum_{l=0}^{floor((m-1)/2)} (C(m-1,l-1) - C(m-1,l)) f(l),
 
-    where C(m-1,l-1) - C(m-1,l) = (m-1)!(2l-m) / (l!(m-l)!).
+    where C(m-1,l-1) - C(m-1,l) = (m-1)!(2l-m) / (l!(m-l)!).  It sums policy
+    values, so it stays an independent test oracle for ``solve_threshold``,
+    which roots the random-walk form E|S_N| - 1 instead.
     """
     if params.p_b != params.p_r:
         raise ValueError("g_prime_at_half requires p_b == p_r")

@@ -123,6 +123,11 @@ class TestFixedPointsCommand:
         code, _, err = run_cli(capsys, "fixed-points", "--m", "2", "--p", "1")
         assert code == 3 and "unsupported" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "fixed-points", "--m", "3", "--p", "0.8", "--tol", tol)
+        assert code == 2 and out == "" and "tol" in err
+
 
 class TestThresholdCommand:
     def test_m3_value(self, capsys):
@@ -137,6 +142,11 @@ class TestThresholdCommand:
         assert code == 0
         report = json.loads(out)
         assert report["p_threshold"] == 1.0 and report["at_boundary"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "threshold", "--m", "3", "--tol", tol)
+        assert code == 2 and out == "" and "tol" in err
 
     def test_solver_failure_exit_4(self, capsys, monkeypatch):
         def boom(args):
@@ -182,6 +192,14 @@ class TestTrajectoryCommand:
             "trajectory", "--m", "2", "--p", "1", "--pi0", "0.3", "--predict",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("conv_tol", ["nan", "inf"])
+    def test_non_finite_conv_tol_exit_2(self, capsys, conv_tol):
+        code, out, err = run_cli(
+            capsys,
+            "trajectory", "--m", "3", "--p", "0.7", "--pi0", "0.3", "--conv-tol", conv_tol,
+        )
+        assert code == 2 and out == "" and "conv_tol" in err
 
 
 class TestSimulateCommand:

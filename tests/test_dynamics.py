@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treemajority.dynamics import _rounding_bound, _threshold_coeffs
 from treemajority.dynamics import (
     ATTRACTIVE,
     NEUTRAL,
@@ -17,8 +21,8 @@ from treemajority.dynamics import (
     predict_limit,
     solve_threshold,
 )
-from treemajority.model import ModelParams
-from treemajority.update_map import UpdateMap, g_eval
+from treemajority.model import ModelParams, bernstein_sum
+from treemajority.update_map import UpdateMap, g_eval, g_prime_at_half
 
 from conftest import enumerate_policy
 
@@ -310,6 +314,71 @@ class TestSolveThreshold:
             solve_threshold(1)
         with pytest.raises(ValueError):
             solve_threshold(3, tol=1e-13)
+
+
+def exact_walk_excess(s: int) -> Fraction:
+    """E|S_s| - 1 for a simple symmetric random walk, summed over its 2^s paths."""
+    return sum(Fraction(math.comb(s, j) * abs(2 * j - s), 2**s) for j in range(s + 1)) - 1
+
+
+def mp_slope_at_half(m: int, p):
+    """g'(1/2) in the symmetric regime from the raw rule at 50 digits:
+    sum_k f(k) C(m,k) (2k - m) / 2^(m-1), with f(k) the win-plus-half-tie
+    double sum over the B- and R-success counts."""
+    q = 1 - p
+    pmf = [[math.comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)] for n in range(m + 1)]
+    total = mpmath.mpf(0)
+    for k in range(m + 1):
+        a, b = pmf[k], pmf[m - k]
+        f = mpmath.mpf(0)
+        for i, ai in enumerate(a):
+            f += ai * (mpmath.fsum(b[:i]) + (b[i] / 2 if i < len(b) else 0))
+        total += f * math.comb(m, k) * (2 * k - m)
+    return total / mpmath.mpf(2) ** (m - 1)
+
+
+class TestThresholdCertificate:
+    def test_coefficients_exact_and_monotone(self):
+        # c_s = E|S_s| - 1 never decreases and changes sign once for m >= 3,
+        # so Descartes' rule leaves p(m) a unique root in (0, 1)
+        exact = [Fraction(-1)] + [exact_walk_excess(s) for s in range(1, 65)]
+        assert exact[:7] == [-1, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(7, 8), Fraction(7, 8)]
+        assert all(a <= b for a, b in zip(exact, exact[1:]))
+        for m in range(2, 65):
+            c = exact[: m + 1]
+            assert _threshold_coeffs(m) == [float(x) for x in c]
+            signs = [x > 0 for x in c if x != 0]
+            changes = sum(a != b for a, b in zip(signs, signs[1:]))
+            assert changes == (1 if m >= 3 else 0)
+        assert _threshold_coeffs(2) == [-1.0, 0.0, 0.0]  # m = 2: the only root is p = 1
+
+    @given(m=st.integers(min_value=2, max_value=64), p=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_walk_form_matches_slope_oracle(self, m, p):
+        # g_prime_at_half's weights sum to at most 2m in absolute value, each
+        # times a policy value within _rounding_bound(m) of exact
+        got = bernstein_sum(_threshold_coeffs(m), p)
+        want = g_prime_at_half(ModelParams.symmetric(m, p)) - 1.0
+        assert abs(got - want) <= 2 * m * _rounding_bound(m)
+
+    @pytest.mark.parametrize("m", [3, 5, 8, 16, 33, 64])
+    def test_against_mpmath_root(self, m):
+        with mpmath.workdps(50):
+            root = mpmath.findroot(
+                lambda p: mp_slope_at_half(m, p) - 1,
+                (mpmath.mpf("0.001"), mpmath.mpf("0.999")),
+                solver="anderson",
+            )
+            assert abs(mp_slope_at_half(m, root) - 1) < mpmath.mpf("1e-40")
+            assert abs(solve_threshold(m).p_threshold - root) <= 1e-12
+
+    def test_bracket_and_evaluations(self):
+        for m in (3, 8, 64):
+            res = solve_threshold(m, tol=1e-9)
+            assert 0.0 < res.bracket_width <= 1e-9
+            assert 0 < res.evaluations <= 40
+        res = solve_threshold(2)
+        assert (res.p_threshold, res.bracket_width, res.evaluations) == (1.0, 0.0, 0)
 
 
 class TestClosedFormM3:
