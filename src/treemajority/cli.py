@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -59,7 +60,8 @@ def _echo_params(command: str, params: ModelParams, **extra) -> dict:
 
 
 def _to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    # RFC 8259 JSON has no NaN or Infinity: a report holding one raises ValueError (exit 2)
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_policy(args) -> str:
@@ -178,7 +180,8 @@ def _cmd_simulate(args) -> str:
         ),
         "pi_hat": list(result.pi_hat),
         "ci_half_width": list(result.ci_half_width),
-        "pair_correlation": result.pair_correlation,
+        # null when no child pair is usable (every child constant across replications)
+        "pair_correlation": None if math.isnan(result.pair_correlation) else result.pair_correlation,
         "replications_used": result.replications_used,
         "level_averages": list(result.level_averages),
     }

@@ -13,7 +13,10 @@ Two estimators:
 
 The simulation runs replications in groups: each level of a group is one
 ``(group size, m**d)`` boolean array, so a level update is one set of array
-operations per group, not per replication.  A group holds as many
+operations per group, not per replication.  It replays the raw rule, never
+f(k): each child's uniform is compared with the two scalar rates, and one
+signed int8 per child (+1 for a B success, -1 for an R success) is summed
+into the vertex's lead, broken by a coin on zero.  A group holds as many
 replications as fit their uniforms in ``_UNIFORM_BYTES`` (at least one); the
 one-step estimator sizes its chunks of trials by the same budget.
 
@@ -195,16 +198,15 @@ def _groups(cfg: SimConfig) -> Iterator[range]:
         yield range(lo, min(lo + size, cfg.replications))
 
 
-def _count_children(flags: np.ndarray) -> np.ndarray:
-    """Sum a (..., m) boolean array over its last axis, as int8 (m <= 64).
+def _count_children(signs: np.ndarray) -> np.ndarray:
+    """Sum a (..., m) int8 array of -1/0/+1 over its last axis (m <= 64, so int8 holds it).
 
     One strided add per child: a reduction over a short last axis costs
     about twice as much at small m.
     """
-    flags = flags.view(np.int8)
-    total = flags[..., 0].copy()
-    for k in range(1, flags.shape[-1]):
-        total += flags[..., k]
+    total = signs[..., 0].copy()
+    for k in range(1, signs.shape[-1]):
+        total += signs[..., k]
     return total
 
 
@@ -215,14 +217,15 @@ def _adopt(
 
     ``child`` (..., m) holds the children's states (True for B) and ``u_x``
     the uniforms of their experiments: a child succeeds when its uniform is
-    below its state's success rate.  A vertex adopts B when more B children
-    than R children succeed, and on a tie when its coin ``u_y`` (...) is
-    below 1/2.
+    below its state's success rate.  Each child adds +1 to the vertex's lead
+    when it is B and succeeds, -1 when it is R and succeeds, 0 otherwise; the
+    vertex adopts B when the lead is positive, and on a zero lead when its
+    coin ``u_y`` (...) is below 1/2.
     """
-    success = u_x < np.where(child, p_b, p_r)
-    n_b = _count_children(success & child)
-    n_r = _count_children(success & ~child)
-    return (n_b > n_r) | ((n_b == n_r) & (u_y < 0.5))
+    signs = ((u_x < p_b) & child).view(np.int8)
+    signs -= ((u_x < p_r) > child).view(np.int8)
+    lead = _count_children(signs)
+    return (lead > 0) | ((lead == 0) & (u_y < 0.5))
 
 
 def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -292,24 +295,20 @@ def simulate_tree(config: SimConfig) -> SimResult:
 def _max_abs_correlation(columns: np.ndarray, pairs: np.ndarray | None = None) -> float:
     """Max |Pearson correlation| over column pairs of a (R, n) 0/1 matrix.
 
-    Constant columns have undefined correlation and are skipped; NaN when no
-    pair is usable.
+    ``pairs`` (k, 2) defaults to every pair i < j in row-major order.  Pairs
+    that touch a constant column have undefined correlation and are dropped
+    before the loop; NaN when no pair is usable.  Each pair keeps its own dot
+    product, so the result does not depend on which other pairs are present.
     """
     x = columns.astype(float)
     x -= x.mean(axis=0)
     norms = np.sqrt((x**2).sum(axis=0))
-    usable = norms > 0.0
-    best = np.nan
     if pairs is None:
-        n = x.shape[1]
-        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
-    for i, j in pairs:
-        if not (usable[i] and usable[j]):
-            continue
-        corr = float(x[:, i] @ x[:, j] / (norms[i] * norms[j]))
-        if np.isnan(best) or abs(corr) > abs(best):
-            best = abs(corr)
-    return best
+        pairs = np.column_stack(np.triu_indices(x.shape[1], 1))
+    pairs = pairs[(norms[pairs] > 0.0).all(axis=1)].tolist()
+    cols, norms = list(x.T), norms.tolist()
+    corrs = (abs(float(cols[i] @ cols[j] / (norms[i] * norms[j]))) for i, j in pairs)
+    return max(corrs, default=np.nan)
 
 
 def independence_check(config: SimConfig, level: int, pairs: int) -> float:

@@ -214,6 +214,26 @@ class TestSimulateCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_no_usable_pair_is_null(self, capsys):
+        # one replication leaves every child constant, so no pair has a correlation
+        code, out, _ = run_cli(
+            capsys, "simulate", "--m", "3", "--p", "0.5", "--depth", "2", "--horizon", "2",
+            "--pi0", "0.5", "--reps", "1", "--seed", "1",
+        )
+        assert code == 0
+
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert report["pair_correlation"] is None
+
+    def test_non_finite_report_refused(self):
+        with pytest.raises(ValueError):
+            cli._to_json({"x": float("nan")})
+        with pytest.raises(ValueError):
+            cli._to_json({"x": [float("-inf")]})
+
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(self.ARGS[:-2])

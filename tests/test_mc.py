@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from treemajority import mc
@@ -350,3 +352,105 @@ class TestOneStepChunking:
         adopted = int(((n_b > n_r) | ((n_b == n_r) & (u[:, 2 * m] < 0.5))).sum())
         est, _ = estimate_g_one_step(params, x, samples, seed)
         assert est == adopted / samples
+
+
+def _two_count_adopt(child, u_x, u_y, p_b, p_r):
+    """The update rule as a rate array and two success counts, kept as an oracle."""
+    success = u_x < np.where(child, p_b, p_r)
+    n_b = (success & child).sum(axis=-1)
+    n_r = (success & ~child).sum(axis=-1)
+    return (n_b > n_r) | ((n_b == n_r) & (u_y < 0.5))
+
+
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+class TestAdoptRule:
+    """``mc._adopt`` (one signed int8 lead) against the two-count rule it replaced."""
+
+    @given(
+        m=st.integers(2, 64),
+        vertices=st.integers(1, 40),
+        p_b=rates,
+        p_r=rates,
+        pi=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_counts(self, m, vertices, p_b, p_r, pi, seed):
+        rng = np.random.default_rng(seed)
+        child = rng.random((vertices, m)) < pi
+        u_x = rng.random((vertices, m))
+        # some uniforms sit exactly on a rate: a child succeeds only strictly below it
+        hit = rng.random((vertices, m))
+        u_x[hit < 0.1], u_x[hit > 0.9] = p_b, p_r
+        # half the coins on each side of 1/2, so ties go both ways
+        u_y = 0.5 * (rng.random(vertices) + np.arange(vertices) % 2)
+        got = mc._adopt(child, u_x, u_y, p_b, p_r)
+        assert got.dtype == bool and got.shape == (vertices,)
+        assert np.array_equal(got, _two_count_adopt(child, u_x, u_y, p_b, p_r))
+
+    @pytest.mark.parametrize("coin", [0.0, 0.5 - 2**-54, 0.5, 1.0 - 2**-53])
+    @pytest.mark.parametrize("m", [2, 3, 63, 64])
+    def test_ties_and_int8_extremes(self, m, coin):
+        # rows: all B succeed (lead +m), all R succeed (lead -m), and a tie
+        child = np.array([[True] * m, [False] * m, [True, False] * (m // 2) + [True] * (m % 2)])
+        u_x = np.zeros((3, m))
+        u_x[2, -1] = m % 2  # at odd m the extra B child fails, so the row ties
+        u_y = np.full(3, coin)
+        got = mc._adopt(child, u_x, u_y, 1.0, 1.0)
+        assert got.tolist() == [True, False, coin < 0.5]
+        assert np.array_equal(got, _two_count_adopt(child, u_x, u_y, 1.0, 1.0))
+
+
+def _all_pairs_correlation(columns, pairs=None):
+    """The all-pairs loop that skips constant columns inside it, kept as an oracle."""
+    x = columns.astype(float)
+    x -= x.mean(axis=0)
+    norms = np.sqrt((x**2).sum(axis=0))
+    usable = norms > 0.0
+    best = np.nan
+    if pairs is None:
+        n = x.shape[1]
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+    for i, j in pairs:
+        if not (usable[i] and usable[j]):
+            continue
+        corr = float(x[:, i] @ x[:, j] / (norms[i] * norms[j]))
+        if np.isnan(best) or abs(corr) > abs(best):
+            best = abs(corr)
+    return best
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestCorrelationReduction:
+    """``mc._max_abs_correlation`` equals the all-pairs loop bit for bit."""
+
+    @pytest.mark.parametrize("reps", [2, 3, 800])
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    def test_matches_all_pairs_loop(self, n, reps):
+        rng = np.random.default_rng([n, reps])
+        columns = rng.random((reps, n)) < rng.uniform(0.05, 0.95, n)
+        columns[:, : n // 3] = rng.random(n // 3) < 0.5  # some constant columns
+        got = mc._max_abs_correlation(columns)
+        assert _same_float(got, _all_pairs_correlation(columns))
+
+    @pytest.mark.parametrize("reps", [1, 2, 800])
+    def test_all_columns_constant_is_nan(self, reps):
+        columns = np.zeros((reps, 5), dtype=bool)
+        columns[:, 2] = True
+        assert math.isnan(mc._max_abs_correlation(columns))
+        assert math.isnan(_all_pairs_correlation(columns))
+
+    @pytest.mark.parametrize("reps", [2, 800])
+    def test_explicit_pairs(self, reps):
+        rng = np.random.default_rng(reps)
+        columns = rng.random((reps, 30)) < 0.4
+        columns[:, 7] = False
+        pairs = np.array([(0, 7), (3, 29), (7, 12), (1, 2), (5, 18), (3, 29)])
+        got = mc._max_abs_correlation(columns, pairs)
+        assert _same_float(got, _all_pairs_correlation(columns, pairs))
+        assert math.isnan(mc._max_abs_correlation(columns, pairs[[0, 2]]))
