@@ -20,9 +20,8 @@ import numpy as np
 from .dynamics import (
     SolverError,
     UnsupportedRegimeError,
+    _trajectory_request,
     find_fixed_points,
-    iterate_dynamics,
-    predict_limit,
     solve_threshold,
 )
 from .model import ModelParams, policy_table, policy_value
@@ -124,7 +123,9 @@ def _cmd_fixed_points(args) -> str:
 
 def _cmd_trajectory(args) -> str:
     params = _params_from_args(args)
-    traj = iterate_dynamics(params, args.pi0, max_steps=args.steps, conv_tol=args.conv_tol)
+    traj, predicted = _trajectory_request(
+        params, args.pi0, args.steps, args.conv_tol, args.predict
+    )
     report = {
         "spec": _echo_params(
             "trajectory",
@@ -140,7 +141,7 @@ def _cmd_trajectory(args) -> str:
         "values": traj.values.tolist(),
     }
     if args.predict:
-        report["predicted_limit"] = predict_limit(params, args.pi0)
+        report["predicted_limit"] = predicted
     return _to_json(report)
 
 

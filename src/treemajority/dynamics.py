@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import MAX_CHILDREN, ModelParams, bernstein_sum
-from .update_map import UpdateMap, g_eval, g_prime
+from .model import MAX_CHILDREN, ModelParams, bernstein_horner, bernstein_scaled
+from .update_map import UpdateMap, g_eval, g_prime, g_value
 
 __all__ = [
     "ATTRACTIVE",
@@ -106,9 +106,11 @@ def _stability_label(slope: float) -> str:
 def _rounding_bound(m: int) -> float:
     """Absolute rounding bound on h = g - x and on Bernstein coefficients.
 
-    g_eval sums m+1 terms f(k) w_k with f(k) in [0, 1], sum w_k = 1 and under
-    3m eps of relative error in each weight from its recurrence
-    (``model.bernstein_sum``); a de Casteljau
+    g_eval runs Horner's rule on binomial-scaled coefficients
+    (``model.bernstein_horner``): each term f(k) C(m,k) x^k (1-x)^(m-k), with
+    f(k) in [0, 1] and the terms' weights summing to 1, carries at most 3(m+1)
+    unit roundoffs of relative error, so g is within 1.5 (m+1) eps (within 6%
+    of 4 (m+1) eps against 50-digit mpmath for m up to 64); a de Casteljau
     coefficient is m rounds of convex combinations of values below 1.  Either
     way the absolute error stays below 4 (m+1) eps.  The bound only decides
     that a quantity is zero to rounding; signs are always taken as they are.
@@ -227,16 +229,9 @@ def _bernstein_roots(coeffs: np.ndarray, h, hp, tol: float) -> list:
     return roots
 
 
-def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
-    """All solutions of g(x) = x in [0, 1], with stability and tangency flags.
-
-    They are the roots of h(x) = g(x) - x, whose Bernstein coefficients are
-    f(k) - k/m; interior roots are bisected to ``tol``.
-    """
-    if not (math.isfinite(tol) and tol >= 1e-13):
-        raise ValueError(f"tol must be finite and at least 1e-13, got {tol!r}")
-    gm = UpdateMap.from_params(params)
-    m = params.m
+def _fixed_points(gm: UpdateMap, tol: float = 1e-13) -> FixedPointSet:
+    """``find_fixed_points`` on a map already built."""
+    m = gm.params.m
     coeffs = gm.coeffs - np.arange(m + 1) / m
     if np.max(np.abs(coeffs)) <= _rounding_bound(m):
         raise IdentityMapError(
@@ -246,7 +241,18 @@ def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
         coeffs, lambda x: g_eval(gm, x) - x, lambda x: g_prime(gm, x) - 1.0, tol
     )
     points = tuple(_fixed_point(gm, val, tang) for val, tang, _ in roots)
-    return FixedPointSet(points=points, params=params)
+    return FixedPointSet(points=points, params=gm.params)
+
+
+def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
+    """All solutions of g(x) = x in [0, 1], with stability and tangency flags.
+
+    They are the roots of h(x) = g(x) - x, whose Bernstein coefficients are
+    f(k) - k/m; interior roots are bisected to ``tol``.
+    """
+    if not (math.isfinite(tol) and tol >= 1e-13):
+        raise ValueError(f"tol must be finite and at least 1e-13, got {tol!r}")
+    return _fixed_points(UpdateMap.from_params(params), tol)
 
 
 def classify_stability(gm: UpdateMap, x_star: float) -> str:
@@ -255,6 +261,46 @@ def classify_stability(gm: UpdateMap, x_star: float) -> str:
     if abs(g_eval(gm, x_star) - x_star) > 1e-8:
         raise ValueError(f"x_star={x_star!r} is not a fixed point of the map")
     return _stability_label(g_prime(gm, x_star))
+
+
+def _check_pi_0(pi_0) -> float:
+    pi_0 = float(pi_0)
+    if not 0.0 <= pi_0 <= 1.0:
+        raise ValueError("pi_0 must lie in [0, 1]")
+    return pi_0
+
+
+def _iterate(
+    gm: UpdateMap, pi_0: float, max_steps: int, conv_tol: float, fixed_points
+) -> Trajectory:
+    """``iterate_dynamics`` on a map already built; ``fixed_points()`` gives its
+    fixed points and is called only on convergence."""
+    pi_0 = _check_pi_0(pi_0)
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
+    if not (math.isfinite(conv_tol) and conv_tol > 0.0):
+        raise ValueError(f"conv_tol must be finite and positive, got {conv_tol!r}")
+    values = [pi_0]
+    x = pi_0
+    converged = False
+    scaled = gm._values
+    for _ in range(max_steps):
+        x_next = g_value(scaled, x)  # g_eval(gm, x) without its checks: x stays in [0, 1]
+        values.append(x_next)
+        if abs(x_next - x) < conv_tol:
+            x = x_next
+            converged = True
+            break
+        x = x_next
+    limit: Optional[float] = None
+    if converged:
+        try:
+            nearest = min(fixed_points().points, key=lambda fp: abs(fp.value - x))
+            if abs(nearest.value - x) <= 100.0 * conv_tol:
+                limit = nearest.value
+        except IdentityMapError:
+            limit = x  # every point is fixed, the trajectory is constant
+    return Trajectory(pi_0=pi_0, values=np.array(values), converged=converged, limit=limit)
 
 
 def iterate_dynamics(
@@ -268,59 +314,15 @@ def iterate_dynamics(
     Convergence is declared on the successive-difference criterion (residuals
     creep too slowly near tangencies); on convergence the limit is the nearest
     located fixed point when it lies within 100 * conv_tol of the final
-    iterate, else None.
+    iterate, else None.  Each iterate is bit-equal to ``g_eval`` of the one
+    before it.
     """
-    pi_0 = float(pi_0)
-    if not 0.0 <= pi_0 <= 1.0:
-        raise ValueError("pi_0 must lie in [0, 1]")
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    if not (math.isfinite(conv_tol) and conv_tol > 0.0):
-        raise ValueError(f"conv_tol must be finite and positive, got {conv_tol!r}")
     gm = UpdateMap.from_params(params)
-    values = [pi_0]
-    x = pi_0
-    converged = False
-    for _ in range(max_steps):
-        x_next = g_eval(gm, x)
-        values.append(x_next)
-        if abs(x_next - x) < conv_tol:
-            x = x_next
-            converged = True
-            break
-        x = x_next
-    limit: Optional[float] = None
-    if converged:
-        try:
-            fps = find_fixed_points(params)
-            nearest = min(fps.points, key=lambda fp: abs(fp.value - x))
-            if abs(nearest.value - x) <= 100.0 * conv_tol:
-                limit = nearest.value
-        except IdentityMapError:
-            limit = x  # every point is fixed, the trajectory is constant
-    return Trajectory(pi_0=pi_0, values=np.array(values), converged=converged, limit=limit)
+    return _iterate(gm, pi_0, max_steps, conv_tol, lambda: _fixed_points(gm))
 
 
-def predict_limit(params: ModelParams, pi_0: float) -> float:
-    """Limit of the recursion from pi_0, read off the fixed-point layout.
-
-    A unique fixed point attracts every initial value (no monotonicity
-    needed).  With two or three fixed points the map must be strictly
-    increasing, and the trajectory is monotone toward the nearest fixed point
-    in its direction of motion; regimes with more fixed points are refused
-    rather than guessed.  Monotonicity holds for every map of the model:
-    moving one child from R to B can only raise the B-minus-R success count,
-    so the steps f(k+1) - f(k) are nonnegative, g' = m sum (f(k+1) - f(k))
-    B_{k,m-1} is nonnegative, and a nonconstant g is strictly increasing.
-    The computed steps are sums of nonnegative terms
-    (``model.policy_differences``), so the computed g' is never negative
-    either and there is nothing to check.
-    """
-    pi_0 = float(pi_0)
-    if not 0.0 <= pi_0 <= 1.0:
-        raise ValueError("pi_0 must lie in [0, 1]")
-    gm = UpdateMap.from_params(params)
-    fps = find_fixed_points(params)
+def _predict(gm: UpdateMap, fps: FixedPointSet, pi_0: float) -> float:
+    """``predict_limit`` on a map already built and its fixed points."""
     vals = [fp.value for fp in fps.points]
     for v in vals:
         if abs(pi_0 - v) <= 1e-12:
@@ -340,6 +342,47 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
     if not below:
         raise SolverError("decreasing trajectory but no fixed point below pi_0")
     return max(below)
+
+
+def predict_limit(params: ModelParams, pi_0: float) -> float:
+    """Limit of the recursion from pi_0, read off the fixed-point layout.
+
+    A unique fixed point attracts every initial value (no monotonicity
+    needed).  With two or three fixed points the map must be strictly
+    increasing, and the trajectory is monotone toward the nearest fixed point
+    in its direction of motion; regimes with more fixed points are refused
+    rather than guessed.  Monotonicity holds for every map of the model:
+    moving one child from R to B can only raise the B-minus-R success count,
+    so the steps f(k+1) - f(k) are nonnegative, g' = m sum (f(k+1) - f(k))
+    B_{k,m-1} is nonnegative, and a nonconstant g is strictly increasing.
+    The computed steps are sums of nonnegative terms
+    (``model.policy_differences``), so the computed g' is never negative
+    either and there is nothing to check.
+    """
+    pi_0 = _check_pi_0(pi_0)
+    gm = UpdateMap.from_params(params)
+    return _predict(gm, _fixed_points(gm), pi_0)
+
+
+def _trajectory_request(
+    params: ModelParams, pi_0: float, max_steps: int, conv_tol: float, predict: bool
+) -> tuple:
+    """(``iterate_dynamics``, ``predict_limit`` or None) from one map and at most one root set.
+
+    The trajectory names its limit and the prediction reads the basins
+    separately, as the two public functions do, but both read the same fixed
+    points, found at most once.
+    """
+    gm = UpdateMap.from_params(params)
+    found: list = []
+
+    def fixed_points() -> FixedPointSet:
+        if not found:
+            found.append(_fixed_points(gm))
+        return found[0]
+
+    traj = _iterate(gm, pi_0, max_steps, conv_tol, fixed_points)
+    return traj, (_predict(gm, fixed_points(), traj.pi_0) if predict else None)
 
 
 def _threshold_coeffs(m: int) -> list:
@@ -366,16 +409,17 @@ def solve_threshold(m: int, tol: float = 1e-12) -> ThresholdResult:
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise ValueError(f"tol must be finite and at least 1e-12, got {tol!r}")
     c = _threshold_coeffs(m)
-    steps = [m * (b - a) for a, b in zip(c, c[1:])]
+    values = bernstein_scaled(c)
+    steps = bernstein_scaled([m * (b - a) for a, b in zip(c, c[1:])])
     evaluations = 0
 
     def excess(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return bernstein_sum(c, p)
+        return bernstein_horner(values, p)
 
     [(p_m, _, width)] = _bernstein_roots(
-        np.array(c), excess, lambda p: bernstein_sum(steps, p), tol
+        np.array(c), excess, lambda p: bernstein_horner(steps, p), tol
     )
     return ThresholdResult(
         m=m, p_threshold=p_m, bracket_width=width, evaluations=evaluations, at_boundary=p_m == 1.0

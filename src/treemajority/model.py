@@ -8,13 +8,16 @@ Binomial(m - k, p_r), independent of each other, so the adoption probability
 is ``P[win] + P[tie] / 2`` computed by a double sum over the two mass
 functions.
 
-Every binomial mass and every Bernstein weight comes from one pure-Python
-recurrence, ``bernstein_weights``, run from the smaller tail; ``bernstein_sum``
-evaluates a Bernstein form at a point as a running sum over its weights.
+Every binomial mass comes from one pure-Python recurrence,
+``bernstein_weights``, run from the smaller tail.  A Bernstein form is
+evaluated at a point by Horner's rule on its binomial-scaled coefficients
+(``bernstein_scaled``, ``bernstein_horner``; ``bernstein_sum`` for a one-off
+list), never by building its weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,14 +106,56 @@ def _dot(u, v) -> float:
     return acc
 
 
+def bernstein_scaled(c: list) -> tuple:
+    """The coefficients c[k] C(n,k), k = 0..n, and the same list reversed, for ``bernstein_horner``.
+
+    Each product is rounded once: c[k] is an exact ratio of integers with a
+    power-of-two denominator, and Python divides integers with one rounding.
+    """
+    n = len(c) - 1
+    scaled = []
+    for k, ck in enumerate(c):
+        num, den = float(ck).as_integer_ratio()
+        scaled.append(num * math.comb(n, k) / den)
+    return scaled, scaled[::-1]
+
+
+def bernstein_horner(scaled: tuple, x: float) -> float:
+    """sum_k c[k] C(n,k) x^k (1-x)^(n-k) at one point x in [0, 1], from ``bernstein_scaled(c)``.
+
+    With b = min(x, 1-x) and r = b/(1-b) <= 1 the sum is
+    (1-b)^n sum_k s[k] r^k, where s is the scaled list in the order that puts
+    the end nearer x at k = 0 (so reversed for x > 1/2); Horner's rule runs it
+    in one loop of two flops per coefficient.  It is exact at x in {0, 1},
+    where it returns c[0] and c[n].  Term k picks up at most 3(n+1) unit
+    roundoffs of relative error (one from s[k], 2n from Horner's rule, n from
+    r^k (1-b)^(n-k) and two from the power and the last product), so the
+    absolute error stays below 1.5 (n+1) eps sum_k |c[k]| C(n,k) x^k (1-x)^(n-k),
+    which is at most 1.5 (n+1) eps max|c[k]|.
+    """
+    up, down = scaled
+    if x > 0.5:
+        b = 1.0 - x  # exact, and 1 - b == x
+        terms = up
+    else:
+        b = x
+        terms = down
+    a = 1.0 - b
+    r = b / a
+    acc = 0.0
+    for s in terms:
+        acc = acc * r + s
+    return acc * a ** (len(up) - 1)
+
+
 def bernstein_sum(c: list, x: float) -> float:
     """sum_k c[k] C(n,k) x^k (1-x)^(n-k), n = len(c) - 1, at one point x in [0, 1].
 
-    With every c[k] in [0, 1] the absolute rounding error stays below
-    4 (n+1) machine epsilons: the weights sum to 1 and each is within about
-    3n epsilons of its exact value.
+    ``bernstein_horner`` on ``bernstein_scaled(c)``: within 1.5 (n+1) machine
+    epsilons of the exact sum for every c[k] in [0, 1].  Scale a list once
+    with ``bernstein_scaled`` to evaluate it at many points.
     """
-    return _dot(bernstein_weights(len(c) - 1, x), c)
+    return bernstein_horner(bernstein_scaled(c), x)
 
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:

@@ -10,9 +10,11 @@ values f(0..m).  Derivatives are taken analytically on the lower-degree
 Bernstein bases, never by numerical differencing: g' has coefficients
 m (f(k+1) - f(k)), built without subtracting policy values
 (``model.policy_differences``), and g'' their differences.  Every value is
-one running sum over the weights of ``model.bernstein_weights`` in Python
-floats, within 4 (n+1) machine epsilons of the exact Bernstein sum of degree
-n for coefficients in [0, 1]; an array of points is evaluated point by point.
+Horner's rule on binomial-scaled coefficients (``model.bernstein_horner``),
+scaled once per map, in Python floats: within 1.5 (n+1) machine epsilons of
+the exact Bernstein sum of degree n for coefficients in [0, 1].  g is clamped
+to [0, 1], where the exact g lies.  An array of points is evaluated point by
+point.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 from .model import (
     MAX_CHILDREN,
     ModelParams,
-    bernstein_sum,
+    bernstein_horner,
+    bernstein_scaled,
     policy_differences,
     policy_table,
     policy_value,
@@ -53,49 +56,64 @@ class UpdateMap:
     def from_params(cls, params: ModelParams) -> "UpdateMap":
         return cls(params=params, coeffs=policy_table(params))
 
-    # Coefficient lists in Python floats for the pointwise sums, built on first use.
+    # Binomial-scaled coefficient lists for bernstein_horner, built on first use.
 
     @cached_property
-    def _values(self) -> list:
-        return self.coeffs.tolist()
+    def _values(self) -> tuple:
+        return bernstein_scaled(self.coeffs.tolist())
 
     @cached_property
-    def _steps(self) -> list:
+    def _differences(self) -> list:
         return policy_differences(self.params)
 
     @cached_property
-    def _bends(self) -> list:
-        steps = self._steps
-        return [b - a for a, b in zip(steps, steps[1:])]
+    def _steps(self) -> tuple:
+        return bernstein_scaled(self._differences)
+
+    @cached_property
+    def _bends(self) -> tuple:
+        steps = self._differences
+        return bernstein_scaled([b - a for a, b in zip(steps, steps[1:])])
 
 
-def _pointwise(c: list, x):
-    """Bernstein sum with coefficients c at x: scalar in, float out; array in, array out."""
+def g_value(values: tuple, x: float) -> float:
+    """g at one point x in [0, 1] from ``UpdateMap._values``, clamped to [0, 1].
+
+    The exact g lies in [0, 1] because every f(k) does, so the clamp only
+    removes rounding: unclamped, g comes out an ulp or two above 1 near x = 1
+    on maps with p_b = 1 or p_r = 0.
+    """
+    v = bernstein_horner(values, x)
+    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+
+
+def _pointwise(kernel, c: tuple, x):
+    """kernel(c, x) at x: scalar in, float out; array in, array out."""
     if isinstance(x, (float, int)) or np.ndim(x) == 0:  # isinstance spares np.ndim's cost
         x = float(x)
         if not 0.0 <= x <= 1.0:  # also refuses NaN
             raise ValueError(f"x must lie in [0, 1], got {x!r}")
-        return bernstein_sum(c, x)
+        return kernel(c, x)
     pts = np.asarray(x, dtype=float)
     if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
-    return np.array([bernstein_sum(c, v) for v in pts.ravel().tolist()]).reshape(pts.shape)
+    return np.array([kernel(c, v) for v in pts.ravel().tolist()]).reshape(pts.shape)
 
 
 def g_eval(gm: UpdateMap, x):
-    """Value of the update map; scalar in, float out; array in, array out."""
-    return _pointwise(gm._values, x)
+    """Value of the update map, in [0, 1]; scalar in, float out; array in, array out."""
+    return _pointwise(g_value, gm._values, x)
 
 
 def g_prime(gm: UpdateMap, x):
     """First derivative: m * sum_l (f(l+1) - f(l)) B_{l,m-1}(x)."""
-    return gm.params.m * _pointwise(gm._steps, x)
+    return gm.params.m * _pointwise(bernstein_horner, gm._steps, x)
 
 
 def g_double_prime(gm: UpdateMap, x):
     """Second derivative: m(m-1) * sum_l (f(l+2) - 2f(l+1) + f(l)) B_{l,m-2}(x)."""
     m = gm.params.m
-    return m * (m - 1) * _pointwise(gm._bends, x)
+    return m * (m - 1) * _pointwise(bernstein_horner, gm._bends, x)
 
 
 def g_prime_at_half(params: ModelParams) -> float:

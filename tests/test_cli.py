@@ -201,6 +201,45 @@ class TestTrajectoryCommand:
         )
         assert code == 2 and out == "" and "conv_tol" in err
 
+    @pytest.mark.parametrize(
+        "m, pi0", [("23", "0.8312026801722365"), ("64", "0.5010530266755553")]
+    )
+    def test_saturated_map_reaches_one(self, capsys, m, pi0):
+        # g rounds an ulp or more above 1 near x = 1 on this map; unclamped,
+        # the next step refused the iterate as outside [0, 1]
+        code, out, err = run_cli(
+            capsys, "trajectory", "--m", m, "--p-b", "1", "--p-r", "0", "--pi0", pi0,
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["converged"] is True and report["limit"] == 1.0
+        assert all(0.0 <= v <= 1.0 for v in report["values"])
+
+    def test_one_map_and_one_root_set_per_request(self, capsys, monkeypatch):
+        import treemajority.dynamics as dynamics
+        from treemajority.update_map import UpdateMap
+
+        calls = {"from_params": 0, "roots": 0}
+        build, roots = UpdateMap.from_params.__func__, dynamics._bernstein_roots
+
+        def counted_build(cls, params):
+            calls["from_params"] += 1
+            return build(cls, params)
+
+        def counted_roots(*args, **kwargs):
+            calls["roots"] += 1
+            return roots(*args, **kwargs)
+
+        monkeypatch.setattr(UpdateMap, "from_params", classmethod(counted_build))
+        monkeypatch.setattr(dynamics, "_bernstein_roots", counted_roots)
+        argv = ("trajectory", "--m", "3", "--p", "0.8", "--pi0", "0.3", "--predict")
+        for request in (1, 2):  # nothing is kept from one request to the next
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            report = json.loads(out)
+            assert report["converged"] and report["predicted_limit"] == report["limit"]
+            assert calls == {"from_params": request, "roots": request}
+
 
 class TestSimulateCommand:
     ARGS = [

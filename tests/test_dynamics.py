@@ -212,6 +212,16 @@ class TestIterateDynamics:
         assert traj.converged
         assert traj.limit == pytest.approx(0.37, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3, 8, 64])
+    def test_steps_are_g_eval(self, m):
+        # the loop evaluates g without g_eval's checks, and must give its bits
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            params = ModelParams(m, float(rng.random()), float(rng.random()))
+            gm = UpdateMap.from_params(params)
+            values = iterate_dynamics(params, float(rng.random()), max_steps=200).values
+            assert values[1:].tolist() == [g_eval(gm, x) for x in values[:-1].tolist()]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             iterate_dynamics(ModelParams.symmetric(3, 0.5), 1.5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemajority.dynamics import _rounding_bound
-from treemajority.model import ModelParams, bernstein_sum, policy_value
+from treemajority.model import ModelParams, bernstein_sum, policy_differences, policy_value
 from treemajority.update_map import (
     UpdateMap,
     df_dp,
@@ -81,6 +81,23 @@ class TestGEval:
             g = g_eval(gm, rng.random(100))
             assert np.all((g >= 0.0) & (g <= 1.0))
 
+    @given(
+        m=st.integers(min_value=2, max_value=64),
+        rates=st.one_of(
+            st.tuples(st.just(1.0), probs),
+            st.tuples(probs, st.just(0.0)),
+            st.just((1.0, 0.0)),
+        ),
+        x=st.one_of(unit, st.floats(min_value=0.999, max_value=1.0), st.just(1.0 - 2.0**-53)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_range_saturated(self, m, rates, x):
+        # with p_b = 1 or p_r = 0 the policy values reach 1 and the rounded
+        # sum near x = 1 can land an ulp above it; g itself never does
+        gm = UpdateMap.from_params(ModelParams(m, *rates))
+        assert 0.0 <= g_eval(gm, x) <= 1.0
+        assert 0.0 <= g_eval(gm, 1.0 - x) <= 1.0
+
     def test_symmetric_identity_grid(self):
         xs = np.linspace(0.0, 1.0, 1001)
         for m, p in [(3, 0.6), (4, 0.3), (8, 0.95), (2, 0.5)]:
@@ -109,6 +126,31 @@ class TestKernel:
         c = data.draw(st.lists(unit, min_size=m + 1, max_size=m + 1))
         got = bernstein_sum(c, x)
         assert abs(got - float(mp_bernstein_sum(c, x))) <= _rounding_bound(m)
+
+    @given(m=st.integers(min_value=2, max_value=64), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_endpoints_exact(self, m, data):
+        signed = st.floats(min_value=-1.0, max_value=1.0)
+        c = data.draw(st.lists(signed, min_size=m + 1, max_size=m + 1))
+        assert bernstein_sum(c, 0.0) == c[0]
+        assert bernstein_sum(c, 1.0) == c[-1]
+
+    @given(
+        m=st.integers(min_value=2, max_value=64),
+        p_b=probs,
+        p_r=probs,
+        x=st.one_of(unit, st.sampled_from([0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_second_derivative_against_mpmath(self, m, p_b, p_r, x):
+        # the bends f(k+2) - 2f(k+1) + f(k) change sign, so the bound scales
+        # with the largest of them
+        steps = policy_differences(ModelParams(m, p_b, p_r))
+        bends = [b - a for a, b in zip(steps, steps[1:])]
+        gm = UpdateMap.from_params(ModelParams(m, p_b, p_r))
+        want = m * (m - 1) * mp_bernstein_sum(bends, x)
+        bound = _rounding_bound(m) * max(abs(b) for b in bends) * m * (m - 1)
+        assert abs(g_double_prime(gm, x) - float(want)) <= bound
 
     def test_array_matches_scalar_exactly(self):
         rng = np.random.default_rng(11)
