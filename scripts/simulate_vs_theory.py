@@ -4,8 +4,8 @@
 Runs the truncated-tree simulator and prints, per time step, the simulated
 marginal, the analytic marginal, and whether the simulation lands inside the
 95% band implied by the replication count.  Takes the flags of
-``treemajority simulate`` (``--out`` and ``--format`` are accepted and
-ignored); exits 1 when any marginal falls outside its band.
+``treemajority simulate`` (``--out`` is accepted and ignored); exits 1 when
+any marginal falls outside its band.
 
 Usage:
     python scripts/simulate_vs_theory.py --m 3 --p-b 1 --p-r 0.85 --pi0 0.2 \

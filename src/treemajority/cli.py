@@ -1,10 +1,12 @@
 """Command-line front end: policy tables, map curves, fixed points, trajectories,
 phase thresholds, tree simulations, and derivative cross-checks.
 
-Reports are JSON objects (CSV for curve/table output) carrying a ``spec`` echo
-of the parsed run so any report can be reproduced exactly.  Exit codes:
-0 success, 2 usage or validation error, 3 unsupported analysis regime,
-4 internal solver failure.
+Each handler returns its results as a dict, or CSV text under ``policy`` and
+``gmap``'s ``--format csv``.  ``main`` turns a dict into the JSON report: a
+``spec`` echo of every parsed flag (rates resolved to ``p_b``/``p_r``), so
+replaying the echo reproduces the report exactly, then the results.  Exit
+codes: 0 success, 2 usage or validation error (an unwritable ``--out``
+included), 3 unsupported analysis regime, 4 internal solver failure.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .dynamics import (
     solve_threshold,
 )
 from .model import ModelParams, policy_table, policy_value
-from .mc import SimConfig, estimate_g_one_step, simulate_tree
+from .mc import SimConfig, _check_seed, estimate_g_one_step, simulate_tree
 from .update_map import UpdateMap, df_dp, g_double_prime, g_eval, g_prime
 
 __all__ = ["main", "build_parser"]
@@ -52,9 +54,21 @@ def _params_from_args(args: argparse.Namespace) -> ModelParams:
     return ModelParams(args.m, args.p_b, args.p_r)
 
 
-def _echo_params(command: str, params: ModelParams, **extra) -> dict:
-    spec = {"command": command, "m": params.m, "p_b": params.p_b, "p_r": params.p_r}
-    spec.update(extra)
+# never echoed: the raw rates (echoed resolved), the output path and the handler
+_UNECHOED = frozenset({"p", "p_b", "p_r", "out", "handler"})
+
+
+def _spec(args: argparse.Namespace) -> dict:
+    """The command, the resolved m, p_b and p_r for subcommands that take rates,
+    then every other flag in the order ``build_parser`` declares it (argparse
+    fills the namespace in that order)."""
+    spec = {"command": args.command}
+    if hasattr(args, "p"):
+        params = _params_from_args(args)
+        spec.update(m=params.m, p_b=params.p_b, p_r=params.p_r)
+    for key, value in vars(args).items():
+        if key not in spec and key not in _UNECHOED:
+            spec[key] = value
     return spec
 
 
@@ -63,21 +77,16 @@ def _to_json(report: dict) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
-def _cmd_policy(args) -> str:
-    params = _params_from_args(args)
-    table = policy_table(params)
+def _cmd_policy(args) -> dict | str:
+    table = policy_table(_params_from_args(args))
     if args.format == "csv":
         lines = ["k,f"]
         lines += [f"{k},{_fmt(v)}" for k, v in enumerate(table)]
         return "\n".join(lines) + "\n"
-    report = {
-        "spec": _echo_params("policy", params, format=args.format),
-        "policy": {str(k): float(v) for k, v in enumerate(table)},
-    }
-    return _to_json(report)
+    return {"policy": {str(k): float(v) for k, v in enumerate(table)}}
 
 
-def _cmd_gmap(args) -> str:
+def _cmd_gmap(args) -> dict | str:
     params = _params_from_args(args)
     if args.grid < 1:
         raise ValueError("--grid must be at least 1")
@@ -92,49 +101,19 @@ def _cmd_gmap(args) -> str:
             f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(c)}" for x, a, b, c in zip(xs, g, gp, gpp)
         ]
         return "\n".join(lines) + "\n"
-    report = {
-        "spec": _echo_params("gmap", params, grid=args.grid, format=args.format),
-        "x": list(xs),
-        "g": list(g),
-        "gprime": list(gp),
-        "gdoubleprime": list(gpp),
-    }
-    return _to_json(report)
+    return {"x": list(xs), "g": list(g), "gprime": list(gp), "gdoubleprime": list(gpp)}
 
 
-def _cmd_fixed_points(args) -> str:
-    params = _params_from_args(args)
-    fps = find_fixed_points(params, tol=args.tol)
-    report = {
-        "spec": _echo_params("fixed-points", params, tol=args.tol),
-        "count": len(fps.points),
-        "points": [
-            {
-                "value": fp.value,
-                "stability": fp.stability,
-                "tangent": fp.tangent,
-                "residual": fp.residual,
-            }
-            for fp in fps.points
-        ],
-    }
-    return _to_json(report)
+def _cmd_fixed_points(args) -> dict:
+    fps = find_fixed_points(_params_from_args(args), tol=args.tol)
+    return {"count": len(fps.points), "points": [asdict(fp) for fp in fps.points]}
 
 
-def _cmd_trajectory(args) -> str:
-    params = _params_from_args(args)
+def _cmd_trajectory(args) -> dict:
     traj, predicted = _trajectory_request(
-        params, args.pi0, args.steps, args.conv_tol, args.predict
+        _params_from_args(args), args.pi0, args.steps, args.conv_tol, args.predict
     )
     report = {
-        "spec": _echo_params(
-            "trajectory",
-            params,
-            pi0=args.pi0,
-            steps=args.steps,
-            conv_tol=args.conv_tol,
-            predict=args.predict,
-        ),
         "steps_taken": len(traj.values) - 1,
         "converged": traj.converged,
         "limit": traj.limit,
@@ -142,26 +121,16 @@ def _cmd_trajectory(args) -> str:
     }
     if args.predict:
         report["predicted_limit"] = predicted
-    return _to_json(report)
+    return report
 
 
-def _cmd_threshold(args) -> str:
-    res = solve_threshold(args.m, tol=args.tol)
-    report = {
-        "spec": {"command": "threshold", "m": args.m, "tol": args.tol},
-        "m": res.m,
-        "p_threshold": res.p_threshold,
-        "bracket_width": res.bracket_width,
-        "evaluations": res.evaluations,
-        "at_boundary": res.at_boundary,
-    }
-    return _to_json(report)
+def _cmd_threshold(args) -> dict:
+    return asdict(solve_threshold(args.m, tol=args.tol))
 
 
-def _cmd_simulate(args) -> str:
-    params = _params_from_args(args)
+def _cmd_simulate(args) -> dict:
     config = SimConfig(
-        params=params,
+        params=_params_from_args(args),
         depth=args.depth,
         horizon=args.horizon,
         pi_0=args.pi0,
@@ -169,16 +138,7 @@ def _cmd_simulate(args) -> str:
         replications=args.reps,
     )
     result = simulate_tree(config)
-    report = {
-        "spec": _echo_params(
-            "simulate",
-            params,
-            depth=args.depth,
-            horizon=args.horizon,
-            pi0=args.pi0,
-            reps=args.reps,
-            seed=args.seed,
-        ),
+    return {
         "pi_hat": list(result.pi_hat),
         "ci_half_width": list(result.ci_half_width),
         # null when no child pair is usable (every child constant across replications)
@@ -186,28 +146,19 @@ def _cmd_simulate(args) -> str:
         "replications_used": result.replications_used,
         "level_averages": list(result.level_averages),
     }
-    return _to_json(report)
 
 
-def _cmd_estimate(args) -> str:
+def _cmd_estimate(args) -> dict:
     params = _params_from_args(args)
     est, half = estimate_g_one_step(params, args.x, args.samples, args.seed)
     gm = UpdateMap.from_params(params)
-    report = {
-        "spec": _echo_params(
-            "estimate-g", params, x=args.x, samples=args.samples, seed=args.seed
-        ),
-        "estimate": est,
-        "ci_half_width": half,
-        "analytic": g_eval(gm, args.x),
-    }
-    return _to_json(report)
+    return {"estimate": est, "ci_half_width": half, "analytic": g_eval(gm, args.x)}
 
 
-def _cmd_dcheck(args) -> str:
+def _cmd_dcheck(args) -> dict:
     if args.cases < 1:
         raise ValueError("--cases must be at least 1")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(args.seed))))
     h1, h2 = 1e-6, 1e-4
     dev_gp = dev_gpp = dev_dfdp = 0.0
     max_dfdp = -np.inf
@@ -229,14 +180,12 @@ def _cmd_dcheck(args) -> str:
         val = df_dp(m, ell, p)
         dev_dfdp = max(dev_dfdp, abs(val - fd))
         max_dfdp = max(max_dfdp, val)
-    report = {
-        "spec": {"command": "dcheck", "cases": args.cases, "seed": args.seed},
+    return {
         "max_abs_dev_gprime": dev_gp,
         "max_abs_dev_gdoubleprime": dev_gpp,
         "max_abs_dev_df_dp": dev_dfdp,
         "max_df_dp": max_dfdp,
     }
-    return _to_json(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,20 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_choices=("json",), fmt_default="json"):
+    def common(sp, *formats):
         sp.add_argument("--out", type=str, default=None, help="write the report to this path")
-        if fmt_choices:
-            sp.add_argument("--format", choices=fmt_choices, default=fmt_default)
+        if formats:
+            sp.add_argument("--format", choices=formats, default="csv")
 
     sp = sub.add_parser("policy", help="policy table f(0..m)")
     _add_param_flags(sp)
-    common(sp, fmt_choices=("json", "csv"), fmt_default="csv")
+    common(sp, "json", "csv")
     sp.set_defaults(handler=_cmd_policy)
 
     sp = sub.add_parser("gmap", help="sampled curve of g, g', g''")
     _add_param_flags(sp)
     sp.add_argument("--grid", type=int, required=True, help="number of intervals on [0,1]")
-    common(sp, fmt_choices=("csv", "json"), fmt_default="csv")
+    common(sp, "csv", "json")
     sp.set_defaults(handler=_cmd_gmap)
 
     sp = sub.add_parser("fixed-points", help="fixed points of the update map")
@@ -312,19 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
+        report = args.handler(args)
+        text = report if isinstance(report, str) else _to_json({"spec": _spec(args), **report})
     except UnsupportedRegimeError as exc:
         print(f"error: unsupported regime: {exc}", file=sys.stderr)
         return 3
@@ -334,7 +276,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -278,23 +278,46 @@ class TestSimulateCommand:
             cli.main(self.ARGS[:-2])
         assert exc.value.code == 2
 
-    def test_report_echo_round_trip(self, capsys):
-        code, out, _ = run_cli(capsys, *self.ARGS)
+    # one request per subcommand that writes JSON; fixed-points and policy use --p
+    REPLAYED = {
+        "policy": ["policy", "--m", "4", "--p", "0.3", "--format", "json"],
+        "gmap": ["gmap", "--m", "4", "--p-b", "0.7", "--p-r", "0.2", "--grid", "5", "--format", "json"],
+        "fixed-points": ["fixed-points", "--m", "3", "--p", "0.8"],
+        "trajectory": [
+            "trajectory", "--m", "3", "--p-b", "0.9", "--p-r", "0.6", "--pi0", "0.3",
+            "--steps", "500", "--predict",
+        ],
+        "threshold": ["threshold", "--m", "4"],
+        "simulate": ARGS,
+        "estimate-g": [
+            "estimate-g", "--m", "4", "--p-b", "0.7", "--p-r", "0.4", "--x", "0.3",
+            "--samples", "1000", "--seed", "1",
+        ],
+        "dcheck": ["dcheck", "--cases", "5", "--seed", "3"],
+    }
+
+    @pytest.mark.parametrize("command", list(REPLAYED))
+    def test_report_echo_round_trip(self, capsys, command):
+        code, out, _ = run_cli(capsys, *self.REPLAYED[command])
         assert code == 0
         spec = json.loads(out)["spec"]
-        rebuilt = [
-            "simulate",
-            "--m", str(spec["m"]),
-            "--p-b", repr(spec["p_b"]),
-            "--p-r", repr(spec["p_r"]),
-            "--depth", str(spec["depth"]),
-            "--horizon", str(spec["horizon"]),
-            "--pi0", repr(spec["pi0"]),
-            "--reps", str(spec["reps"]),
-            "--seed", str(spec["seed"]),
-        ]
+        assert spec["command"] == command
+        rebuilt = [command]
+        for key, value in list(spec.items())[1:]:
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                rebuilt.append(flag)
+            elif value is not False:
+                rebuilt += [flag, repr(value) if isinstance(value, float) else str(value)]
         code2, out2, _ = run_cli(capsys, *rebuilt)
         assert code2 == 0 and out2 == out
+
+    @pytest.mark.parametrize("command", [c for c in REPLAYED if c not in ("policy", "gmap")])
+    def test_json_only_commands_refuse_format(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*self.REPLAYED[command], "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 class TestEstimateCommand:
@@ -321,6 +344,12 @@ class TestDcheckCommand:
         assert report["max_abs_dev_df_dp"] <= 1e-6
         assert report["max_df_dp"] < 0.0
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exit_2(self, capsys, seed):
+        code, out, err = run_cli(capsys, "dcheck", "--seed", seed, "--cases", "2")
+        assert code == 2 and out == ""
+        assert err == "error: seed must fit in 64 unsigned bits\n"
+
 
 class TestOutFlag:
     def test_writes_file(self, tmp_path, capsys):
@@ -329,3 +358,10 @@ class TestOutFlag:
         assert code == 0 and out == ""
         report = json.loads(target.read_text())
         assert report["m"] == 3
+
+    def test_unwritable_path_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "threshold", "--m", "3", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write report: ")
+        assert not target.exists()
