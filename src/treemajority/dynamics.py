@@ -3,22 +3,27 @@
 Fixed points and the symmetric-regime threshold p(m) share one root finder,
 ``_bernstein_roots``: Descartes' rule of signs and de Casteljau subdivision on
 Bernstein coefficients (Lane & Riesenfeld 1981; Mourrain & Rouillier 2009).
-Fixed points are the roots of h(x) = g(x) - x, with coefficients f(k) - k/m;
-p(m) is the root of g'(1/2) - 1 = E|S_N| - 1 as a polynomial in p, with
-N ~ Binomial(m, p) and S a simple symmetric random walk.  Limits of the
-recursion pi_{t+1} = g(pi_t) are predicted from the fixed-point layout using
-the cobweb argument for strictly increasing maps.
+It is given the coefficients of a polynomial h and nothing else: h and h'
+at a point are Horner's rule on them (``model.bernstein_horner``), and it
+counts its own evaluations of h.  Fixed points are the roots of
+h(x) = g(x) - x, with coefficients f(k) - k/m; p(m) is the root of
+g'(1/2) - 1 = E|S_N| - 1 as a polynomial in p, with N ~ Binomial(m, p) and
+S a simple symmetric random walk.  Limits of the recursion
+pi_{t+1} = g(pi_t) are predicted from the fixed-point layout using the
+cobweb argument for strictly increasing maps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import MAX_CHILDREN, ModelParams, bernstein_horner, bernstein_scaled
+from .model import _check_int, _check_prob
 from .update_map import UpdateMap, g_eval, g_prime, g_value
 
 __all__ = [
@@ -104,18 +109,18 @@ def _stability_label(slope: float) -> str:
 
 
 def _rounding_bound(m: int) -> float:
-    """Absolute rounding bound on h = g - x and on Bernstein coefficients.
+    """Absolute rounding bound on h and on its Bernstein coefficients, for degree m.
 
-    g_eval runs Horner's rule on binomial-scaled coefficients
-    (``model.bernstein_horner``): each term f(k) C(m,k) x^k (1-x)^(m-k), with
-    f(k) in [0, 1] and the terms' weights summing to 1, carries at most 3(m+1)
-    unit roundoffs of relative error, so g is within 1.5 (m+1) eps (within 6%
-    of 4 (m+1) eps against 50-digit mpmath for m up to 64); a de Casteljau
-    coefficient is m rounds of convex combinations of values below 1.  Either
-    way the absolute error stays below 4 (m+1) eps.  The bound only decides
-    that a quantity is zero to rounding; signs are always taken as they are.
+    The isolator evaluates h by Horner's rule on its own binomial-scaled
+    coefficients (``model.bernstein_horner``), which lie in [-1, 1] (f(k) - k/m
+    for fixed points, E|S_s| - 1 for the threshold): each term carries at most
+    3(m+1) unit roundoffs of relative error, so h is within 1.5 (m+1) eps; a
+    de Casteljau coefficient is m rounds of convex combinations of values in
+    [-1, 1].  Either way the absolute error stays below 4 (m+1) eps.  The
+    bound only decides that a quantity is zero to rounding; signs are always
+    taken as they are.
     """
-    return 4.0 * (m + 1) * np.finfo(float).eps
+    return 4.0 * (m + 1) * sys.float_info.epsilon
 
 
 def _fixed_point(gm: UpdateMap, value: float, tangent: bool) -> FixedPoint:
@@ -141,44 +146,58 @@ def _bisect(h, a: float, b: float, fa: float, tol: float) -> tuple:
     return a, b
 
 
-def _signs(c: np.ndarray) -> np.ndarray:
-    """Signs of the nonzero entries of a coefficient sequence, in order."""
-    return np.sign(c[c != 0.0])
+def _signs(c: list) -> list:
+    """Signs (+1.0 or -1.0) of the nonzero entries of a coefficient list, in order."""
+    return [1.0 if v > 0.0 else -1.0 for v in c if v != 0.0]
 
 
-def _changes(signs: np.ndarray) -> int:
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+def _changes(signs: list) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _split(c: np.ndarray, t: float) -> tuple:
+def _split(c: list, t: float) -> tuple:
     """De Casteljau: Bernstein coefficients of the same polynomial on [0, t] and on [t, 1]."""
+    s = 1.0 - t
     left, right = [c[0]], [c[-1]]
     while len(c) > 1:
-        c = (1.0 - t) * c[:-1] + t * c[1:]
+        c = [s * a + t * b for a, b in zip(c, c[1:])]
         left.append(c[0])
         right.append(c[-1])
-    return np.array(left), np.array(right[::-1])
+    return left, right[::-1]
 
 
-def _bernstein_roots(coeffs: np.ndarray, h, hp, tol: float) -> list:
-    """Ascending (root, tangent, final bracket width) for each root of h in [0, 1].
+def _bernstein_roots(coeffs: list, tol: float) -> tuple:
+    """(roots, evaluations) of the polynomial h in [0, 1] whose Bernstein coefficients are ``coeffs``.
 
-    ``coeffs`` are the Bernstein coefficients of h; ``h`` and ``hp`` evaluate
-    h and h' at a point.  An endpoint is a root iff
-    its coefficient is zero.  An interval whose coefficients change sign once
-    holds one root, bisected on h to ``tol``; one whose coefficient differences
-    change sign once holds one extremum, bisected on h', and the sign of h there
-    decides between no root, two simple roots and a double (tangent) root; any
-    other interval is split at its midpoint.  Adjacent roots merge when h is
-    within ``_rounding_bound`` of zero on the whole gap between them.
+    ``roots`` holds (root, tangent, final bracket width) per root, ascending;
+    ``evaluations`` counts the evaluations of h.  h and h' are Horner's rule
+    on the scaled ``coeffs`` and on the scaled n (c[k+1] - c[k]), so every
+    value the isolator reads comes from the coefficients it is given.  An
+    endpoint is a root iff its coefficient is zero.  An interval whose
+    coefficients change sign once holds one root, bisected on h to ``tol``;
+    one whose coefficient differences change sign once holds one extremum,
+    bisected on h', and the sign of h there decides between no root, two
+    simple roots and a double (tangent) root; any other interval is split at
+    its midpoint.  Adjacent roots merge when h is within ``_rounding_bound``
+    of zero on the whole gap between them.
     """
-    noise = _rounding_bound(len(coeffs) - 1)
+    n = len(coeffs) - 1
+    noise = _rounding_bound(n)
+    values = bernstein_scaled(coeffs)
+    slopes = bernstein_scaled([n * (b - a) for a, b in zip(coeffs, coeffs[1:])])
+    evaluations = 0
+
+    def h(x: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return bernstein_horner(values, x)
+
     # (final bracket, sign of h just left of the root, sign just right of it), ascending
     found: list = []
 
-    def isolate(c: np.ndarray, a: float, b: float) -> None:
+    def isolate(c: list, a: float, b: float) -> None:
         """Append the roots of h in the open interval (a, b), where c are its coefficients."""
-        s, d = _signs(c), _signs(np.diff(c))
+        s, d = _signs(c), _signs([y - x for x, y in zip(c, c[1:])])
         changes = _changes(s)
         if changes == 0:
             return
@@ -187,7 +206,7 @@ def _bernstein_roots(coeffs: np.ndarray, h, hp, tol: float) -> list:
         if changes == 1 or (one_extremum and left != right):
             found.append((_bisect(h, a, b, left, tol), left, right))
         elif one_extremum:
-            lo, hi = _bisect(hp, a, b, d[0], tol)
+            lo, hi = _bisect(lambda x: bernstein_horner(slopes, x), a, b, d[0], tol)
             xc = 0.5 * (lo + hi)
             v = h(xc)
             if abs(v) <= noise:
@@ -195,7 +214,7 @@ def _bernstein_roots(coeffs: np.ndarray, h, hp, tol: float) -> list:
             elif (v > 0.0) != (left > 0.0):
                 found.append((_bisect(h, a, xc, left, tol), left, -left))
                 found.append((_bisect(h, xc, b, v, tol), -left, right))
-        elif b - a <= tol or np.max(np.abs(c)) <= noise:
+        elif b - a <= tol or all(abs(v) <= noise for v in c):
             # a cluster no finer split can resolve: one point
             found.append(((a, b), left, right))
         else:
@@ -211,7 +230,7 @@ def _bernstein_roots(coeffs: np.ndarray, h, hp, tol: float) -> list:
     def flat(a: float, b: float) -> bool:
         """h is within rounding of zero on all of [a, b]."""
         upper = _split(coeffs, a)[1]
-        return bool(np.max(np.abs(_split(upper, (b - a) / (1.0 - a))[0])) <= noise)
+        return all(abs(v) <= noise for v in _split(upper, (b - a) / (1.0 - a))[0])
 
     # [first root, last root, bracket start, bracket end, sign left of first, of last]
     clusters: list = []
@@ -226,20 +245,18 @@ def _bernstein_roots(coeffs: np.ndarray, h, hp, tol: float) -> list:
         roots.insert(0, (0.0, False, 0.0))
     if coeffs[-1] == 0.0:
         roots.append((1.0, False, 0.0))
-    return roots
+    return roots, evaluations
 
 
 def _fixed_points(gm: UpdateMap, tol: float = 1e-13) -> FixedPointSet:
     """``find_fixed_points`` on a map already built."""
     m = gm.params.m
-    coeffs = gm.coeffs - np.arange(m + 1) / m
-    if np.max(np.abs(coeffs)) <= _rounding_bound(m):
+    coeffs = [f - k / m for k, f in enumerate(gm.coeffs.tolist())]
+    if max(map(abs, coeffs)) <= _rounding_bound(m):
         raise IdentityMapError(
             "update map coincides with the identity; every point of [0,1] is fixed"
         )
-    roots = _bernstein_roots(
-        coeffs, lambda x: g_eval(gm, x) - x, lambda x: g_prime(gm, x) - 1.0, tol
-    )
+    roots, _ = _bernstein_roots(coeffs, tol)
     points = tuple(_fixed_point(gm, val, tang) for val, tang, _ in roots)
     return FixedPointSet(points=points, params=gm.params)
 
@@ -263,21 +280,13 @@ def classify_stability(gm: UpdateMap, x_star: float) -> str:
     return _stability_label(g_prime(gm, x_star))
 
 
-def _check_pi_0(pi_0) -> float:
-    pi_0 = float(pi_0)
-    if not 0.0 <= pi_0 <= 1.0:
-        raise ValueError("pi_0 must lie in [0, 1]")
-    return pi_0
-
-
 def _iterate(
     gm: UpdateMap, pi_0: float, max_steps: int, conv_tol: float, fixed_points
 ) -> Trajectory:
     """``iterate_dynamics`` on a map already built; ``fixed_points()`` gives its
     fixed points and is called only on convergence."""
-    pi_0 = _check_pi_0(pi_0)
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
+    pi_0 = _check_prob("pi_0", pi_0)
+    max_steps = _check_int("max_steps", max_steps, 1)
     if not (math.isfinite(conv_tol) and conv_tol > 0.0):
         raise ValueError(f"conv_tol must be finite and positive, got {conv_tol!r}")
     values = [pi_0]
@@ -359,7 +368,7 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
     (``model.policy_differences``), so the computed g' is never negative
     either and there is nothing to check.
     """
-    pi_0 = _check_pi_0(pi_0)
+    pi_0 = _check_prob("pi_0", pi_0)
     gm = UpdateMap.from_params(params)
     return _predict(gm, _fixed_points(gm), pi_0)
 
@@ -403,24 +412,10 @@ def solve_threshold(m: int, tol: float = 1e-12) -> ThresholdResult:
     change certifies p(m) unique in (0, 1), and ``_bernstein_roots`` bisects it
     to ``tol``; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
     """
-    m = int(m)
-    if m < 2 or m > MAX_CHILDREN:
-        raise ValueError(f"m must lie in 2..{MAX_CHILDREN}, got {m}")
+    m = _check_int("m", m, 2, MAX_CHILDREN)
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise ValueError(f"tol must be finite and at least 1e-12, got {tol!r}")
-    c = _threshold_coeffs(m)
-    values = bernstein_scaled(c)
-    steps = bernstein_scaled([m * (b - a) for a, b in zip(c, c[1:])])
-    evaluations = 0
-
-    def excess(p: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return bernstein_horner(values, p)
-
-    [(p_m, _, width)] = _bernstein_roots(
-        np.array(c), excess, lambda p: bernstein_horner(steps, p), tol
-    )
+    [(p_m, _, width)], evaluations = _bernstein_roots(_threshold_coeffs(m), tol)
     return ThresholdResult(
         m=m, p_threshold=p_m, bracket_width=width, evaluations=evaluations, at_boundary=p_m == 1.0
     )
@@ -438,9 +433,7 @@ def m3_pb1_closed_form(p_r: float) -> FixedPointSet:
     p_r < sqrt3 - 1, a double (tangent) root at sqrt3 - 1, and two simple
     roots above it.
     """
-    p_r = float(p_r)
-    if not 0.0 <= p_r <= 1.0:
-        raise ValueError("p_r must lie in [0, 1]")
+    p_r = _check_prob("p_r", p_r)
     params = ModelParams(3, 1.0, p_r)
     gm = UpdateMap.from_params(params)
     boundary = math.sqrt(3.0) - 1.0

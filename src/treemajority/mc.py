@@ -42,7 +42,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import ModelParams
+from .model import ModelParams, _check_int, _check_prob
 
 __all__ = [
     "SimConfig",
@@ -114,14 +114,10 @@ class SimConfig:
     replications: int
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-        if not 0 <= self.horizon <= self.depth:
-            raise ValueError("horizon must lie in 0..depth")
-        if not 0.0 <= self.pi_0 <= 1.0:
-            raise ValueError("pi_0 must lie in [0, 1]")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        object.__setattr__(self, "depth", _check_int("depth", self.depth, 1))
+        object.__setattr__(self, "horizon", _check_int("horizon", self.horizon, 0, self.depth))
+        object.__setattr__(self, "pi_0", _check_prob("pi_0", self.pi_0))
+        object.__setattr__(self, "replications", _check_int("replications", self.replications, 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.params.m**self.depth > _LEAF_GUARD:
             raise ValueError(
@@ -159,12 +155,8 @@ def estimate_g_one_step(
     child at its state's rate, and a fair tie-break coin; returns the adopting
     fraction and its 95% half-width sqrt-based on the binomial variance.
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    x = _check_prob("x", x)
+    samples = _check_int("samples", samples, 1)
     seed = _check_seed(seed)
     m, p_b, p_r = params.m, params.p_b, params.p_r
     gen = _Streams(seed).at(_ONESTEP)
@@ -318,9 +310,7 @@ def independence_check(config: SimConfig, level: int, pairs: int) -> float:
     so the configured horizon must respect that window; fewer than 100
     replications give correlation estimates too noisy to report.
     """
-    level = int(level)
-    if not 0 <= level <= config.depth:
-        raise ValueError(f"level must lie in 0..{config.depth}")
+    level = _check_int("level", level, 0, config.depth)
     if config.horizon > config.depth - level:
         raise ValueError(
             f"horizon {config.horizon} exceeds the validity window "
@@ -331,9 +321,7 @@ def independence_check(config: SimConfig, level: int, pairs: int) -> float:
     n = config.params.m**level
     if n < 2:
         raise ValueError(f"level {level} has a single vertex; no pairs exist")
-    pairs = int(pairs)
-    if pairs < 1:
-        raise ValueError("pairs must be at least 1")
+    pairs = _check_int("pairs", pairs, 1)
 
     gen = _Streams(config.seed).at(_PAIRS)
     total = n * (n - 1) // 2

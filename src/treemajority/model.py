@@ -42,6 +42,25 @@ def _check_prob(name: str, value) -> float:
     return value
 
 
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in lo..hi (no upper end when hi is None).
+
+    An integral value of any numeric type (3.0, numpy integers) is coerced;
+    anything else, 2.5, NaN or a string included, is refused, never truncated.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise ValueError(f"{name} must be at most {hi}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full model specification: children per vertex and the two success rates.
@@ -55,14 +74,7 @@ class ModelParams:
     p_r: float
 
     def __post_init__(self) -> None:
-        m = int(self.m)
-        if m != self.m:
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if m < 2:
-            raise ValueError(f"m must be at least 2, got {m}")
-        if m > MAX_CHILDREN:
-            raise ValueError(f"m must be at most {MAX_CHILDREN}, got {m}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _check_int("m", self.m, 2, MAX_CHILDREN))
         object.__setattr__(self, "p_b", _check_prob("p_b", self.p_b))
         object.__setattr__(self, "p_r", _check_prob("p_r", self.p_r))
 
@@ -160,9 +172,7 @@ def bernstein_sum(c: list, x: float) -> float:
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:
     """Exact Binomial(n, p) masses on outcomes 0..n; degenerate at 0 when n = 0 or p = 0."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    n = _check_int("n", n, 0)
     p = _check_prob("p", p)
     return np.array(bernstein_weights(n, p))
 
@@ -170,9 +180,7 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
 def policy_value(params: ModelParams, k: int) -> float:
     """Probability of adopting B given exactly k of the m children are in state B."""
     m = params.m
-    k = int(k)
-    if not 0 <= k <= m:
-        raise ValueError(f"k must lie in 0..{m}, got {k}")
+    k = _check_int("k", k, 0, m)
     a = bernstein_weights(k, params.p_b)  # successes among the k B-children
     b = bernstein_weights(m - k, params.p_r)  # successes among the m-k R-children
     win = below = 0.0  # below: P[R-successes < i], saturating once i > m-k

@@ -28,6 +28,8 @@ import numpy as np
 from .model import (
     MAX_CHILDREN,
     ModelParams,
+    _check_int,
+    _check_prob,
     bernstein_horner,
     bernstein_scaled,
     policy_differences,
@@ -150,15 +152,9 @@ def df_dp(m: int, ell: int, p: float) -> float:
     strictly negative on 0 < p < 1; the endpoints take the polynomial's own
     values (continuous extension).
     """
-    m = int(m)
-    if m < 2 or m > MAX_CHILDREN:
-        raise ValueError(f"m must lie in 2..{MAX_CHILDREN}, got {m}")
-    ell = int(ell)
-    if not 0 <= ell <= (m - 1) // 2:
-        raise ValueError(f"ell must lie in 0..{(m - 1) // 2} for m={m}, got {ell}")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    m = _check_int("m", m, 2, MAX_CHILDREN)
+    ell = _check_int("ell", ell, 0, (m - 1) // 2)
+    p = _check_prob("p", p)
     total = 0.0
     for i in range(ell + 1):
         total += math.comb(m - ell, i) * math.comb(ell, i) * p ** (2 * i) * (1.0 - p) ** (m - 1 - 2 * i)

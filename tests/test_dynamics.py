@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemajority.dynamics import _rounding_bound, _threshold_coeffs
+from treemajority.dynamics import _bernstein_roots, _rounding_bound, _split, _threshold_coeffs
 from treemajority.dynamics import (
     ATTRACTIVE,
     NEUTRAL,
@@ -111,6 +111,23 @@ class TestFindFixedPoints:
                 assert np.all(np.diff(v) > 1e-12)
 
 
+def _coeffs_with_roots(roots: list) -> list:
+    """Bernstein coefficients of prod (x - r) over ``roots``, exact dyadic floats in [-1, 1].
+
+    The power-basis product is converted exactly with Fractions, then scaled
+    to integers and by a power of two, so no coefficient is rounded.
+    """
+    power = [Fraction(1)]
+    for r in map(Fraction, roots):
+        power = [(power[j - 1] if j else 0) - r * (power[j] if j < len(power) else 0)
+                 for j in range(len(power) + 1)]
+    n = len(power) - 1
+    bern = [sum(Fraction(math.comb(k, j), math.comb(n, j)) * power[j] for j in range(k + 1))
+            for k in range(n + 1)]
+    ints = [int(b * math.lcm(*(b.denominator for b in bern))) for b in bern]
+    return [i / 2 ** max(map(abs, ints)).bit_length() for i in ints]
+
+
 class TestRootIsolation:
     """The isolation on Bernstein coefficients against oracles it does not use."""
 
@@ -159,6 +176,34 @@ class TestRootIsolation:
                 got = find_fixed_points(ModelParams(m, p_b, p_r)).values
                 assert len(got) == len(expected), (m, p_b, p_r, got, expected)
                 np.testing.assert_allclose(got, expected, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "roots, expected",
+        [
+            (["1/4", "1/2", "3/4", "-1"], [(0.25, False), (0.5, False), (0.75, False)]),
+            (["3/8", "3/8", "13/16", "-1/2"], [(0.375, True), (0.8125, False)]),
+            (["3/8", "3/8"], [(0.375, True)]),
+            (["1/8", "1/2", "15/16", "2"], [(0.125, False), (0.5, False), (0.9375, False)]),
+            (["0", "1", "-1/2"], [(0.0, False), (1.0, False)]),
+            (["0", "5/16", "1", "3/2"], [(0.0, False), (0.3125, False), (1.0, False)]),
+            (["3/2", "-1/2", "5/4"], []),
+        ],
+    )
+    def test_polynomials_from_no_map(self, roots, expected):
+        tol = 1e-12
+        got, evaluations = _bernstein_roots(_coeffs_with_roots(roots), tol)
+        assert len(got) == len(expected), got
+        for (value, tangent, width), (want, want_tangent) in zip(got, expected):
+            assert abs(value - want) <= tol and tangent is want_tangent
+            assert 0.0 <= width <= tol
+        interior = any(0.0 < want < 1.0 for want, _ in expected)
+        assert (evaluations > 0) if interior else (evaluations == 0)
+
+    def test_exact_zero_at_first_split(self):
+        c = _coeffs_with_roots(["1/8", "1/2", "15/16", "2"])
+        assert _split(c, 0.5)[1][0] == 0.0  # h(1/2) is exactly zero after the first split
+        got, _ = _bernstein_roots(c, 1e-12)
+        assert [value for value, _, _ in got].count(0.5) == 1
 
 
 class TestClassifyStability:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treemajority.dynamics import iterate_dynamics, solve_threshold
+from treemajority.mc import SimConfig, estimate_g_one_step, independence_check
 from treemajority.model import (
     MAX_CHILDREN,
     ModelParams,
@@ -11,6 +13,7 @@ from treemajority.model import (
     policy_table,
     policy_value,
 )
+from treemajority.update_map import df_dp
 
 from conftest import enumerate_policy
 
@@ -166,3 +169,45 @@ class TestPolicyDifferences:
         params = ModelParams(m, p_b, p_r)
         steps = policy_differences(params)
         np.testing.assert_allclose(steps, np.diff(policy_table(params)), rtol=0, atol=1e-14)
+
+
+
+def _config(**changes) -> SimConfig:
+    fields = dict(params=ModelParams(3, 0.5, 0.5), depth=2, horizon=1, pi_0=0.5, seed=1,
+                  replications=100)
+    return SimConfig(**{**fields, **changes})
+
+
+class TestIntegerArguments:
+    """Every integer argument is refused unless integral, never truncated."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ModelParams(3.5, 0.5, 0.5),
+            lambda: ModelParams(float("nan"), 0.5, 0.5),
+            lambda: ModelParams("3", 0.5, 0.5),
+            lambda: policy_value(ModelParams(3, 0.5, 0.5), 1.5),
+            lambda: binomial_pmf(2.5, 0.3),
+            lambda: solve_threshold(3.7),
+            lambda: iterate_dynamics(ModelParams(3, 0.5, 0.5), 0.3, max_steps=2.5),
+            lambda: df_dp(4.9, 1, 0.5),
+            lambda: df_dp(4, 1.7, 0.5),
+            lambda: estimate_g_one_step(ModelParams(3, 0.5, 0.5), 0.3, 2.9, 1),
+            lambda: independence_check(_config(), 1.7, 10),
+            lambda: independence_check(_config(), 1, 2.5),
+            lambda: _config(depth=2.5),
+            lambda: _config(horizon=1.5),
+            lambda: _config(replications=100.5),
+        ],
+    )
+    def test_fractional_refused(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_integral_values_coerced(self):
+        assert type(ModelParams(np.int64(3), 0.5, 0.5).m) is int
+        assert solve_threshold(np.int64(3)) == solve_threshold(3.0) == solve_threshold(3)
+        cfg = _config(depth=np.int32(2), horizon=1.0, replications=100.0)
+        assert (cfg.depth, cfg.horizon, cfg.replications) == (2, 1, 100)
+        assert all(type(v) is int for v in (cfg.depth, cfg.horizon, cfg.replications))
