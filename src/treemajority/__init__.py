@@ -1,4 +1,9 @@
-"""Absolute-majority social-learning dynamics on rooted m-ary trees."""
+"""Absolute-majority social-learning dynamics on rooted m-ary trees.
+
+The analytic layers (``model``, ``update_map``, ``dynamics``) run on Python
+floats and import numpy only to return arrays.  The simulator's names resolve
+from ``mc``, which needs numpy, on first access.
+"""
 
 from .model import (
     MAX_CHILDREN,
@@ -26,9 +31,23 @@ from .dynamics import (
     predict_limit,
     solve_threshold,
 )
-from .mc import SimConfig, SimResult, estimate_g_one_step, independence_check, simulate_tree
 
 __version__ = "0.1.0"
+
+_MC_NAMES = frozenset(
+    {"SimConfig", "SimResult", "estimate_g_one_step", "independence_check", "simulate_tree"}
+)
+
+
+def __getattr__(name: str):
+    # Looked up in mc on every access, never stored here, so the package always
+    # hands out mc's current binding of the name.
+    if name in _MC_NAMES:
+        from . import mc
+
+        return getattr(mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MAX_CHILDREN",

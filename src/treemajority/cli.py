@@ -7,6 +7,10 @@ Each handler returns its results as a dict, or CSV text under ``policy`` and
 replaying the echo reproduces the report exactly, then the results.  Exit
 codes: 0 success, 2 usage or validation error (an unwritable ``--out``
 included), 3 unsupported analysis regime, 4 internal solver failure.
+
+numpy and the simulator (``mc``) are imported by the handlers that use them,
+``gmap``, ``simulate``, ``estimate-g`` and ``dcheck``, so the analytic
+subcommands start without them.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .dynamics import (
     SolverError,
     UnsupportedRegimeError,
@@ -26,8 +28,7 @@ from .dynamics import (
     find_fixed_points,
     solve_threshold,
 )
-from .model import ModelParams, policy_table, policy_value
-from .mc import SimConfig, _check_seed, estimate_g_one_step, simulate_tree
+from .model import ModelParams, policy_value, policy_values
 from .update_map import UpdateMap, df_dp, g_double_prime, g_eval, g_prime
 
 __all__ = ["main", "build_parser"]
@@ -78,15 +79,17 @@ def _to_json(report: dict) -> str:
 
 
 def _cmd_policy(args) -> dict | str:
-    table = policy_table(_params_from_args(args))
+    table = policy_values(_params_from_args(args))
     if args.format == "csv":
         lines = ["k,f"]
         lines += [f"{k},{_fmt(v)}" for k, v in enumerate(table)]
         return "\n".join(lines) + "\n"
-    return {"policy": {str(k): float(v) for k, v in enumerate(table)}}
+    return {"policy": {str(k): v for k, v in enumerate(table)}}
 
 
 def _cmd_gmap(args) -> dict | str:
+    import numpy as np
+
     params = _params_from_args(args)
     if args.grid < 1:
         raise ValueError("--grid must be at least 1")
@@ -114,10 +117,10 @@ def _cmd_trajectory(args) -> dict:
         _params_from_args(args), args.pi0, args.steps, args.conv_tol, args.predict
     )
     report = {
-        "steps_taken": len(traj.values) - 1,
+        "steps_taken": len(traj.iterates) - 1,
         "converged": traj.converged,
         "limit": traj.limit,
-        "values": traj.values.tolist(),
+        "values": list(traj.iterates),
     }
     if args.predict:
         report["predicted_limit"] = predicted
@@ -129,6 +132,8 @@ def _cmd_threshold(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
+    from .mc import SimConfig, simulate_tree
+
     config = SimConfig(
         params=_params_from_args(args),
         depth=args.depth,
@@ -149,6 +154,8 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_estimate(args) -> dict:
+    from .mc import estimate_g_one_step
+
     params = _params_from_args(args)
     est, half = estimate_g_one_step(params, args.x, args.samples, args.seed)
     gm = UpdateMap.from_params(params)
@@ -156,6 +163,10 @@ def _cmd_estimate(args) -> dict:
 
 
 def _cmd_dcheck(args) -> dict:
+    import numpy as np
+
+    from .mc import _check_seed
+
     if args.cases < 1:
         raise ValueError("--cases must be at least 1")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(args.seed))))

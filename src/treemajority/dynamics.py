@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
 from .model import MAX_CHILDREN, ModelParams, bernstein_horner, bernstein_scaled
 from .model import _check_int, _check_prob
 from .update_map import UpdateMap, g_eval, g_prime, g_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ATTRACTIVE",
@@ -79,15 +81,24 @@ class FixedPointSet:
 
     @property
     def values(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([fp.value for fp in self.points])
 
 
 @dataclass(frozen=True)
 class Trajectory:
     pi_0: float
-    values: np.ndarray  # pi_0 .. pi_T
+    iterates: tuple  # pi_0 .. pi_T, Python floats
     converged: bool
     limit: Optional[float]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """``iterates`` as an array, built on first access."""
+        import numpy as np
+
+        return np.array(self.iterates)
 
 
 @dataclass(frozen=True)
@@ -251,12 +262,16 @@ def _bernstein_roots(coeffs: list, tol: float) -> tuple:
 def _fixed_points(gm: UpdateMap, tol: float = 1e-13) -> FixedPointSet:
     """``find_fixed_points`` on a map already built."""
     m = gm.params.m
-    coeffs = [f - k / m for k, f in enumerate(gm.coeffs.tolist())]
+    coeffs = [f - k / m for k, f in enumerate(gm.coeffs)]
     if max(map(abs, coeffs)) <= _rounding_bound(m):
         raise IdentityMapError(
             "update map coincides with the identity; every point of [0,1] is fixed"
         )
     roots, _ = _bernstein_roots(coeffs, tol)
+    if gm.params.is_symmetric:
+        # f(m-k) = 1 - f(k) exactly, so the exact roots mirror about 1/2 and 1/2 is one of them
+        i = min(range(len(roots)), key=lambda j: abs(roots[j][0] - 0.5))
+        roots[i] = (0.5, *roots[i][1:])
     points = tuple(_fixed_point(gm, val, tang) for val, tang, _ in roots)
     return FixedPointSet(points=points, params=gm.params)
 
@@ -309,7 +324,7 @@ def _iterate(
                 limit = nearest.value
         except IdentityMapError:
             limit = x  # every point is fixed, the trajectory is constant
-    return Trajectory(pi_0=pi_0, values=np.array(values), converged=converged, limit=limit)
+    return Trajectory(pi_0=pi_0, iterates=tuple(values), converged=converged, limit=limit)
 
 
 def iterate_dynamics(

@@ -42,7 +42,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import ModelParams, _check_int, _check_prob
+from .model import ModelParams, _as_int, _check_int, _check_prob
 
 __all__ = [
     "SimConfig",
@@ -91,7 +91,8 @@ class _Streams:
 
 
 def _check_seed(seed) -> int:
-    seed = int(seed)
+    """``seed`` as an int in 0..2**64 - 1; a non-integral seed is refused, never truncated."""
+    seed = _as_int("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
     return seed

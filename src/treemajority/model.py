@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_CHILDREN",
     "ModelParams",
     "binomial_pmf",
     "policy_value",
+    "policy_values",
     "policy_table",
     "policy_differences",
 ]
@@ -42,8 +45,8 @@ def _check_prob(name: str, value) -> float:
     return value
 
 
-def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
-    """``value`` as an int in lo..hi (no upper end when hi is None).
+def _as_int(name: str, value) -> int:
+    """``value`` as an int.
 
     An integral value of any numeric type (3.0, numpy integers) is coerced;
     anything else, 2.5, NaN or a string included, is refused, never truncated.
@@ -54,6 +57,12 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
         n = None
     if n is None or n != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in lo..hi (no upper end when hi is None), coerced as by ``_as_int``."""
+    n = _as_int(name, value)
     if n < lo:
         raise ValueError(f"{name} must be at least {lo}, got {n}")
     if hi is not None and n > hi:
@@ -172,6 +181,8 @@ def bernstein_sum(c: list, x: float) -> float:
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:
     """Exact Binomial(n, p) masses on outcomes 0..n; degenerate at 0 when n = 0 or p = 0."""
+    import numpy as np
+
     n = _check_int("n", n, 0)
     p = _check_prob("p", p)
     return np.array(bernstein_weights(n, p))
@@ -192,10 +203,17 @@ def policy_value(params: ModelParams, k: int) -> float:
     return min(max(win + 0.5 * tie, 0.0), 1.0)
 
 
+def policy_values(params: ModelParams) -> list:
+    """Adoption probabilities f(0..m) as Python floats: entry k is the chance a
+    parent adopts B given exactly k of its m children are in state B."""
+    return [policy_value(params, k) for k in range(params.m + 1)]
+
+
 def policy_table(params: ModelParams) -> np.ndarray:
-    """Adoption probabilities f(0..m): entry k is the chance a parent adopts B
-    given exactly k of its m children are in state B."""
-    return np.array([policy_value(params, k) for k in range(params.m + 1)])
+    """``policy_values`` as an array."""
+    import numpy as np
+
+    return np.array(policy_values(params))
 
 
 def policy_differences(params: ModelParams) -> list:

@@ -14,7 +14,7 @@ Horner's rule on binomial-scaled coefficients (``model.bernstein_horner``),
 scaled once per map, in Python floats: within 1.5 (n+1) machine epsilons of
 the exact Bernstein sum of degree n for coefficients in [0, 1].  g is clamped
 to [0, 1], where the exact g lies.  An array of points is evaluated point by
-point.
+point; numpy is imported only for array arguments.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .model import (
     MAX_CHILDREN,
@@ -33,8 +31,8 @@ from .model import (
     bernstein_horner,
     bernstein_scaled,
     policy_differences,
-    policy_table,
     policy_value,
+    policy_values,
 )
 
 __all__ = [
@@ -52,17 +50,17 @@ class UpdateMap:
     """Bernstein-form polynomial pushing the B-marginal forward one step."""
 
     params: ModelParams
-    coeffs: np.ndarray  # policy values f(0..m)
+    coeffs: tuple  # policy values f(0..m), Python floats
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "UpdateMap":
-        return cls(params=params, coeffs=policy_table(params))
+        return cls(params=params, coeffs=tuple(policy_values(params)))
 
     # Binomial-scaled coefficient lists for bernstein_horner, built on first use.
 
     @cached_property
     def _values(self) -> tuple:
-        return bernstein_scaled(self.coeffs.tolist())
+        return bernstein_scaled(self.coeffs)
 
     @cached_property
     def _differences(self) -> list:
@@ -91,15 +89,18 @@ def g_value(values: tuple, x: float) -> float:
 
 def _pointwise(kernel, c: tuple, x):
     """kernel(c, x) at x: scalar in, float out; array in, array out."""
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:  # isinstance spares np.ndim's cost
-        x = float(x)
-        if not 0.0 <= x <= 1.0:  # also refuses NaN
-            raise ValueError(f"x must lie in [0, 1], got {x!r}")
-        return kernel(c, x)
-    pts = np.asarray(x, dtype=float)
-    if not np.all((pts >= 0.0) & (pts <= 1.0)):
-        raise ValueError("x must lie in [0, 1]")
-    return np.array([kernel(c, v) for v in pts.ravel().tolist()]).reshape(pts.shape)
+    if not isinstance(x, (float, int)):  # isinstance spares numpy's import and np.ndim's cost
+        import numpy as np
+
+        if np.ndim(x) != 0:
+            pts = np.asarray(x, dtype=float)
+            if not np.all((pts >= 0.0) & (pts <= 1.0)):
+                raise ValueError("x must lie in [0, 1]")
+            return np.array([kernel(c, v) for v in pts.ravel().tolist()]).reshape(pts.shape)
+    x = float(x)
+    if not 0.0 <= x <= 1.0:  # also refuses NaN
+        raise ValueError(f"x must lie in [0, 1], got {x!r}")
+    return kernel(c, x)
 
 
 def g_eval(gm: UpdateMap, x):

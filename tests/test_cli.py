@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,20 +152,13 @@ class TestThresholdCommand:
         assert code == 2 and out == "" and "tol" in err
 
     def test_solver_failure_exit_4(self, capsys, monkeypatch):
-        def boom(args):
+        def boom(m, tol):
             raise SolverError("no bracket")
 
-        monkeypatch.setitem(
-            {}, "unused", None
-        )  # keep monkeypatch fixture exercised even if handler lookup changes
-        monkeypatch.setattr(cli, "_cmd_threshold", boom)
-        parser = cli.build_parser()
-        args = parser.parse_args(["threshold", "--m", "3"])
-        # handler was bound at parser build time; rebuild via main with patched module
-        monkeypatch.setattr(args, "handler", boom)
-        code = cli.main(["threshold", "--m", "3"])
-        captured = capsys.readouterr()
-        assert code == 4 and "solver failure" in captured.err
+        monkeypatch.setattr(cli, "solve_threshold", boom)
+        code, out, err = run_cli(capsys, "threshold", "--m", "3")
+        assert code == 4 and out == ""
+        assert err == "error: solver failure: no bracket\n"
 
 
 class TestTrajectoryCommand:
@@ -365,3 +361,31 @@ class TestOutFlag:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write report: ")
         assert not target.exists()
+
+
+# Runs in a fresh interpreter: every analytic subcommand, then the modules loaded.
+_COLD_START = """
+import contextlib, io, sys
+import treemajority
+from treemajority import cli
+for argv in (
+    ["policy", "--m", "5", "--p", "0.4"],
+    ["policy", "--m", "5", "--p-b", "0.3", "--p-r", "0.8", "--format", "json"],
+    ["fixed-points", "--m", "5", "--p", "0.7"],
+    ["trajectory", "--m", "3", "--p", "0.7", "--pi0", "0.3", "--predict"],
+    ["threshold", "--m", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(" ".join(m for m in ("numpy", "numpy.random", "treemajority.mc") if m in sys.modules))
+"""
+
+
+def test_analytic_subcommands_leave_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -110,6 +110,18 @@ class TestFindFixedPoints:
                 np.testing.assert_allclose(np.sort(1.0 - v), v, atol=1e-8)
                 assert np.all(np.diff(v) > 1e-12)
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 17, 40, 59, 64])
+    def test_symmetric_half_reported_exactly(self, m):
+        # near p(m) the roots near 1/2 merge into one neutral cluster, which rounding can centre off 1/2
+        p_m = solve_threshold(m).p_threshold
+        for p in [k / 20 for k in range(20)] + [p_m, p_m - 1e-6, p_m + 1e-6]:
+            fps = find_fixed_points(ModelParams.symmetric(m, p))
+            v = fps.values
+            assert 0.5 in v, (m, p)
+            half = fps.points[int(np.argmin(np.abs(v - 0.5)))]
+            assert half.residual <= 1e-14
+            np.testing.assert_allclose(np.sort(1.0 - v), v, atol=1e-6)
+
 
 def _coeffs_with_roots(roots: list) -> list:
     """Bernstein coefficients of prod (x - r) over ``roots``, exact dyadic floats in [-1, 1].

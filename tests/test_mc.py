@@ -47,6 +47,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             sym_config(seed=2**64)
 
+    def test_fractional_seed_refused(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            sym_config(seed=1.5)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), 7.0])
+    def test_integral_seed_coerced(self, seed):
+        config = sym_config(seed=seed)
+        assert config.seed == 7 and type(config.seed) is int
+
     def test_zero_horizon_allowed(self):
         assert sym_config(horizon=0).horizon == 0
 
@@ -86,6 +95,16 @@ class TestOneStepEstimator:
             estimate_g_one_step(ModelParams(3, 0.5, 0.5), 1.2, 100, seed=1)
         with pytest.raises(ValueError):
             estimate_g_one_step(ModelParams(3, 0.5, 0.5), 0.5, 0, seed=1)
+
+    def test_fractional_seed_refused(self):
+        # truncating 1.5 would silently replay the seed-1 stream
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            estimate_g_one_step(ModelParams(3, 0.5, 0.5), 0.3, 1000, 1.5)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), 7.0])
+    def test_integral_seed_coerced(self, seed):
+        params = ModelParams(3, 0.5, 0.5)
+        assert estimate_g_one_step(params, 0.3, 1000, seed) == estimate_g_one_step(params, 0.3, 1000, 7)
 
 
 class TestSimulateTree:
