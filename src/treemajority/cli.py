@@ -9,8 +9,8 @@ codes: 0 success, 2 usage or validation error (an unwritable ``--out``
 included), 3 unsupported analysis regime, 4 internal solver failure.
 
 numpy and the simulator (``mc``) are imported by the handlers that use them,
-``gmap``, ``simulate``, ``estimate-g`` and ``dcheck``, so the analytic
-subcommands start without them.
+``simulate``, ``estimate-g`` and ``dcheck``, so the analytic subcommands
+start without them.
 """
 
 from __future__ import annotations
@@ -88,23 +88,22 @@ def _cmd_policy(args) -> dict | str:
 
 
 def _cmd_gmap(args) -> dict | str:
-    import numpy as np
-
     params = _params_from_args(args)
     if args.grid < 1:
         raise ValueError("--grid must be at least 1")
     gm = UpdateMap.from_params(params)
-    xs = np.linspace(0.0, 1.0, args.grid + 1)
-    g = g_eval(gm, xs)
-    gp = g_prime(gm, xs)
-    gpp = g_double_prime(gm, xs)
+    # bit for bit np.linspace(0, 1, grid + 1): k times the rounded step, then exactly 1
+    xs = [k * (1.0 / args.grid) for k in range(args.grid)] + [1.0]
+    g = [g_eval(gm, x) for x in xs]
+    gp = [g_prime(gm, x) for x in xs]
+    gpp = [g_double_prime(gm, x) for x in xs]
     if args.format == "csv":
         lines = ["x,g,gprime,gdoubleprime"]
         lines += [
             f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(c)}" for x, a, b, c in zip(xs, g, gp, gpp)
         ]
         return "\n".join(lines) + "\n"
-    return {"x": list(xs), "g": list(g), "gprime": list(gp), "gdoubleprime": list(gpp)}
+    return {"x": xs, "g": g, "gprime": gp, "gdoubleprime": gpp}
 
 
 def _cmd_fixed_points(args) -> dict:

@@ -347,39 +347,38 @@ def iterate_dynamics(
 
 def _predict(gm: UpdateMap, fps: FixedPointSet, pi_0: float) -> float:
     """``predict_limit`` on a map already built and its fixed points."""
-    vals = [fp.value for fp in fps.points]
-    for v in vals:
-        if abs(pi_0 - v) <= 1e-12:
-            return v
-    if len(vals) == 1:
-        return vals[0]
-    if len(vals) > 3:
-        raise UnsupportedRegimeError(
-            f"{len(vals)} fixed points found; limit prediction covers at most 3"
-        )
-    if g_eval(gm, pi_0) > pi_0:
-        above = [v for v in vals if v > pi_0]
-        if not above:
-            raise SolverError("increasing trajectory but no fixed point above pi_0")
-        return min(above)
-    below = [v for v in vals if v < pi_0]
-    if not below:
-        raise SolverError("decreasing trajectory but no fixed point below pi_0")
-    return max(below)
+    m = gm.params.m
+    # h = g - x just right of 0: the sign of its first nonzero coefficient f(k) - k/m
+    rising = next(f > k / m for k, f in enumerate(gm.coeffs) if f != k / m)
+    below = above = None
+    for fp in fps.points:
+        if fp.value == pi_0:
+            return fp.value
+        if fp.value > pi_0:
+            above = fp.value
+            break
+        below = fp.value
+        if fp.value > 0.0 and not fp.tangent:
+            rising = not rising  # h changes sign at a crossing root
+    limit = above if rising else below
+    if limit is None:
+        raise SolverError(f"no fixed point {'above' if rising else 'below'} pi_0={pi_0!r}")
+    return limit
 
 
 def predict_limit(params: ModelParams, pi_0: float) -> float:
     """Limit of the recursion from pi_0, read off the fixed-point layout.
 
-    A unique fixed point attracts every initial value (no monotonicity
-    needed).  With two or three fixed points the map must be strictly
-    increasing, and the trajectory is monotone toward the nearest fixed point
-    in its direction of motion; regimes with more fixed points are refused
-    rather than guessed.  Monotonicity holds for every map of the model:
-    moving one child from R to B can only raise the B-minus-R success count,
-    so the steps f(k+1) - f(k) are nonnegative, g' = m sum (f(k+1) - f(k))
-    B_{k,m-1} is nonnegative, and a nonconstant g is strictly increasing.
-    The computed steps are sums of nonnegative terms
+    The map is strictly increasing, so the orbit moves monotonically, up where
+    h = g - x > 0 and down where h < 0, to the first fixed point that way; a
+    fixed point is its own limit.  The sign of h on each gap between reported
+    points comes from the root set alone, with no tolerance and for any number
+    of points: just right of 0 it is the sign of the first nonzero coefficient
+    f(k) - k/m, and it flips at every root in (0, 1) not flagged tangent.
+    Monotonicity: moving one child from R to B can only raise the B-minus-R
+    success count, so the steps f(k+1) - f(k) are nonnegative,
+    g' = m sum (f(k+1) - f(k)) B_{k,m-1} is nonnegative, and a nonconstant g
+    is strictly increasing.  The computed steps are sums of nonnegative terms
     (``model.policy_differences``), so the computed g' is never negative
     either and there is nothing to check.
     """

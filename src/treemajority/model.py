@@ -100,11 +100,13 @@ class ModelParams:
 def bernstein_weights(n: int, x: float) -> list:
     """Weights C(n,k) x^k (1-x)^(n-k) for k = 0..n at one point x, as Python floats.
 
-    The one recurrence behind every point evaluation of a Bernstein form:
-    w[k+1] = w[k] * (n-k)/(k+1) * x/(1-x), run from the smaller tail (so from
-    (1-x)^n when x <= 1/2, and mirrored above), so nothing underflows for x
-    near 1 and the weights are exact at x in {0, 1}.  Each weight carries a
-    relative error of about 3n machine epsilons.
+    The one recurrence behind every binomial mass (``binomial_pmf``, the
+    policy table and its steps); point values of a Bernstein form come from
+    ``bernstein_horner`` instead.  w[k+1] = w[k] * (n-k)/(k+1) * x/(1-x), run
+    from the smaller tail (so from (1-x)^n when x <= 1/2, and mirrored above),
+    so nothing underflows for x near 1 and the weights are exact at x in
+    {0, 1}.  Each weight carries a relative error of about 3n machine
+    epsilons.
     """
     flip = x > 0.5
     base = 1.0 - x if flip else x

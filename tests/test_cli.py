@@ -182,6 +182,17 @@ class TestTrajectoryCommand:
         report = json.loads(out)
         assert report["predicted_limit"] == pytest.approx(report["limit"], abs=1e-6)
 
+    @pytest.mark.parametrize("pi0", ["0.5000000000005", "0.4999999999995"])
+    def test_predict_next_to_repulsive_point(self, capsys, pi0):
+        # 5e-13 from the repulsive point 1/2, the orbit leaves it for the attractive point on its side
+        code, out, err = run_cli(
+            capsys, "trajectory", "--m", "3", "--p", "0.8", "--pi0", pi0, "--predict"
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["converged"] is True and report["limit"] != 0.5
+        assert report["predicted_limit"] == report["limit"]
+
     def test_predict_identity_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -371,6 +382,8 @@ from treemajority import cli
 for argv in (
     ["policy", "--m", "5", "--p", "0.4"],
     ["policy", "--m", "5", "--p-b", "0.3", "--p-r", "0.8", "--format", "json"],
+    ["gmap", "--m", "5", "--p", "0.4", "--grid", "20"],
+    ["gmap", "--m", "5", "--p-b", "0.3", "--p-r", "0.8", "--grid", "20", "--format", "json"],
     ["fixed-points", "--m", "5", "--p", "0.7"],
     ["trajectory", "--m", "3", "--p", "0.7", "--pi0", "0.3", "--predict"],
     ["threshold", "--m", "3"],

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemajority.dynamics import _bernstein_roots, _rounding_bound, _split, _threshold_coeffs
+from treemajority.dynamics import _fixed_points, _predict
 from treemajority.dynamics import (
     ATTRACTIVE,
     NEUTRAL,
@@ -334,6 +335,46 @@ class TestPredictLimit:
     def test_identity_map_unsupported(self):
         with pytest.raises(UnsupportedRegimeError):
             predict_limit(ModelParams.symmetric(2, 1.0), 0.4)
+
+    def test_first_point_in_the_direction_of_h(self):
+        # the orbit is monotone, so its limit is the first reported point in
+        # the direction of the sign of h(pi_0) = g(pi_0) - pi_0; that sign is
+        # taken at 50 digits from the float coefficients the isolator roots,
+        # so starts within 1e-13 of a repulsive point are decided as well;
+        # predict_limit is _predict on the map's own root set
+        rng = np.random.default_rng(13)
+        thresholds = {m: solve_threshold(m).p_threshold for m in range(3, 65)}
+        checked = 0
+        while checked < 2000:
+            m = int(rng.integers(2, 65))
+            p_b, p_r = (float(v) for v in rng.random(2))
+            kind = int(rng.integers(3))
+            if kind == 0:
+                p_b = p_r  # symmetric
+                if m >= 3 and abs(p_r - thresholds[m]) < 1e-3:
+                    continue
+            elif kind == 1:
+                p_b = 1.0
+                if m == 3 and abs(p_r - SQRT3M1) < 1e-3:
+                    continue
+            gm = UpdateMap.from_params(ModelParams(m, p_b, p_r))
+            fps = _fixed_points(gm)
+            values = [fp.value for fp in fps.points]
+            starts = [v + d for v in values for d in (-1e-9, -1e-12, -1e-13, 1e-13, 1e-12, 1e-9)]
+            starts += [float(x) for x in rng.random(3)]
+            with mpmath.workdps(50):
+                # h(x) / (1 - x)^m as a polynomial in r = x / (1 - x)
+                scaled = [mpmath.mpf(f - k / m) * math.comb(m, k) for k, f in enumerate(gm.coeffs)]
+                for pi_0 in starts:
+                    if not 0.0 <= pi_0 < 1.0 or pi_0 in values:
+                        continue
+                    x = mpmath.mpf(pi_0)
+                    if mpmath.polyval(scaled[::-1], x / (1 - x)) > 0:
+                        expected = min(v for v in values if v > pi_0)
+                    else:
+                        expected = max(v for v in values if v < pi_0)
+                    assert _predict(gm, fps, pi_0) == expected, (gm.params, pi_0, values)
+                    checked += 1
 
     @pytest.mark.parametrize("m", [24, 32, 64])
     def test_saturating_wide_maps(self, m):
