@@ -107,14 +107,13 @@ def _cmd_gmap(args) -> dict | str:
 
 
 def _cmd_fixed_points(args) -> dict:
-    fps = find_fixed_points(_params_from_args(args), tol=args.tol)
+    fps = find_fixed_points(_params_from_args(args))
     return {"count": len(fps.points), "points": [asdict(fp) for fp in fps.points]}
 
 
 def _cmd_trajectory(args) -> dict:
-    traj, predicted = _trajectory_request(
-        _params_from_args(args), args.pi0, args.steps, args.conv_tol, args.predict
-    )
+    params = _params_from_args(args)
+    traj, predicted = _trajectory_request(params, args.pi0, args.steps, args.predict)
     report = {
         "steps_taken": len(traj.iterates) - 1,
         "converged": traj.converged,
@@ -127,7 +126,7 @@ def _cmd_trajectory(args) -> dict:
 
 
 def _cmd_threshold(args) -> dict:
-    return asdict(solve_threshold(args.m, tol=args.tol))
+    return asdict(solve_threshold(args.m))
 
 
 def _cmd_simulate(args) -> dict:
@@ -223,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fixed-points", help="fixed points of the update map")
     _add_param_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-13)
     common(sp)
     sp.set_defaults(handler=_cmd_fixed_points)
 
@@ -231,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--pi0", type=float, required=True)
     sp.add_argument("--steps", type=int, default=10**6, help="maximum iterations")
-    sp.add_argument("--conv-tol", type=float, default=1e-13, dest="conv_tol")
     sp.add_argument(
         "--predict", action="store_true", help="also report the basin-predicted limit"
     )
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("threshold", help="symmetric-regime phase threshold p(m)")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-12)
     common(sp)
     sp.set_defaults(handler=_cmd_threshold)
 

@@ -52,6 +52,11 @@ REPULSIVE = "repulsive"
 NEUTRAL = "neutral"
 
 _STABILITY_TOL = 1e-8
+# the one precision of each answer: final bracket width of an interior fixed
+# point, final bracket width of p(m), and the step that ends an orbit
+_FIXED_POINT_TOL = 1e-13
+_THRESHOLD_TOL = 1e-12
+_STEP_TOL = 1e-13
 
 
 class SolverError(RuntimeError):
@@ -259,7 +264,7 @@ def _bernstein_roots(coeffs: list, tol: float) -> tuple:
     return roots, evaluations
 
 
-def _fixed_points(gm: UpdateMap, tol: float = 1e-13) -> FixedPointSet:
+def _fixed_points(gm: UpdateMap) -> FixedPointSet:
     """``find_fixed_points`` on a map already built."""
     m = gm.params.m
     coeffs = [f - k / m for k, f in enumerate(gm.coeffs)]
@@ -267,7 +272,7 @@ def _fixed_points(gm: UpdateMap, tol: float = 1e-13) -> FixedPointSet:
         raise IdentityMapError(
             "update map coincides with the identity; every point of [0,1] is fixed"
         )
-    roots, _ = _bernstein_roots(coeffs, tol)
+    roots, _ = _bernstein_roots(coeffs, _FIXED_POINT_TOL)
     if gm.params.is_symmetric:
         # f(m-k) = 1 - f(k) exactly, so the exact roots mirror about 1/2 and 1/2 is one of them
         i = min(range(len(roots)), key=lambda j: abs(roots[j][0] - 0.5))
@@ -276,15 +281,13 @@ def _fixed_points(gm: UpdateMap, tol: float = 1e-13) -> FixedPointSet:
     return FixedPointSet(points=points, params=gm.params)
 
 
-def find_fixed_points(params: ModelParams, tol: float = 1e-13) -> FixedPointSet:
+def find_fixed_points(params: ModelParams) -> FixedPointSet:
     """All solutions of g(x) = x in [0, 1], with stability and tangency flags.
 
     They are the roots of h(x) = g(x) - x, whose Bernstein coefficients are
-    f(k) - k/m; interior roots are bisected to ``tol``.
+    f(k) - k/m; interior roots are bisected to 1e-13.
     """
-    if not (math.isfinite(tol) and tol >= 1e-13):
-        raise ValueError(f"tol must be finite and at least 1e-13, got {tol!r}")
-    return _fixed_points(UpdateMap.from_params(params), tol)
+    return _fixed_points(UpdateMap.from_params(params))
 
 
 def classify_stability(gm: UpdateMap, x_star: float) -> str:
@@ -295,15 +298,11 @@ def classify_stability(gm: UpdateMap, x_star: float) -> str:
     return _stability_label(g_prime(gm, x_star))
 
 
-def _iterate(
-    gm: UpdateMap, pi_0: float, max_steps: int, conv_tol: float, fixed_points
-) -> Trajectory:
+def _iterate(gm: UpdateMap, pi_0: float, max_steps: int, fixed_points) -> Trajectory:
     """``iterate_dynamics`` on a map already built; ``fixed_points()`` gives its
     fixed points and is called only on convergence."""
     pi_0 = _check_prob("pi_0", pi_0)
     max_steps = _check_int("max_steps", max_steps, 1)
-    if not (math.isfinite(conv_tol) and conv_tol > 0.0):
-        raise ValueError(f"conv_tol must be finite and positive, got {conv_tol!r}")
     values = [pi_0]
     x = pi_0
     converged = False
@@ -311,7 +310,7 @@ def _iterate(
     for _ in range(max_steps):
         x_next = g_value(scaled, x)  # g_eval(gm, x) without its checks: x stays in [0, 1]
         values.append(x_next)
-        if abs(x_next - x) < conv_tol:
+        if abs(x_next - x) < _STEP_TOL:
             x = x_next
             converged = True
             break
@@ -320,29 +319,24 @@ def _iterate(
     if converged:
         try:
             nearest = min(fixed_points().points, key=lambda fp: abs(fp.value - x))
-            if abs(nearest.value - x) <= 100.0 * conv_tol:
+            if abs(nearest.value - x) <= 100.0 * _STEP_TOL:
                 limit = nearest.value
         except IdentityMapError:
             limit = x  # every point is fixed, the trajectory is constant
     return Trajectory(pi_0=pi_0, iterates=tuple(values), converged=converged, limit=limit)
 
 
-def iterate_dynamics(
-    params: ModelParams,
-    pi_0: float,
-    max_steps: int = 10**6,
-    conv_tol: float = 1e-13,
-) -> Trajectory:
-    """Iterate pi_{t+1} = g(pi_t) until successive iterates differ by < conv_tol.
+def iterate_dynamics(params: ModelParams, pi_0: float, max_steps: int = 10**6) -> Trajectory:
+    """Iterate pi_{t+1} = g(pi_t) until successive iterates differ by < 1e-13.
 
     Convergence is declared on the successive-difference criterion (residuals
     creep too slowly near tangencies); on convergence the limit is the nearest
-    located fixed point when it lies within 100 * conv_tol of the final
-    iterate, else None.  Each iterate is bit-equal to ``g_eval`` of the one
-    before it.
+    located fixed point when it lies within 100 times that step (1e-11) of
+    the final iterate, else None.  Each iterate is bit-equal to ``g_eval`` of
+    the one before it.
     """
     gm = UpdateMap.from_params(params)
-    return _iterate(gm, pi_0, max_steps, conv_tol, lambda: _fixed_points(gm))
+    return _iterate(gm, pi_0, max_steps, lambda: _fixed_points(gm))
 
 
 def _predict(gm: UpdateMap, fps: FixedPointSet, pi_0: float) -> float:
@@ -387,9 +381,7 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
     return _predict(gm, _fixed_points(gm), pi_0)
 
 
-def _trajectory_request(
-    params: ModelParams, pi_0: float, max_steps: int, conv_tol: float, predict: bool
-) -> tuple:
+def _trajectory_request(params: ModelParams, pi_0: float, max_steps: int, predict: bool) -> tuple:
     """(``iterate_dynamics``, ``predict_limit`` or None) from one map and at most one root set.
 
     The trajectory names its limit and the prediction reads the basins
@@ -404,7 +396,7 @@ def _trajectory_request(
             found.append(_fixed_points(gm))
         return found[0]
 
-    traj = _iterate(gm, pi_0, max_steps, conv_tol, fixed_points)
+    traj = _iterate(gm, pi_0, max_steps, fixed_points)
     return traj, (_predict(gm, fixed_points(), traj.pi_0) if predict else None)
 
 
@@ -415,7 +407,7 @@ def _threshold_coeffs(m: int) -> list:
     ]
 
 
-def solve_threshold(m: int, tol: float = 1e-12) -> ThresholdResult:
+def solve_threshold(m: int) -> ThresholdResult:
     """The success rate p(m) at which the symmetric-regime slope at 1/2 crosses 1.
 
     At x = 1/2 each child is B with probability 1/2 whatever its success, so
@@ -424,12 +416,10 @@ def solve_threshold(m: int, tol: float = 1e-12) -> ThresholdResult:
     c_0 = -1, c_s = E|S_s| - 1 = s C(s-1, floor((s-1)/2)) / 2^(s-1) - 1.  They run
     -1, 0, 0, 1/2, 1/2, 7/8, 7/8, ... and never decrease, so for m >= 3 one sign
     change certifies p(m) unique in (0, 1), and ``_bernstein_roots`` bisects it
-    to ``tol``; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
+    to 1e-12; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
     """
     m = _check_int("m", m, 2, MAX_CHILDREN)
-    if not (math.isfinite(tol) and tol >= 1e-12):
-        raise ValueError(f"tol must be finite and at least 1e-12, got {tol!r}")
-    [(p_m, _, width)], evaluations = _bernstein_roots(_threshold_coeffs(m), tol)
+    [(p_m, _, width)], evaluations = _bernstein_roots(_threshold_coeffs(m), _THRESHOLD_TOL)
     return ThresholdResult(
         m=m, p_threshold=p_m, bracket_width=width, evaluations=evaluations, at_boundary=p_m == 1.0
     )

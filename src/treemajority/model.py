@@ -11,8 +11,7 @@ functions.
 Every binomial mass comes from one pure-Python recurrence,
 ``bernstein_weights``, run from the smaller tail.  A Bernstein form is
 evaluated at a point by Horner's rule on its binomial-scaled coefficients
-(``bernstein_scaled``, ``bernstein_horner``; ``bernstein_sum`` for a one-off
-list), never by building its weights.
+(``bernstein_scaled``, ``bernstein_horner``), never by building its weights.
 """
 
 from __future__ import annotations
@@ -169,16 +168,6 @@ def bernstein_horner(scaled: tuple, x: float) -> float:
     for s in terms:
         acc = acc * r + s
     return acc * a ** (len(up) - 1)
-
-
-def bernstein_sum(c: list, x: float) -> float:
-    """sum_k c[k] C(n,k) x^k (1-x)^(n-k), n = len(c) - 1, at one point x in [0, 1].
-
-    ``bernstein_horner`` on ``bernstein_scaled(c)``: within 1.5 (n+1) machine
-    epsilons of the exact sum for every c[k] in [0, 1].  Scale a list once
-    with ``bernstein_scaled`` to evaluate it at many points.
-    """
-    return bernstein_horner(bernstein_scaled(c), x)
 
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:

@@ -295,7 +295,7 @@ def test_criterion_10_limit_prediction():
     not_converged = []
     for params, pi_0 in cases:
         predicted = predict_limit(params, pi_0)
-        traj = iterate_dynamics(params, pi_0, max_steps=10**6, conv_tol=1e-13)
+        traj = iterate_dynamics(params, pi_0, max_steps=10**6)
         if not traj.converged or traj.limit is None:
             not_converged.append((params, pi_0))
             continue

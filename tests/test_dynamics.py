@@ -22,7 +22,7 @@ from treemajority.dynamics import (
     predict_limit,
     solve_threshold,
 )
-from treemajority.model import ModelParams, bernstein_sum
+from treemajority.model import ModelParams, bernstein_horner, bernstein_scaled
 from treemajority.update_map import UpdateMap, g_eval, g_prime_at_half
 
 from conftest import enumerate_policy
@@ -97,10 +97,6 @@ class TestFindFixedPoints:
     def test_identity_map_refused(self):
         with pytest.raises(IdentityMapError):
             find_fixed_points(ModelParams.symmetric(2, 1.0))
-
-    def test_tol_validated(self):
-        with pytest.raises(ValueError):
-            find_fixed_points(ModelParams.symmetric(3, 0.5), tol=1e-14)
 
     def test_symmetric_set_closed_under_reflection(self):
         for m in (3, 5):
@@ -217,6 +213,14 @@ class TestRootIsolation:
         assert _split(c, 0.5)[1][0] == 0.0  # h(1/2) is exactly zero after the first split
         got, _ = _bernstein_roots(c, 1e-12)
         assert [value for value, _, _ in got].count(0.5) == 1
+
+    @pytest.mark.parametrize("n, tangent", [(4, False), (5, True)])
+    def test_cluster_within_rounding_is_one_point(self, n, tangent):
+        # signs alternate, but every coefficient is within rounding of zero, so
+        # no split can resolve them: all of [0, 1] is one point, with no
+        # evaluation of h, tangent iff the end coefficients share a sign
+        c = [(-1.0) ** k * 1e-17 for k in range(n)]
+        assert _bernstein_roots(c, 1e-13) == ([(0.5, tangent, 1.0)], 0)
 
 
 class TestClassifyStability:
@@ -420,8 +424,6 @@ class TestSolveThreshold:
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_threshold(1)
-        with pytest.raises(ValueError):
-            solve_threshold(3, tol=1e-13)
 
 
 def exact_walk_excess(s: int) -> Fraction:
@@ -465,7 +467,7 @@ class TestThresholdCertificate:
     def test_walk_form_matches_slope_oracle(self, m, p):
         # g_prime_at_half's weights sum to at most 2m in absolute value, each
         # times a policy value within _rounding_bound(m) of exact
-        got = bernstein_sum(_threshold_coeffs(m), p)
+        got = bernstein_horner(bernstein_scaled(_threshold_coeffs(m)), p)
         want = g_prime_at_half(ModelParams.symmetric(m, p)) - 1.0
         assert abs(got - want) <= 2 * m * _rounding_bound(m)
 
@@ -482,8 +484,8 @@ class TestThresholdCertificate:
 
     def test_bracket_and_evaluations(self):
         for m in (3, 8, 64):
-            res = solve_threshold(m, tol=1e-9)
-            assert 0.0 < res.bracket_width <= 1e-9
+            res = solve_threshold(m)
+            assert 0.0 < res.bracket_width <= 1e-12
             assert 0 < res.evaluations <= 40
         res = solve_threshold(2)
         assert (res.p_threshold, res.bracket_width, res.evaluations) == (1.0, 0.0, 0)

@@ -185,6 +185,16 @@ class TestIndependenceCheck:
         with pytest.raises(ValueError):
             independence_check(cfg, level=0, pairs=1)
 
+    @pytest.mark.parametrize(
+        "m, depth, horizon, reps", [(3, 4, 2, 200), (4, 3, 1, 150), (2, 5, 3, 300)]
+    )
+    def test_all_pairs_at_level_one_match_simulate(self, m, depth, horizon, reps):
+        # asking for every pair takes them all, unsampled; at level 1 they are
+        # the root's children, which simulate_tree correlates at the same time
+        cfg = sym_config(m=m, p=0.7, depth=depth, horizon=horizon, pi_0=0.4, reps=reps)
+        corr = independence_check(cfg, level=1, pairs=m * (m - 1) // 2)
+        assert corr == simulate_tree(cfg).pair_correlation
+
 
 class TestStreamLayoutGolden:
     """Exact outputs pinned to the Philox draw layout.

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemajority.dynamics import _rounding_bound
-from treemajority.model import ModelParams, bernstein_sum, policy_differences, policy_value
+from treemajority.model import (
+    ModelParams,
+    bernstein_horner,
+    bernstein_scaled,
+    policy_differences,
+    policy_value,
+)
 from treemajority.update_map import (
     UpdateMap,
     df_dp,
@@ -124,7 +130,7 @@ class TestKernel:
     @settings(max_examples=300, deadline=None)
     def test_against_mpmath(self, m, x, data):
         c = data.draw(st.lists(unit, min_size=m + 1, max_size=m + 1))
-        got = bernstein_sum(c, x)
+        got = bernstein_horner(bernstein_scaled(c), x)
         assert abs(got - float(mp_bernstein_sum(c, x))) <= _rounding_bound(m)
 
     @given(m=st.integers(min_value=2, max_value=64), data=st.data())
@@ -132,8 +138,9 @@ class TestKernel:
     def test_endpoints_exact(self, m, data):
         signed = st.floats(min_value=-1.0, max_value=1.0)
         c = data.draw(st.lists(signed, min_size=m + 1, max_size=m + 1))
-        assert bernstein_sum(c, 0.0) == c[0]
-        assert bernstein_sum(c, 1.0) == c[-1]
+        scaled = bernstein_scaled(c)
+        assert bernstein_horner(scaled, 0.0) == c[0]
+        assert bernstein_horner(scaled, 1.0) == c[-1]
 
     @given(
         m=st.integers(min_value=2, max_value=64),
