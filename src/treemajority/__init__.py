@@ -1,8 +1,8 @@
 """Absolute-majority social-learning dynamics on rooted m-ary trees.
 
-The analytic layers (``model``, ``update_map``, ``dynamics``) run on Python
-floats and import numpy only to return arrays.  The simulator's names resolve
-from ``mc``, which needs numpy, on first access.
+The analytic layers (``model``, ``update_map``, ``dynamics``) run on, and
+return, Python floats, without numpy.  The simulator's names resolve from
+``mc``, which needs numpy, on first access.
 """
 
 from .model import (

@@ -28,7 +28,7 @@ from .dynamics import (
     find_fixed_points,
     solve_threshold,
 )
-from .model import ModelParams, policy_value, policy_values
+from .model import ModelParams, policy_table, policy_value
 from .update_map import UpdateMap, df_dp, g_double_prime, g_eval, g_prime
 
 __all__ = ["main", "build_parser"]
@@ -79,10 +79,9 @@ def _to_json(report: dict) -> str:
 
 
 def _cmd_policy(args) -> dict | str:
-    table = policy_values(_params_from_args(args))
+    table = policy_table(_params_from_args(args))
     if args.format == "csv":
-        lines = ["k,f"]
-        lines += [f"{k},{_fmt(v)}" for k, v in enumerate(table)]
+        lines = ["k,f"] + [f"{k},{_fmt(v)}" for k, v in enumerate(table)]
         return "\n".join(lines) + "\n"
     return {"policy": {str(k): v for k, v in enumerate(table)}}
 
@@ -115,10 +114,10 @@ def _cmd_trajectory(args) -> dict:
     params = _params_from_args(args)
     traj, predicted = _trajectory_request(params, args.pi0, args.steps, args.predict)
     report = {
-        "steps_taken": len(traj.iterates) - 1,
+        "steps_taken": len(traj.values) - 1,
         "converged": traj.converged,
         "limit": traj.limit,
-        "values": list(traj.iterates),
+        "values": list(traj.values),
     }
     if args.predict:
         report["predicted_limit"] = predicted

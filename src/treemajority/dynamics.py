@@ -15,18 +15,15 @@ cobweb argument for strictly increasing maps.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .model import MAX_CHILDREN, ModelParams, bernstein_horner, bernstein_scaled
 from .model import _check_int, _check_prob
 from .update_map import UpdateMap, g_eval, g_prime, g_value
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ATTRACTIVE",
@@ -82,28 +79,17 @@ class FixedPoint:
 @dataclass(frozen=True)
 class FixedPointSet:
     points: tuple  # FixedPoint entries, ascending by value
-    params: ModelParams
 
     @property
-    def values(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([fp.value for fp in self.points])
+    def values(self) -> tuple:
+        return tuple(fp.value for fp in self.points)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    pi_0: float
-    iterates: tuple  # pi_0 .. pi_T, Python floats
+    values: tuple  # pi_0 .. pi_T, Python floats
     converged: bool
     limit: Optional[float]
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """``iterates`` as an array, built on first access."""
-        import numpy as np
-
-        return np.array(self.iterates)
 
 
 @dataclass(frozen=True)
@@ -278,7 +264,7 @@ def _fixed_points(gm: UpdateMap) -> FixedPointSet:
         i = min(range(len(roots)), key=lambda j: abs(roots[j][0] - 0.5))
         roots[i] = (0.5, *roots[i][1:])
     points = tuple(_fixed_point(gm, val, tang) for val, tang, _ in roots)
-    return FixedPointSet(points=points, params=gm.params)
+    return FixedPointSet(points=points)
 
 
 def find_fixed_points(params: ModelParams) -> FixedPointSet:
@@ -323,7 +309,7 @@ def _iterate(gm: UpdateMap, pi_0: float, max_steps: int, fixed_points) -> Trajec
                 limit = nearest.value
         except IdentityMapError:
             limit = x  # every point is fixed, the trajectory is constant
-    return Trajectory(pi_0=pi_0, iterates=tuple(values), converged=converged, limit=limit)
+    return Trajectory(values=tuple(values), converged=converged, limit=limit)
 
 
 def iterate_dynamics(params: ModelParams, pi_0: float, max_steps: int = 10**6) -> Trajectory:
@@ -389,15 +375,9 @@ def _trajectory_request(params: ModelParams, pi_0: float, max_steps: int, predic
     points, found at most once.
     """
     gm = UpdateMap.from_params(params)
-    found: list = []
-
-    def fixed_points() -> FixedPointSet:
-        if not found:
-            found.append(_fixed_points(gm))
-        return found[0]
-
+    fixed_points = functools.cache(functools.partial(_fixed_points, gm))
     traj = _iterate(gm, pi_0, max_steps, fixed_points)
-    return traj, (_predict(gm, fixed_points(), traj.pi_0) if predict else None)
+    return traj, (_predict(gm, fixed_points(), traj.values[0]) if predict else None)
 
 
 def _threshold_coeffs(m: int) -> list:
@@ -438,8 +418,7 @@ def m3_pb1_closed_form(p_r: float) -> FixedPointSet:
     roots above it.
     """
     p_r = _check_prob("p_r", p_r)
-    params = ModelParams(3, 1.0, p_r)
-    gm = UpdateMap.from_params(params)
+    gm = UpdateMap.from_params(ModelParams(3, 1.0, p_r))
     boundary = math.sqrt(3.0) - 1.0
     entries: list[tuple[float, bool]] = []
     if p_r < boundary:
@@ -456,4 +435,4 @@ def m3_pb1_closed_form(p_r: float) -> FixedPointSet:
             entries.append((min(max(root, 0.0), 1.0), False))
     entries.append((1.0, False))
     points = tuple(_fixed_point(gm, val, tang) for val, tang in sorted(entries))
-    return FixedPointSet(points=points, params=params)
+    return FixedPointSet(points=points)

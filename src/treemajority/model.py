@@ -18,17 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MAX_CHILDREN",
     "ModelParams",
     "binomial_pmf",
     "policy_value",
-    "policy_values",
     "policy_table",
     "policy_differences",
 ]
@@ -170,13 +165,9 @@ def bernstein_horner(scaled: tuple, x: float) -> float:
     return acc * a ** (len(up) - 1)
 
 
-def binomial_pmf(n: int, p: float) -> np.ndarray:
+def binomial_pmf(n: int, p: float) -> list:
     """Exact Binomial(n, p) masses on outcomes 0..n; degenerate at 0 when n = 0 or p = 0."""
-    import numpy as np
-
-    n = _check_int("n", n, 0)
-    p = _check_prob("p", p)
-    return np.array(bernstein_weights(n, p))
+    return bernstein_weights(_check_int("n", n, 0), _check_prob("p", p))
 
 
 def policy_value(params: ModelParams, k: int) -> float:
@@ -194,17 +185,10 @@ def policy_value(params: ModelParams, k: int) -> float:
     return min(max(win + 0.5 * tie, 0.0), 1.0)
 
 
-def policy_values(params: ModelParams) -> list:
+def policy_table(params: ModelParams) -> list:
     """Adoption probabilities f(0..m) as Python floats: entry k is the chance a
     parent adopts B given exactly k of its m children are in state B."""
     return [policy_value(params, k) for k in range(params.m + 1)]
-
-
-def policy_table(params: ModelParams) -> np.ndarray:
-    """``policy_values`` as an array."""
-    import numpy as np
-
-    return np.array(policy_values(params))
 
 
 def policy_differences(params: ModelParams) -> list:

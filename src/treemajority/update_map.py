@@ -13,8 +13,7 @@ m (f(k+1) - f(k)), built without subtracting policy values
 Horner's rule on binomial-scaled coefficients (``model.bernstein_horner``),
 scaled once per map, in Python floats: within 1.5 (n+1) machine epsilons of
 the exact Bernstein sum of degree n for coefficients in [0, 1].  g is clamped
-to [0, 1], where the exact g lies.  An array of points is evaluated point by
-point; numpy is imported only for array arguments.
+to [0, 1], where the exact g lies.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .model import (
     bernstein_horner,
     bernstein_scaled,
     policy_differences,
+    policy_table,
     policy_value,
-    policy_values,
 )
 
 __all__ = [
@@ -54,7 +53,7 @@ class UpdateMap:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "UpdateMap":
-        return cls(params=params, coeffs=tuple(policy_values(params)))
+        return cls(params=params, coeffs=tuple(policy_table(params)))
 
     # Binomial-scaled coefficient lists for bernstein_horner, built on first use.
 
@@ -87,36 +86,20 @@ def g_value(values: tuple, x: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def _pointwise(kernel, c: tuple, x):
-    """kernel(c, x) at x: scalar in, float out; array in, array out."""
-    if not isinstance(x, (float, int)):  # isinstance spares numpy's import and np.ndim's cost
-        import numpy as np
-
-        if np.ndim(x) != 0:
-            pts = np.asarray(x, dtype=float)
-            if not np.all((pts >= 0.0) & (pts <= 1.0)):
-                raise ValueError("x must lie in [0, 1]")
-            return np.array([kernel(c, v) for v in pts.ravel().tolist()]).reshape(pts.shape)
-    x = float(x)
-    if not 0.0 <= x <= 1.0:  # also refuses NaN
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    return kernel(c, x)
+def g_eval(gm: UpdateMap, x: float) -> float:
+    """Value of the update map at one point x in [0, 1], itself in [0, 1]."""
+    return g_value(gm._values, _check_prob("x", x))
 
 
-def g_eval(gm: UpdateMap, x):
-    """Value of the update map, in [0, 1]; scalar in, float out; array in, array out."""
-    return _pointwise(g_value, gm._values, x)
-
-
-def g_prime(gm: UpdateMap, x):
+def g_prime(gm: UpdateMap, x: float) -> float:
     """First derivative: m * sum_l (f(l+1) - f(l)) B_{l,m-1}(x)."""
-    return gm.params.m * _pointwise(bernstein_horner, gm._steps, x)
+    return gm.params.m * bernstein_horner(gm._steps, _check_prob("x", x))
 
 
-def g_double_prime(gm: UpdateMap, x):
+def g_double_prime(gm: UpdateMap, x: float) -> float:
     """Second derivative: m(m-1) * sum_l (f(l+2) - 2f(l+1) + f(l)) B_{l,m-2}(x)."""
     m = gm.params.m
-    return m * (m - 1) * _pointwise(bernstein_horner, gm._bends, x)
+    return m * (m - 1) * bernstein_horner(gm._bends, _check_prob("x", x))
 
 
 def g_prime_at_half(params: ModelParams) -> float:

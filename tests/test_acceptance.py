@@ -94,7 +94,7 @@ def test_criterion_04_count_law_sweep():
         for cents in range(1, 101):
             p = cents / 100.0
             fps = find_fixed_points(ModelParams.symmetric(m, p))
-            v = fps.values
+            v = np.array(fps.values)
             expected = 1 if p <= p_m else 3
             if len(v) != expected:
                 failures.append((m, p, len(v), expected))
@@ -117,7 +117,7 @@ def test_criterion_05_convexity_split():
     for m in range(2, 9):
         for tenths in range(1, 11):
             gm = UpdateMap.from_params(ModelParams.symmetric(m, tenths / 10.0))
-            dd = g_double_prime(gm, xs)
+            dd = np.array([g_double_prime(gm, x) for x in xs])
             worst = max(worst, float(np.max(-dd[xs <= 0.5])), float(np.max(dd[xs >= 0.5])))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0

@@ -85,7 +85,7 @@ class TestGmapCommand:
 
         gm = UpdateMap.from_params(ModelParams.symmetric(5, 0.37))
         xs = np.linspace(0.0, 1.0, 8)
-        expected = g_eval(gm, xs)
+        expected = [g_eval(gm, x) for x in xs]
         parsed_x, parsed_g = [], []
         for line in out.strip().splitlines()[1:]:
             x, g, *_ = (float(v) for v in line.split(","))
@@ -379,10 +379,11 @@ class TestOutFlag:
         assert not target.exists()
 
 
-# Runs in a fresh interpreter: every analytic subcommand, then the modules loaded.
+# Runs in a fresh interpreter: every analytic subcommand and every analytic
+# library result, then the modules loaded.
 _COLD_START = """
 import contextlib, io, sys
-import treemajority
+import treemajority as tm
 from treemajority import cli
 for argv in (
     ["policy", "--m", "5", "--p", "0.4"],
@@ -395,6 +396,21 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+params = tm.ModelParams(3, 0.8, 0.6)
+gm = tm.UpdateMap.from_params(params)
+tm.policy_table(params)
+tm.binomial_pmf(5, 0.3)
+for fn in (tm.g_eval, tm.g_prime, tm.g_double_prime):
+    fn(gm, 0.3)
+fps = tm.find_fixed_points(params)
+fps.values
+tm.iterate_dynamics(params, 0.3).values
+tm.predict_limit(params, 0.3)
+tm.m3_pb1_closed_form(0.9).values
+tm.solve_threshold(5)
+tm.classify_stability(gm, fps.points[0].value)
+tm.g_prime_at_half(tm.ModelParams.symmetric(4, 0.7))
+tm.df_dp(5, 1, 0.4)
 print(" ".join(m for m in ("numpy", "numpy.random", "treemajority.mc") if m in sys.modules))
 """
 

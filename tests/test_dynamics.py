@@ -102,7 +102,7 @@ class TestFindFixedPoints:
         for m in (3, 5):
             for p in (0.7, 0.9, 1.0):
                 fps = find_fixed_points(ModelParams.symmetric(m, p))
-                v = fps.values
+                v = np.array(fps.values)
                 assert np.min(np.abs(v - 0.5)) <= 1e-9
                 np.testing.assert_allclose(np.sort(1.0 - v), v, atol=1e-8)
                 assert np.all(np.diff(v) > 1e-12)
@@ -113,7 +113,7 @@ class TestFindFixedPoints:
         p_m = solve_threshold(m).p_threshold
         for p in [k / 20 for k in range(20)] + [p_m, p_m - 1e-6, p_m + 1e-6]:
             fps = find_fixed_points(ModelParams.symmetric(m, p))
-            v = fps.values
+            v = np.array(fps.values)
             assert 0.5 in v, (m, p)
             half = fps.points[int(np.argmin(np.abs(v - 0.5)))]
             assert half.residual <= 1e-14
@@ -250,7 +250,7 @@ class TestIterateDynamics:
     def test_constant_at_fixed_point(self):
         traj = iterate_dynamics(ModelParams.symmetric(3, 0.8), 0.5)
         assert traj.converged
-        assert np.all(np.abs(traj.values - 0.5) < 1e-12)
+        assert np.all(np.abs(np.array(traj.values) - 0.5) < 1e-12)
 
     def test_pb1_low_pr_sweeps_to_one(self):
         traj = iterate_dynamics(ModelParams(3, 1.0, 0.2), 0.05)
@@ -281,7 +281,7 @@ class TestIterateDynamics:
         for _ in range(5):
             params = ModelParams(m, float(rng.random()), float(rng.random()))
             gm = UpdateMap.from_params(params)
-            values = iterate_dynamics(params, float(rng.random()), max_steps=200).values
+            values = np.array(iterate_dynamics(params, float(rng.random()), max_steps=200).values)
             assert values[1:].tolist() == [g_eval(gm, x) for x in values[:-1].tolist()]
 
     def test_validation(self):

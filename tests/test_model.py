@@ -42,23 +42,23 @@ class TestModelParams:
 
 class TestBinomialPMF:
     def test_degenerate_n0(self):
-        assert binomial_pmf(0, 0.7).tolist() == [1.0]
+        assert np.array(binomial_pmf(0, 0.7)).tolist() == [1.0]
 
     def test_fair_coin_n2(self):
-        assert binomial_pmf(2, 0.5).tolist() == [0.25, 0.5, 0.25]
+        assert np.array(binomial_pmf(2, 0.5)).tolist() == [0.25, 0.5, 0.25]
 
     def test_n3_p07(self):
         expected = [0.3**3, 3 * 0.7 * 0.3**2, 3 * 0.7**2 * 0.3, 0.7**3]
         np.testing.assert_allclose(binomial_pmf(3, 0.7), expected, atol=1e-15)
 
     def test_exact_at_p0_p1(self):
-        m0 = binomial_pmf(5, 0.0)
+        m0 = np.array(binomial_pmf(5, 0.0))
         assert m0[0] == 1.0 and m0[1:].sum() == 0.0
-        m1 = binomial_pmf(5, 1.0)
+        m1 = np.array(binomial_pmf(5, 1.0))
         assert m1[-1] == 1.0 and m1[:-1].sum() == 0.0
 
     def test_no_underflow_near_one(self):
-        mass = binomial_pmf(64, 1.0 - 1e-9)
+        mass = np.array(binomial_pmf(64, 1.0 - 1e-9))
         assert abs(mass.sum() - 1.0) < 1e-12
         assert mass[-1] > 0.999
 
@@ -69,7 +69,7 @@ class TestBinomialPMF:
     @given(n=st.integers(min_value=0, max_value=64), p=probs)
     @settings(max_examples=150)
     def test_mass_properties(self, n, p):
-        mass = binomial_pmf(n, p)
+        mass = np.array(binomial_pmf(n, p))
         assert mass.size == n + 1
         assert np.all(mass >= 0.0) and np.all(mass <= 1.0)
         assert abs(mass.sum() - 1.0) <= 1e-12
@@ -115,7 +115,7 @@ class TestPolicyValue:
     def test_pb1_degeneracy(self):
         # with p_b = 1 the B-success count is exactly k
         for m, k, p_r in [(4, 1, 0.6), (5, 2, 0.35), (6, 3, 0.8)]:
-            b = binomial_pmf(m - k, p_r)
+            b = np.array(binomial_pmf(m - k, p_r))
             expected = b[:k].sum() + 0.5 * (b[k] if k <= m - k else 0.0)
             got = policy_value(ModelParams(m, 1.0, p_r), k)
             assert got == pytest.approx(expected, abs=1e-13)
@@ -140,7 +140,7 @@ class TestPolicyTable:
     @given(m=st.integers(min_value=2, max_value=10), p_b=probs, p_r=probs)
     @settings(max_examples=120, deadline=None)
     def test_boundary_identities(self, m, p_b, p_r):
-        values = policy_table(ModelParams(m, p_b, p_r))
+        values = np.array(policy_table(ModelParams(m, p_b, p_r)))
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
         assert values[0] == pytest.approx(0.5 * (1.0 - p_r) ** m, abs=1e-12)
         assert values[-1] == pytest.approx(1.0 - 0.5 * (1.0 - p_b) ** m, abs=1e-12)
@@ -148,7 +148,7 @@ class TestPolicyTable:
     @given(m=st.integers(min_value=2, max_value=12), p=probs)
     @settings(max_examples=120, deadline=None)
     def test_symmetry_criterion(self, m, p):
-        values = policy_table(ModelParams.symmetric(m, p))
+        values = np.array(policy_table(ModelParams.symmetric(m, p)))
         np.testing.assert_allclose(values + values[::-1], 1.0, atol=1e-12)
 
 
