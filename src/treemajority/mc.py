@@ -17,8 +17,10 @@ operations per group, not per replication.  It replays the raw rule, never
 f(k): each child's uniform is compared with the two scalar rates, and one
 signed int8 per child (+1 for a B success, -1 for an R success) is summed
 into the vertex's lead, broken by a coin on zero.  A group holds as many
-replications as fit their uniforms in ``_UNIFORM_BYTES`` (at least one); the
-one-step estimator sizes its chunks of trials by the same budget.
+replications as fit one step's uniforms in ``_UNIFORM_BYTES`` (at least one),
+and reads each step's draws in breadth-first windows of parents that fit the
+same budget, so a group never holds more uniforms than that, whatever the
+tree size; the one-step estimator sizes its chunks of trials by it too.
 
 Randomness comes from counter-based Philox streams keyed by seed, purpose,
 time step and replication.  Step t's stream holds experiment outcomes for
@@ -26,15 +28,17 @@ levels 1..D from position 0, then tie-break coins for levels 0..D-1 from
 position S = m + m**2 + ... + m**D, so each (vertex, variable) pair owns a
 fixed position in its stream.  Step t reads only what its updates use, the
 outcomes of levels 1..D-t and the coins of levels 0..D-t-1: one Philox per
-call jumps to the start of each prefix (``_Streams.at``) instead of drawing
-the rest.  Which bits feed which vertex is independent of the window, the
-grouping and the execution order, so results are reproducible bit-for-bit.
+call jumps to the start of each window's range (``_Streams.at``) instead of
+drawing the rest.  Which bits feed which vertex is independent of the
+validity window, the grouping, the draw windows and the execution order, so
+results are reproducible bit-for-bit.
 Leaves have no children in the truncation and stay frozen at their initial
 draw.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -52,10 +56,11 @@ __all__ = [
     "independence_check",
 ]
 
+# bounds the tree's boolean states: about 100 MB for one replication at 10**8 leaves
 _LEAF_GUARD = 10**8
 
-# byte budget on the uniforms held at once: a group of tree replications, or
-# a chunk of one-step trials
+# byte budget on the uniforms held at once, at every tree size: one draw
+# window of a group of tree replications, or a chunk of one-step trials
 _UNIFORM_BYTES = 2 * 2**20
 
 # stream purposes (second counter word)
@@ -179,16 +184,26 @@ def _level_starts(cfg: SimConfig) -> list[int]:
     return list(accumulate((cfg.params.m**d for d in range(cfg.depth + 1)), initial=0))
 
 
-def _uniforms_per_rep(starts: list[int]) -> int:
-    """Step 0's outcomes (levels 1..D) and coins (levels 0..D-1); no draw needs more."""
-    return starts[-1] - 1 + starts[-2]
-
-
 def _groups(cfg: SimConfig) -> Iterator[range]:
-    """Consecutive replication groups whose uniforms fit in ``_UNIFORM_BYTES``."""
-    size = max(1, _UNIFORM_BYTES // (8 * _uniforms_per_rep(_level_starts(cfg))))
+    """Consecutive replication groups whose step-0 draws fit in ``_UNIFORM_BYTES`` (at least one).
+
+    Step 0 reads the outcomes of levels 1..D and the coins of levels 0..D-1,
+    m + 1 uniforms per parent; no step reads more.
+    """
+    size = max(1, _UNIFORM_BYTES // (8 * (cfg.params.m + 1) * _level_starts(cfg)[-2]))
     for lo in range(0, cfg.replications, size):
         yield range(lo, min(lo + size, cfg.replications))
+
+
+def _level_pieces(starts: list[int], a: int, b: int) -> Iterator[tuple[int, int, int]]:
+    """(d, i0, i1) for each level d that breadth-first vertices a..b-1 meet, in ascending order.
+
+    Level d's vertices i0..i1-1 are the flat vertices starts[d] + i0 .. starts[d] + i1 - 1.
+    """
+    d = bisect_right(starts, a) - 1
+    while starts[d] < b:
+        yield d, max(a, starts[d]) - starts[d], min(b, starts[d + 1]) - starts[d]
+        d += 1
 
 
 def _count_children(signs: np.ndarray) -> np.ndarray:
@@ -227,34 +242,49 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
     Row i of ``roots`` (shape (len(reps), T+1)) and of each ``states[d]``
     (shape (len(reps), m**d)) belongs to replication ``reps[i]``.  Step t
     updates only levels 0..D-t-1, the ones still inside their validity
-    window; in ascending order each reads its children at time t.  So
-    ``states[d]`` ends at time min(T, D-d), the time every output reads.
-    Step t reads the outcome prefix for levels 1..D-t and the coin prefix for
-    levels 0..D-t-1 of each replication's stream, and skips the rest.
+    window.  It walks their vertices, the parents, in breadth-first windows
+    of ``width`` parents, sized so the group's uniforms fit in
+    ``_UNIFORM_BYTES``.  Parents a..b-1 have children 1 + m*a .. m*b, so a
+    window reads one outcome range [m*a, m*b) and one coin range [S+a, S+b)
+    of each replication's stream, and updates its level pieces in ascending
+    order.  A parent's children come later in breadth-first order, so they
+    are still at time t when it reads them, and ``states[d]`` ends at time
+    min(T, D-d), the time every output reads.  The initial states are read in
+    windows of (m+1)*width vertices.  When the group's step-0 draws fit the
+    budget, every step is one window.
     """
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
-    D, T = cfg.depth, cfg.horizon
+    D, T, G = cfg.depth, cfg.horizon, len(reps)
     starts = _level_starts(cfg)
     coins_at = starts[-1] - 1
+    width = min(max(1, _UNIFORM_BYTES // (8 * (m + 1) * G)), starts[D])
+    span = (m + 1) * width
     streams = _Streams(cfg.seed)
-    u = np.empty((len(reps), _uniforms_per_rep(starts)))
+    u = np.empty((G, span))
 
-    for i, rep in enumerate(reps):
-        streams.at(_INIT, 0, rep).random(out=u[i, : starts[-1]])
-    states = [u[:, starts[d] : starts[d + 1]] < cfg.pi_0 for d in range(D + 1)]
-    roots = np.empty((len(reps), T + 1), dtype=bool)
+    states = [np.empty((G, m**d), dtype=bool) for d in range(D + 1)]
+    for a in range(0, starts[-1], span):
+        b = min(a + span, starts[-1])
+        for i, rep in enumerate(reps):
+            streams.at(_INIT, 0, rep, a).random(out=u[i, : b - a])
+        for d, i0, i1 in _level_pieces(starts, a, b):
+            off = starts[d] + i0 - a
+            states[d][:, i0:i1] = u[:, off : off + i1 - i0] < cfg.pi_0
+    roots = np.empty((G, T + 1), dtype=bool)
     roots[:, 0] = states[0][:, 0]
 
     for t in range(T):
-        n_x, n_y = starts[D - t + 1] - 1, starts[D - t]
-        for i, rep in enumerate(reps):
-            streams.at(_STEP, t, rep).random(out=u[i, :n_x])
-            streams.at(_STEP, t, rep, coins_at).random(out=u[i, n_x : n_x + n_y])
-        for d in range(D - t):
-            child = states[d + 1].reshape(len(reps), -1, m)
-            u_x = u[:, starts[d + 1] - 1 : starts[d + 2] - 1].reshape(child.shape)
-            u_y = u[:, n_x + starts[d] : n_x + starts[d + 1]]
-            states[d] = _adopt(child, u_x, u_y, p_b, p_r)
+        for a in range(0, starts[D - t], width):
+            n = min(width, starts[D - t] - a)
+            for i, rep in enumerate(reps):
+                streams.at(_STEP, t, rep, m * a).random(out=u[i, : m * n])
+                streams.at(_STEP, t, rep, coins_at + a).random(out=u[i, m * n : (m + 1) * n])
+            for d, i0, i1 in _level_pieces(starts, a, a + n):
+                off, k = starts[d] + i0 - a, i1 - i0
+                child = states[d + 1][:, m * i0 : m * i1].reshape(G, k, m)
+                u_x = u[:, m * off : m * (off + k)].reshape(child.shape)
+                u_y = u[:, m * n + off : m * n + off + k]
+                states[d][:, i0:i1] = _adopt(child, u_x, u_y, p_b, p_r)
         roots[:, t + 1] = states[0][:, 0]
 
     return roots, states

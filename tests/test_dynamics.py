@@ -22,7 +22,7 @@ from treemajority.dynamics import (
     predict_limit,
     solve_threshold,
 )
-from treemajority.model import ModelParams, bernstein_horner, bernstein_scaled
+from treemajority.model import ModelParams, bernstein_horner, bernstein_scaled, policy_table
 from treemajority.update_map import UpdateMap, g_eval, g_prime_at_half
 
 from conftest import enumerate_policy
@@ -514,6 +514,52 @@ class TestClosedFormM3:
 
     def test_pr1_recovers_symmetric_triple(self):
         np.testing.assert_allclose(m3_pb1_closed_form(1.0).values, [0.0, 0.5, 1.0], atol=0)
+
+
+def m2_policy(p_b: float, p_r: float) -> list:
+    return [(1 - p_r) ** 2 / 2, (1 + p_b - p_r) / 2, 1 - (1 - p_b) ** 2 / 2]
+
+
+def m2_fixed_point(p_b: float, p_r: float) -> float:
+    """The root in [0, 1] of h = g_2 - x, by the quadratic formula without cancellation.
+
+    h has Bernstein coefficients (f(0), f(1) - 1/2, f(2) - 1), so h(0) >= 0 >= h(1)
+    and h crosses zero downward, where h' = -sqrt(disc).
+    """
+    f0, f1, f2 = m2_policy(p_b, p_r)
+    c0, c1, c2 = f0, f1 - 0.5, f2 - 1.0
+    a, b, c = c0 - 2 * c1 + c2, 2 * (c1 - c0), c0
+    root_disc = math.sqrt(b * b - 4 * a * c)
+    return 2 * c / (root_disc - b) if b <= 0 else -(b + root_disc) / (2 * a)
+
+
+class TestM2WholeSquare:
+    """The paper's m = 2 claim: one fixed point at every (p_b, p_r) except the identity map."""
+
+    GRID = [i / 40 for i in range(41)]
+
+    def test_policy_table_closed_form(self):
+        for p_b in self.GRID:
+            for p_r in self.GRID:
+                got = policy_table(ModelParams(2, p_b, p_r))
+                for f, want in zip(got, m2_policy(p_b, p_r), strict=True):
+                    assert abs(f - want) <= 1e-15, (p_b, p_r)
+
+    def test_identity_map_refused(self):
+        with pytest.raises(IdentityMapError):
+            find_fixed_points(ModelParams(2, 1.0, 1.0))
+
+    def test_one_fixed_point_at_the_quadratic_root(self):
+        cells = 0
+        for p_b in self.GRID:
+            for p_r in self.GRID:
+                if p_b == p_r == 1.0:
+                    continue
+                fps = find_fixed_points(ModelParams(2, p_b, p_r))
+                assert len(fps.points) == 1, (p_b, p_r, fps.values)
+                assert abs(fps.points[0].value - m2_fixed_point(p_b, p_r)) <= 1e-12, (p_b, p_r)
+                cells += 1
+        assert cells == 1680
 
 
 class TestCountLaw:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,34 @@ class TestGroupedReplay:
         assert math.ceil(cfg.replications / group) >= 3
         assert [len(reps) for reps in mc._groups(cfg)][0] == group
         _assert_replays_reference(cfg)
+
+    # budgets that give one-parent windows, windows that split a level and
+    # windows that span several levels
+    @pytest.mark.parametrize("budget", [8, 200, 4096])
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_windows_match_reference_replay(self, monkeypatch, budget, m):
+        monkeypatch.setattr(mc, "_UNIFORM_BYTES", budget)
+        for depth in range(1, 7):
+            for horizon in sorted({0, depth // 2, depth}):
+                _assert_replays_reference(_replay_config(m, depth, horizon, replications=3))
+
+    def test_independence_check_ignores_the_budget(self, monkeypatch):
+        cfg = sym_config(m=3, p=0.7, depth=5, horizon=3, reps=120)
+        expected = independence_check(cfg, level=2, pairs=20)
+        monkeypatch.setattr(mc, "_UNIFORM_BYTES", 200)
+        assert _same_float(independence_check(cfg, level=2, pairs=20), expected)
+
+    def test_uniforms_stay_within_the_budget(self):
+        # one replication of m = 4, D = 10: its step-0 draws alone take 14 MB
+        cfg = sym_config(m=4, p=0.6, depth=10, horizon=10, reps=1)
+        state_bytes = sum(4**d for d in range(11))
+        tracemalloc.start()
+        try:
+            simulate_tree(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * mc._UNIFORM_BYTES + state_bytes
 
 
 class TestStreamJump:
