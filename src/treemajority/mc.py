@@ -14,32 +14,45 @@ Two estimators:
 The simulation runs replications in groups: each level of a group is one
 ``(group size, m**d)`` boolean array, so a level update is one set of array
 operations per group, not per replication.  It replays the raw rule, never
-f(k): each child's uniform is compared with the two scalar rates, and one
+f(k): each child's draw is compared with the two scalar rates, and one
 signed int8 per child (+1 for a B success, -1 for an R success) is summed
 into the vertex's lead, broken by a coin on zero.  A group holds as many
-replications as fit one step's uniforms in ``_UNIFORM_BYTES`` (at least one),
-and reads each step's draws in breadth-first windows of parents that fit the
-same budget, so a group never holds more uniforms than that, whatever the
-tree size; the one-step estimator sizes its chunks of trials by it too.
+replications as fit one step's variables in ``_UNIFORM_BYTES`` (at least
+one, counted at 8 bytes a variable), and reads each step's draws in
+breadth-first windows of parents that fit the same budget, so a group never
+holds more draws than that, whatever the tree size; the one-step estimator
+sizes its chunks of trials by it too.
 
 Randomness comes from counter-based Philox streams keyed by seed, purpose,
-time step and replication.  Step t's stream holds experiment outcomes for
-levels 1..D from position 0, then tie-break coins for levels 0..D-1 from
-position S = m + m**2 + ... + m**D, so each (vertex, variable) pair owns a
-fixed position in its stream.  Step t reads only what its updates use, the
-outcomes of levels 1..D-t and the coins of levels 0..D-t-1: one Philox per
-call jumps to the start of each window's range (``_Streams.at``) instead of
-drawing the rest.  Which bits feed which vertex is independent of the
-validity window, the grouping, the draw windows and the execution order, so
-results are reproducible bit-for-bit.
+time step and replication.  Every Bernoulli variable owns one position i in
+its stream and reads the stream's i-th 16-bit head, the i-th uint16 of its
+raw words (word i // 4, so 16 variables per Philox block).  A rate p is cut
+at K = ceil(p * 2**53) into hi = K >> 37 and lo = K mod 2**37: a head below
+hi succeeds, one above fails, and only a head equal to hi with lo != 0 (one
+draw in 2**16) reads the 64-bit word at position i of the purpose's
+refinement stream (purpose + ``_REFINE``, same seed, time and replication)
+and succeeds iff its top 37 bits are below lo.  That is k < K for the 53-bit
+k = head * 2**37 + low, so each outcome has probability K / 2**53, exactly as
+for a 53-bit uniform compared with p.  A coin is a head below 2**15.
+
+Step t's stream holds experiment outcomes for levels 1..D from position 0,
+then tie-break coins for levels 0..D-1 from position S = m + m**2 + ... +
+m**D, so each (vertex, variable) pair owns a fixed position in its stream.
+Step t reads only what its updates use, the outcomes of levels 1..D-t and the
+coins of levels 0..D-t-1: one Philox per call jumps to the block of each
+window's first head (``_Streams.heads``) instead of drawing the rest.  Which
+bits feed which vertex is independent of the validity window, the grouping,
+the draw windows and the execution order, so results are reproducible
+bit-for-bit.
 Leaves have no children in the truncation and stay frozen at their initial
 draw.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -59,40 +72,54 @@ __all__ = [
 # bounds the tree's boolean states: about 100 MB for one replication at 10**8 leaves
 _LEAF_GUARD = 10**8
 
-# byte budget on the uniforms held at once, at every tree size: one draw
-# window of a group of tree replications, or a chunk of one-step trials
+# budget on the Bernoulli variables drawn at once, at every tree size, counted
+# at 8 bytes a variable: one draw window of a group of tree replications, or a
+# chunk of one-step trials.  Their 16-bit heads fill a quarter of it.
 _UNIFORM_BYTES = 2 * 2**20
 
-# stream purposes (second counter word)
+# stream purposes (second counter word); purpose + _REFINE holds the
+# refinement words of the purpose's tied heads
 _INIT = 1
 _STEP = 0
 _ONESTEP = 2
 _PAIRS = 3
+_REFINE = 4
+
+# a 53-bit draw k = head * 2**37 + low splits into a 16-bit head and 37 low bits
+_LOW_BITS = 37
 
 
 class _Streams:
     """One Philox generator that visits every stream of a seed.
 
     Stream (seed, purpose, time, rep) is the Philox stream with key ``seed``
-    that opens at counter [0, purpose, time, rep].  Philox emits four doubles
-    per block and steps its counter before each block, so the stream's block
-    b is computed at counter [b + 1, purpose, time, rep].  ``at`` sets the
-    counter to [pos // 4, ...] with an empty buffer and discards pos % 4
-    draws, so the next draw is the stream's draw ``pos`` whatever came
-    before: one state reset, not a new generator, per stream visited.
+    that opens at counter [0, purpose, time, rep].  Philox emits four 64-bit
+    words per block and steps its counter before each block, so the stream's
+    block b is computed at counter [b + 1, purpose, time, rep].  ``_block``
+    sets the counter to [b, ...] with an empty buffer, so the next word read is
+    block b's first whatever came before: one state reset, not a new
+    generator, per stream visited.
     """
 
     def __init__(self, seed: int) -> None:
-        bitgen = Philox(key=np.uint64(seed))
-        # a fresh state, so its buffer is empty; ``at`` rewrites only the counter
-        self._gen, self._state = Generator(bitgen), bitgen.state
+        # a fresh state, so its buffer is empty; ``_block`` rewrites only the counter
+        self._bitgen = Philox(key=np.uint64(seed))
+        self._state = self._bitgen.state
 
-    def at(self, purpose: int, time: int = 0, rep: int = 0, pos: int = 0) -> Generator:
-        self._state["state"]["counter"][:] = (pos // 4, purpose, time, rep)
-        self._gen.bit_generator.state = self._state
-        if pos % 4:
-            self._gen.random(pos % 4)
-        return self._gen
+    def _block(self, purpose: int, time: int, rep: int, block: int) -> Philox:
+        self._state["state"]["counter"][:] = (block, purpose, time, rep)
+        self._bitgen.state = self._state
+        return self._bitgen
+
+    def heads(self, purpose: int, time: int, rep: int, pos: int, n: int) -> np.ndarray:
+        """The stream's 16-bit heads pos..pos+n-1 (16 per block)."""
+        skip = pos % 16
+        raw = self._block(purpose, time, rep, pos // 16).random_raw((skip + n + 3) // 4)
+        return raw.view(np.uint16)[skip : skip + n]
+
+    def word(self, purpose: int, time: int, rep: int, pos: int) -> int:
+        """The stream's 64-bit word ``pos``."""
+        return int(self._block(purpose, time, rep, pos // 4).random_raw(pos % 4 + 1)[-1])
 
 
 def _check_seed(seed) -> int:
@@ -165,14 +192,24 @@ def estimate_g_one_step(
     samples = _check_int("samples", samples, 1)
     seed = _check_seed(seed)
     m, p_b, p_r = params.m, params.p_b, params.p_r
-    gen = _Streams(seed).at(_ONESTEP)
+    streams = _Streams(seed)
+    width = 2 * m + 1
     adopted = 0
-    chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * (2 * m + 1))))
+    chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * width)))
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
-        u = gen.random((n, 2 * m + 1))
-        adopted += int(_adopt(u[:, :m] < x, u[:, m : 2 * m], u[:, 2 * m], p_b, p_r).sum())
+        at = done * width
+        h = streams.heads(_ONESTEP, 0, 0, at, n * width).reshape(n, width)
+        (child,) = _bernoulli(
+            h[:, :m], (x,), lambda r, c: streams.word(_ONESTEP + _REFINE, 0, 0, at + r * width + c)
+        )
+        succ_b, succ_r = _bernoulli(
+            h[:, m : 2 * m],
+            (p_b, p_r),
+            lambda r, c: streams.word(_ONESTEP + _REFINE, 0, 0, at + r * width + m + c),
+        )
+        adopted += int(_adopt(child, succ_b, succ_r, h[:, 2 * m] < 2**15).sum())
         done += n
     est = adopted / samples
     half = 1.96 * np.sqrt(est * (1.0 - est) / samples)
@@ -218,22 +255,54 @@ def _count_children(signs: np.ndarray) -> np.ndarray:
     return total
 
 
+def _cut(p: float) -> tuple[int, int]:
+    """(hi, lo) of K = ceil(p * 2**53): the 53-bit draw k succeeds iff k < K."""
+    K = math.ceil(p * 2**53)
+    return K >> _LOW_BITS, K & ((1 << _LOW_BITS) - 1)
+
+
+def _bernoulli(
+    heads: np.ndarray, rates: tuple[float, ...], word_at: Callable[[int, int], int]
+) -> list[np.ndarray]:
+    """Exact Bernoulli outcomes of a 2-D array of 16-bit heads, one bool array per rate.
+
+    A head below a rate's hi succeeds and one above it fails.  The heads that
+    equal some hi with lo != 0 are found with one ``flatnonzero`` over the
+    array, and ``word_at(row, col)`` returns the refinement word of each; such
+    a head succeeds iff the word's top 37 bits are below lo.
+    """
+    cuts = [_cut(p) for p in rates]
+    out = [heads < hi for hi, _ in cuts]
+    tied = sorted({hi for hi, lo in cuts if lo})
+    if tied:
+        hit = heads == tied[0]
+        for hi in tied[1:]:
+            hit |= heads == hi
+        for j in np.flatnonzero(hit).tolist():
+            r, c = divmod(j, heads.shape[1])
+            low = word_at(r, c) >> (64 - _LOW_BITS)
+            for succ, (hi, lo) in zip(out, cuts):
+                if lo and heads[r, c] == hi:
+                    succ[r, c] = low < lo
+    return out
+
+
 def _adopt(
-    child: np.ndarray, u_x: np.ndarray, u_y: np.ndarray, p_b: float, p_r: float
+    child: np.ndarray, succ_b: np.ndarray, succ_r: np.ndarray, coin: np.ndarray
 ) -> np.ndarray:
     """The raw update rule, replayed from its draws.
 
-    ``child`` (..., m) holds the children's states (True for B) and ``u_x``
-    the uniforms of their experiments: a child succeeds when its uniform is
-    below its state's success rate.  Each child adds +1 to the vertex's lead
-    when it is B and succeeds, -1 when it is R and succeeds, 0 otherwise; the
-    vertex adopts B when the lead is positive, and on a zero lead when its
-    coin ``u_y`` (...) is below 1/2.
+    ``child`` (..., m) holds the children's states (True for B), and
+    ``succ_b`` and ``succ_r`` whether each child's experiment succeeds at the
+    B and at the R rate; a child uses its own state's.  Each child adds +1 to
+    the vertex's lead when it is B and succeeds, -1 when it is R and succeeds,
+    0 otherwise; the vertex adopts B when the lead is positive, and on a zero
+    lead when its ``coin`` (...) is True.
     """
-    signs = ((u_x < p_b) & child).view(np.int8)
-    signs -= ((u_x < p_r) > child).view(np.int8)
+    signs = (succ_b & child).view(np.int8)
+    signs -= (succ_r > child).view(np.int8)
     lead = _count_children(signs)
-    return (lead > 0) | ((lead == 0) & (u_y < 0.5))
+    return (lead > 0) | ((lead == 0) & coin)
 
 
 def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -243,7 +312,7 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
     (shape (len(reps), m**d)) belongs to replication ``reps[i]``.  Step t
     updates only levels 0..D-t-1, the ones still inside their validity
     window.  It walks their vertices, the parents, in breadth-first windows
-    of ``width`` parents, sized so the group's uniforms fit in
+    of ``width`` parents, sized so the group's variables fit in
     ``_UNIFORM_BYTES``.  Parents a..b-1 have children 1 + m*a .. m*b, so a
     window reads one outcome range [m*a, m*b) and one coin range [S+a, S+b)
     of each replication's stream, and updates its level pieces in ascending
@@ -260,16 +329,19 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
     width = min(max(1, _UNIFORM_BYTES // (8 * (m + 1) * G)), starts[D])
     span = (m + 1) * width
     streams = _Streams(cfg.seed)
-    u = np.empty((G, span))
+    h = np.empty((G, span), dtype=np.uint16)
 
     states = [np.empty((G, m**d), dtype=bool) for d in range(D + 1)]
     for a in range(0, starts[-1], span):
         b = min(a + span, starts[-1])
         for i, rep in enumerate(reps):
-            streams.at(_INIT, 0, rep, a).random(out=u[i, : b - a])
+            h[i, : b - a] = streams.heads(_INIT, 0, rep, a, b - a)
+        (init,) = _bernoulli(
+            h[:, : b - a], (cfg.pi_0,), lambda r, c: streams.word(_INIT + _REFINE, 0, reps[r], a + c)
+        )
         for d, i0, i1 in _level_pieces(starts, a, b):
             off = starts[d] + i0 - a
-            states[d][:, i0:i1] = u[:, off : off + i1 - i0] < cfg.pi_0
+            states[d][:, i0:i1] = init[:, off : off + i1 - i0]
     roots = np.empty((G, T + 1), dtype=bool)
     roots[:, 0] = states[0][:, 0]
 
@@ -277,14 +349,24 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
         for a in range(0, starts[D - t], width):
             n = min(width, starts[D - t] - a)
             for i, rep in enumerate(reps):
-                streams.at(_STEP, t, rep, m * a).random(out=u[i, : m * n])
-                streams.at(_STEP, t, rep, coins_at + a).random(out=u[i, m * n : (m + 1) * n])
+                h[i, : m * n] = streams.heads(_STEP, t, rep, m * a, m * n)
+                h[i, m * n : (m + 1) * n] = streams.heads(_STEP, t, rep, coins_at + a, n)
+            succ_b, succ_r = _bernoulli(
+                h[:, : m * n],
+                (p_b, p_r),
+                lambda r, c: streams.word(_STEP + _REFINE, t, reps[r], m * a + c),
+            )
+            coin = h[:, m * n : (m + 1) * n] < 2**15
             for d, i0, i1 in _level_pieces(starts, a, a + n):
                 off, k = starts[d] + i0 - a, i1 - i0
                 child = states[d + 1][:, m * i0 : m * i1].reshape(G, k, m)
-                u_x = u[:, m * off : m * (off + k)].reshape(child.shape)
-                u_y = u[:, m * n + off : m * n + off + k]
-                states[d][:, i0:i1] = _adopt(child, u_x, u_y, p_b, p_r)
+                x = slice(m * off, m * (off + k))
+                states[d][:, i0:i1] = _adopt(
+                    child,
+                    succ_b[:, x].reshape(child.shape),
+                    succ_r[:, x].reshape(child.shape),
+                    coin[:, off : off + k],
+                )
         roots[:, t + 1] = states[0][:, 0]
 
     return roots, states
@@ -354,7 +436,7 @@ def independence_check(config: SimConfig, level: int, pairs: int) -> float:
         raise ValueError(f"level {level} has a single vertex; no pairs exist")
     pairs = _check_int("pairs", pairs, 1)
 
-    gen = _Streams(config.seed).at(_PAIRS)
+    gen = Generator(Philox(key=np.uint64(config.seed), counter=[0, _PAIRS, 0, 0]))
     total = n * (n - 1) // 2
     chosen: set[tuple[int, int]] = set()
     if pairs >= total:

@@ -10,10 +10,12 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
 import treemajority.cli as cli
+from treemajority import mc
 from treemajority.dynamics import find_fixed_points, iterate_dynamics, predict_limit, solve_threshold
 from treemajority.mc import SimConfig, estimate_g_one_step, simulate_tree
 from treemajority.model import ModelParams, policy_value
@@ -244,6 +246,93 @@ def test_criterion_09_tree_marginal_recursion():
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 120.0
     _report("9", ok, f"4 runs x all t inside 95% CI; failures={failures[:3]} ({elapsed:.1f}s)")
+
+
+# Criterion 9b: criterion 9's four configurations, judged as one family at a
+# stated false-alarm rate.  Each root marginal pi_hat[t] (t = 0..T) gets an
+# exact two-sided binomial p-value against Binomial(R, pi_t), and the root's
+# B-children at time D - 1 get a chi-square p-value against Binomial(m,
+# pi_{D-1}) (cells pooled left to right until each expects >= 5).  The family
+# fails when Holm's procedure rejects any point, that is when the smallest of
+# the n p-values is at most ALPHA / n, so a correct simulator fails with
+# probability at most ALPHA (the chi-square tails are asymptotic).  R = 8000
+# makes every per-point band narrower than criterion 9's 95% band at R = 2000.
+JOINT_ALPHA = 0.01
+JOINT_REPLICATIONS = 8000
+JOINT_RUNS = [
+    (ModelParams.symmetric(3, 0.4), 0.9, 8, 8, 9101),
+    (ModelParams.symmetric(3, 0.8), 0.3, 8, 8, 9202),
+    (ModelParams(3, 1.0, 0.2), 0.9, 8, 8, 9303),
+    (ModelParams.symmetric(2, 1.0), 0.5, 6, 6, 9404),
+]
+
+
+def _binomial_p_value(x: int, n: int, p: float) -> float:
+    """Exact two-sided p-value of x successes in n Bernoulli(p) trials: twice the smaller tail."""
+    if p in (0.0, 1.0):
+        return 1.0 if x == n * p else 0.0
+    log_norm, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+    pmf = [
+        math.exp(log_norm - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
+        for k in range(n + 1)
+    ]
+    return min(1.0, 2.0 * min(math.fsum(pmf[: x + 1]), math.fsum(pmf[x:])))
+
+
+def _binomial_counts_p_value(counts: np.ndarray, m: int, p: float) -> float:
+    """Chi-square p-value of counts in 0..m against Binomial(m, p)."""
+    observed = np.bincount(counts, minlength=m + 1)
+    expected = [len(counts) * math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(m + 1)]
+    if any(o and e == 0.0 for o, e in zip(observed, expected)):
+        return 0.0
+    cells, acc = [], [0, 0.0]
+    for o, e in zip(observed, expected):
+        acc = [acc[0] + o, acc[1] + e]
+        if acc[1] >= 5.0:
+            cells.append(acc)
+            acc = [0, 0.0]
+    if cells:
+        cells[-1] = [cells[-1][0] + acc[0], cells[-1][1] + acc[1]]
+    if len(cells) < 2:
+        return 1.0
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    return float(mpmath.gammainc((len(cells) - 1) / 2, stat / 2, mpmath.inf, regularized=True))
+
+
+def _tree_family_p_values(runs, replications: int) -> list[tuple[str, float]]:
+    """(label, p-value) for every root marginal and every root's children count of ``runs``."""
+    out = []
+    for params, pi_0, depth, horizon, seed in runs:
+        cfg = SimConfig(params, depth, horizon, pi_0, seed, replications)
+        pis = analytic_marginals(params, pi_0, horizon)
+        roots, children = [], []
+        for reps in mc._groups(cfg):
+            group_roots, states = mc._evolve(cfg, reps)
+            roots.append(group_roots)
+            children.append(states[1].sum(axis=1))
+        roots, children = np.concatenate(roots), np.concatenate(children)
+        label = f"m={params.m} p=({params.p_b:g},{params.p_r:g}) seed={seed}"
+        for t in range(horizon + 1):
+            out.append((f"{label} t={t}", _binomial_p_value(int(roots[:, t].sum()), replications, pis[t])))
+        t_child = min(horizon, depth - 1)
+        p_children = _binomial_counts_p_value(children, params.m, pis[t_child])
+        out.append((f"{label} children t={t_child}", p_children))
+    return out
+
+
+def test_criterion_09b_tree_family_at_stated_error_rate():
+    start = time.perf_counter()
+    p_values = _tree_family_p_values(JOINT_RUNS, JOINT_REPLICATIONS)
+    label, smallest = min(p_values, key=lambda item: item[1])
+    cut = JOINT_ALPHA / len(p_values)
+    elapsed = time.perf_counter() - start
+    ok = smallest > cut and elapsed < 120.0
+    _report(
+        "9b",
+        ok,
+        f"{len(p_values)} points, Holm at {JOINT_ALPHA:g}: min p={smallest:.3g} ({label}) "
+        f"vs {cut:.3g} ({elapsed:.1f}s)",
+    )
 
 
 def _supported_cases(rng, thresholds):

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from treemajority import mc
 from treemajority.mc import SimConfig, estimate_g_one_step, independence_check, simulate_tree
@@ -201,41 +202,45 @@ class TestStreamLayoutGolden:
     """Exact outputs pinned to the Philox draw layout.
 
     Streams are keyed by (seed, purpose, t, rep); each step draws experiment
-    outcomes for levels 1..D and then coins for levels 0..D-1.  Any change to
-    that layout, or to which draw feeds which vertex, moves these bits.
+    outcomes for levels 1..D and then coins for levels 0..D-1, one 16-bit
+    head per variable, with refinement words in stream purpose + 4.  Any
+    change to that layout, or to which draw feeds which vertex, moves these
+    bits.  The values come from the full-precision replay below
+    (``_reference_outputs``, ``_all_pairs_correlation`` and the pairs drawn
+    from purpose 3), not from ``mc``.
     """
 
     CASES = {
         "horizon_below_depth": (
             dict(params=ModelParams(3, 0.7, 0.4), depth=5, horizon=3, pi_0=0.4, seed=2024, replications=60),
-            [0.36666666666666664, 0.4, 0.6166666666666667, 0.7666666666666667],
+            [0.4666666666666667, 0.5, 0.7333333333333333, 0.7833333333333333],
             [
-                0.7666666666666667,
-                0.8055555555555552,
-                0.7944444444444446,
-                0.6814814814814815,
-                0.5421810699588475,
-                0.40281207133058977,
+                0.7833333333333333,
+                0.8111111111111112,
+                0.8222222222222222,
+                0.6913580246913578,
+                0.541769547325103,
+                0.40644718792866963,
             ],
-            0.09631426606617739,
+            0.1942883586821271,
         ),
         "horizon_zero": (
             dict(params=ModelParams(4, 0.6, 0.5), depth=3, horizon=0, pi_0=0.35, seed=7, replications=40),
-            [0.4],
-            [0.4, 0.3625, 0.3484375, 0.349609375],
-            0.2844627935584562,
+            [0.325],
+            [0.325, 0.3875, 0.3421875, 0.359375],
+            0.31622776601683794,
         ),
         "binary": (
             dict(params=ModelParams(2, 0.9, 0.6), depth=6, horizon=6, pi_0=0.5, seed=99, replications=50),
-            [0.5, 0.52, 0.78, 0.8, 0.84, 0.8, 0.86],
-            [0.86, 0.87, 0.77, 0.7275, 0.69125, 0.598125, 0.4978125],
-            0.20575139211410245,
+            [0.54, 0.6, 0.68, 0.88, 0.86, 0.84, 0.84],
+            [0.84, 0.86, 0.82, 0.7525, 0.67625, 0.588125, 0.50375],
+            0.017352640209845147,
         ),
         "depth_one": (
             dict(params=ModelParams(5, 0.8, 0.3), depth=1, horizon=1, pi_0=0.6, seed=3, replications=80),
-            [0.5625, 0.875],
-            [0.875, 0.6275000000000002],
-            0.2474358296526967,
+            [0.6125, 0.8125],
+            [0.8125, 0.5699999999999998],
+            0.18234702494353078,
         ),
     }
 
@@ -249,43 +254,67 @@ class TestStreamLayoutGolden:
 
     def test_independence_check_bits_at_horizon_zero(self):
         cfg = SimConfig(ModelParams.symmetric(3, 0.5), depth=4, horizon=0, pi_0=0.5, seed=21, replications=100)
-        assert independence_check(cfg, level=2, pairs=12) == 0.14002800840280102
+        assert independence_check(cfg, level=2, pairs=12) == 0.30110115540787363
 
     def test_independence_check_bits_after_steps(self):
         cfg = SimConfig(ModelParams(3, 0.8, 0.6), depth=6, horizon=2, pi_0=0.45, seed=22, replications=100)
-        assert independence_check(cfg, level=3, pairs=15) == 0.18359665121716515
+        assert independence_check(cfg, level=3, pairs=15) == 0.14912511403829587
 
 
 # The per-replication replay the grouped simulator replaced, kept as an
-# independent oracle: one fresh generator per stream, and every draw of every
-# step, used or not.  Stream purposes: 0 for steps, 1 for initial states.
-_STEP = 0
-_INIT = 1
+# independent oracle at full precision.  It opens one fresh generator per
+# stream and reads every variable of every step, used or not, eagerly: the
+# variable at position i takes the i-th uint16 of its stream's raw words as
+# its head and the i-th raw word of the refinement stream as its low bits, and
+# succeeds at rate p iff the 53-bit k = head * 2**37 + (word >> 27) is below
+# ceil(p * 2**53), computed in exact rationals.  Stream purposes: 0 for steps,
+# 1 for initial states, 2 for the one-step estimator (3 draws independence
+# pairs); purpose + 4 is a purpose's refinement stream.
+_STEP, _INIT, _ONESTEP, _REFINE = 0, 1, 2, 4
 
 
-def _stream(seed: int, purpose: int, time: int = 0, rep: int = 0) -> Generator:
-    return Generator(Philox(key=np.uint64(seed), counter=[0, purpose, time, rep]))
+def _stream(seed: int, purpose: int, time: int = 0, rep: int = 0) -> Philox:
+    return Philox(key=np.uint64(seed), counter=[0, purpose, time, rep])
+
+
+def _stream_heads(seed, purpose, time, rep, n):
+    return _stream(seed, purpose, time, rep).random_raw((n + 3) // 4).view(np.uint16)[:n]
+
+
+def _draws(seed: int, purpose: int, time: int, rep: int, n: int) -> np.ndarray:
+    """The 53-bit k of a stream's first n variables."""
+    heads = _stream_heads(seed, purpose, time, rep, n).astype(np.uint64)
+    low = _stream(seed, purpose + _REFINE, time, rep).random_raw(n) >> np.uint64(27)
+    return heads << np.uint64(37) | low
+
+
+def _below(k: np.ndarray, p: float) -> np.ndarray:
+    """k < ceil(p * 2**53): a Bernoulli(p) outcome with P = ceil(p * 2**53) / 2**53."""
+    return k < math.ceil(Fraction(p) * 2**53)
 
 
 def _reference_evolve(cfg: SimConfig, rep: int) -> tuple[np.ndarray, list[np.ndarray]]:
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
     D, T = cfg.depth, cfg.horizon
+    sizes = [m**d for d in range(D + 1)]
+    outcomes = sum(sizes[1:])
 
-    init = _stream(cfg.seed, _INIT, 0, rep)
-    states = [init.random(m**d) < cfg.pi_0 for d in range(D + 1)]
+    init = np.split(_draws(cfg.seed, _INIT, 0, rep, sum(sizes)), np.cumsum(sizes)[:-1])
+    states = [_below(k, cfg.pi_0) for k in init]
     root_traj = np.empty(T + 1, dtype=bool)
     root_traj[0] = states[0][0]
 
     for t in range(T):
-        gen = _stream(cfg.seed, _STEP, t, rep)
-        u_x = [gen.random(m**d) for d in range(1, D + 1)]
-        u_y = [gen.random(m**d) for d in range(D)]
+        k = _draws(cfg.seed, _STEP, t, rep, outcomes + sum(sizes[:-1]))
+        k_x = np.split(k[:outcomes], np.cumsum(sizes[1:])[:-1])
+        k_y = np.split(k[outcomes:], np.cumsum(sizes[:-1])[:-1])
         for d in range(D - t):
             child = states[d + 1].reshape(-1, m)
-            success = u_x[d].reshape(-1, m) < np.where(child, p_b, p_r)
+            k_child = k_x[d].reshape(-1, m)
+            success = np.where(child, _below(k_child, p_b), _below(k_child, p_r))
             n_b = (success & child).sum(axis=1)
             n_r = (success & ~child).sum(axis=1)
-            states[d] = (n_b > n_r) | ((n_b == n_r) & (u_y[d] < 0.5))
+            states[d] = (n_b > n_r) | ((n_b == n_r) & _below(k_y[d], 0.5))
         root_traj[t + 1] = states[0][0]
 
     return root_traj, states
@@ -387,13 +416,16 @@ class TestGroupedReplay:
 class TestStreamJump:
     @pytest.mark.parametrize("seed,purpose,time,rep", [(5, 0, 3, 7), (2**64 - 1, 1, 0, 2**40)])
     def test_at_matches_one_long_draw(self, seed, purpose, time, rep):
-        long = _stream(seed, purpose, time, rep).random(120)
+        # heads from every position, most of them inside a Philox block
+        long = _stream_heads(seed, purpose, time, rep, 320)
+        words = _stream(seed, purpose, time, rep).random_raw(60)
         streams = mc._Streams(seed)
         for n in range(40):
             for target in range(n, n + 60):
-                streams.at(purpose, time, rep).random(n)
-                got = streams.at(purpose, time, rep, target).random(4)
-                assert np.array_equal(got, long[target : target + 4]), (n, target)
+                streams.heads(purpose, time, rep, n, 3)
+                got = streams.heads(purpose, time, rep, 3 * target, 17)
+                assert np.array_equal(got, long[3 * target : 3 * target + 17]), (n, target)
+                assert streams.word(purpose, time, rep, target % 60) == int(words[target % 60])
 
 
 class TestOneStepChunking:
@@ -401,23 +433,32 @@ class TestOneStepChunking:
         params, x, samples, seed = ModelParams(64, 0.55, 0.5), 0.45, 20_000, 11
         m = params.m
         assert samples > mc._UNIFORM_BYTES // (8 * (2 * m + 1))  # more than one chunk
-        # purpose 2: the one-step estimator's stream
-        u = _stream(seed, 2).random((samples, 2 * m + 1))
-        child_b = u[:, :m] < x
-        success = u[:, m : 2 * m] < np.where(child_b, params.p_b, params.p_r)
+        k = _draws(seed, _ONESTEP, 0, 0, samples * (2 * m + 1)).reshape(samples, 2 * m + 1)
+        child_b = _below(k[:, :m], x)
+        k_x = k[:, m : 2 * m]
+        success = np.where(child_b, _below(k_x, params.p_b), _below(k_x, params.p_r))
         n_b = (success & child_b).sum(axis=1)
         n_r = (success & ~child_b).sum(axis=1)
-        adopted = int(((n_b > n_r) | ((n_b == n_r) & (u[:, 2 * m] < 0.5))).sum())
+        adopted = int(((n_b > n_r) | ((n_b == n_r) & _below(k[:, 2 * m], 0.5))).sum())
         est, _ = estimate_g_one_step(params, x, samples, seed)
         assert est == adopted / samples
 
 
-def _two_count_adopt(child, u_x, u_y, p_b, p_r):
-    """The update rule as a rate array and two success counts, kept as an oracle."""
-    success = u_x < np.where(child, p_b, p_r)
+def _two_count_adopt(child, k_x, k_y, p_b, p_r):
+    """The update rule as a rate array and two success counts on 53-bit draws, kept as an oracle."""
+    success = np.where(child, _below(k_x, p_b), _below(k_x, p_r))
     n_b = (success & child).sum(axis=-1)
     n_r = (success & ~child).sum(axis=-1)
-    return (n_b > n_r) | ((n_b == n_r) & (u_y < 0.5))
+    return (n_b > n_r) | ((n_b == n_r) & _below(k_y, 0.5))
+
+
+def _refine_from(words):
+    """A ``word_at`` callback that reads a 2-D array of hand-built refinement words."""
+    return lambda r, c: int(words[r, c])
+
+
+def _exact_draws(heads, words):
+    return heads.astype(np.uint64) << np.uint64(37) | words >> np.uint64(27)
 
 
 rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -438,27 +479,99 @@ class TestAdoptRule:
     def test_matches_two_counts(self, m, vertices, p_b, p_r, pi, seed):
         rng = np.random.default_rng(seed)
         child = rng.random((vertices, m)) < pi
-        u_x = rng.random((vertices, m))
-        # some uniforms sit exactly on a rate: a child succeeds only strictly below it
+        heads = rng.integers(0, 2**16, (vertices, m), dtype=np.uint16)
+        words = rng.integers(0, 2**64, (vertices, m), dtype=np.uint64)
+        # some heads sit exactly on a rate's cut, so their refinement word
+        # decides, and some of those words' low bits sit exactly on its lo
         hit = rng.random((vertices, m))
-        u_x[hit < 0.1], u_x[hit > 0.9] = p_b, p_r
+        for rate, on_cut in ((p_b, hit < 0.1), (p_r, hit > 0.9)):
+            hi, lo = mc._cut(rate)
+            heads[on_cut] = min(hi, 2**16 - 1)
+            words[on_cut & (rng.random((vertices, m)) < 0.5)] = lo << 27
         # half the coins on each side of 1/2, so ties go both ways
-        u_y = 0.5 * (rng.random(vertices) + np.arange(vertices) % 2)
-        got = mc._adopt(child, u_x, u_y, p_b, p_r)
+        coins = (rng.integers(0, 2**15, vertices) + 2**15 * (np.arange(vertices) % 2)).astype(np.uint16)
+        succ_b, succ_r = mc._bernoulli(heads, (p_b, p_r), _refine_from(words))
+        got = mc._adopt(child, succ_b, succ_r, coins < 2**15)
         assert got.dtype == bool and got.shape == (vertices,)
-        assert np.array_equal(got, _two_count_adopt(child, u_x, u_y, p_b, p_r))
+        k_y = coins.astype(np.uint64) << np.uint64(37)
+        assert np.array_equal(got, _two_count_adopt(child, _exact_draws(heads, words), k_y, p_b, p_r))
 
     @pytest.mark.parametrize("coin", [0.0, 0.5 - 2**-54, 0.5, 1.0 - 2**-53])
     @pytest.mark.parametrize("m", [2, 3, 63, 64])
     def test_ties_and_int8_extremes(self, m, coin):
         # rows: all B succeed (lead +m), all R succeed (lead -m), and a tie
         child = np.array([[True] * m, [False] * m, [True, False] * (m // 2) + [True] * (m % 2)])
-        u_x = np.zeros((3, m))
-        u_x[2, -1] = m % 2  # at odd m the extra B child fails, so the row ties
-        u_y = np.full(3, coin)
-        got = mc._adopt(child, u_x, u_y, 1.0, 1.0)
+        k_x = np.zeros((3, m), dtype=np.uint64)
+        k_x[2, -1] = (m % 2) * (2**53 - 1)  # at odd m the extra B child fails, so the row ties
+        succ = _below(k_x, 1.0 - 2**-53)
+        head = int(coin * 2**16)  # the coin's 53-bit draw is coin * 2**53
+        k_y = np.full(3, head << 37, dtype=np.uint64)
+        got = mc._adopt(child, succ, succ, np.full(3, head < 2**15))
         assert got.tolist() == [True, False, coin < 0.5]
-        assert np.array_equal(got, _two_count_adopt(child, u_x, u_y, 1.0, 1.0))
+        assert np.array_equal(got, _two_count_adopt(child, k_x, k_y, 1.0 - 2**-53, 1.0 - 2**-53))
+
+
+_HEAD = 0x5A3C  # an arbitrary 16-bit head for the rates cut at a head boundary
+
+
+class TestBernoulliExactness:
+    """At a head tied with the cut, the refinement word decides, as the full 53-bit draw does."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            0.0,
+            1.0,
+            2.0**-53,
+            1.0 - 2.0**-53,
+            0.5,
+            _HEAD / 2**16,  # lo = 0: the head alone decides
+            math.nextafter(_HEAD / 2**16, 1.0),
+            math.nextafter(0.5, 0.0),
+            float(Fraction(3, 7)),
+        ],
+    )
+    def test_forced_ties(self, p):
+        K = math.ceil(Fraction(p) * 2**53)
+        hi, lo = K >> 37, K % 2**37
+        assert mc._cut(p) == (hi, lo)
+        # every head on and next to the cut, each against low bits on and next to lo
+        head_values = sorted({min(max(h, 0), 2**16 - 1) for h in (hi - 1, hi, hi + 1)})
+        low_values = sorted({min(max(v, 0), 2**37 - 1) for v in (0, lo - 1, lo, lo + 1, 2**37 - 1)})
+        heads = np.array([[h] * len(low_values) for h in head_values], dtype=np.uint16)
+        # the word's 27 bits below the low bits are noise that must not matter
+        words = np.array([[v << 27 | 0x5EC7F1 for v in low_values]] * len(head_values), dtype=np.uint64)
+        read = []
+
+        def word_at(r, c):
+            read.append((r, c))
+            return int(words[r, c])
+
+        (got,) = mc._bernoulli(heads, (p,), word_at)
+        k = _exact_draws(heads, words)
+        assert got.tolist() == (k < K).tolist()
+        # only heads equal to the cut read a refinement word, and only when lo != 0
+        assert sorted(read) == [(r, c) for r, c in np.argwhere(heads == hi).tolist() if lo]
+
+    @pytest.mark.parametrize("pi_0", [0.0, 1.0])
+    def test_sure_initial_states(self, pi_0):
+        cfg = sym_config(m=3, depth=4, horizon=0, pi_0=pi_0, reps=3)
+        for states in mc._evolve(cfg, range(3))[1]:
+            assert states.all() if pi_0 == 1.0 else not states.any()
+
+    def test_two_rates_share_one_tie_search(self):
+        # a head tied with both cuts reads one refinement word per tie, each rate its own lo
+        p_b, p_r = _HEAD / 2**16 + 2.0**-30, _HEAD / 2**16 + 2.0**-20
+        hi = mc._cut(p_b)[0]
+        assert mc._cut(p_r)[0] == hi
+        heads = np.full((2, 3), hi, dtype=np.uint16)
+        lows = [[0, 2**34, 2**36], [2**23, 2**13, 2**37 - 1]]
+        words = np.array(lows, dtype=np.uint64) << np.uint64(27)
+        succ_b, succ_r = mc._bernoulli(heads, (p_b, p_r), _refine_from(words))
+        k = _exact_draws(heads, words)
+        assert succ_b.tolist() == _below(k, p_b).tolist()
+        assert succ_r.tolist() == _below(k, p_r).tolist()
+        assert succ_b.tolist() != succ_r.tolist()
 
 
 def _all_pairs_correlation(columns, pairs=None):
