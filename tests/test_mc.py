@@ -443,6 +443,18 @@ class TestOneStepChunking:
         est, _ = estimate_g_one_step(params, x, samples, seed)
         assert est == adopted / samples
 
+    # chunks of one trial, of trials that split a Philox block, and of many blocks
+    @pytest.mark.parametrize("budget", [8, 200, 4096])
+    def test_any_budget_matches_the_replay(self, monkeypatch, budget):
+        params, x, samples, seed = ModelParams(3, 0.6, 0.35), 0.4, 6_000, 12
+        k = _draws(seed, _ONESTEP, 0, 0, samples * 7).reshape(samples, 7)
+        child_b = _below(k[:, :3], x)
+        success = np.where(child_b, _below(k[:, 3:6], params.p_b), _below(k[:, 3:6], params.p_r))
+        lead = (success & child_b).sum(axis=1) - (success & ~child_b).sum(axis=1)
+        adopted = int(((lead > 0) | ((lead == 0) & _below(k[:, 6], 0.5))).sum())
+        monkeypatch.setattr(mc, "_UNIFORM_BYTES", budget)
+        assert estimate_g_one_step(params, x, samples, seed)[0] == adopted / samples
+
 
 def _two_count_adopt(child, k_x, k_y, p_b, p_r):
     """The update rule as a rate array and two success counts on 53-bit draws, kept as an oracle."""
