@@ -49,10 +49,7 @@ REPULSIVE = "repulsive"
 NEUTRAL = "neutral"
 
 _STABILITY_TOL = 1e-8
-# the one precision of each answer: final bracket width of an interior fixed
-# point, final bracket width of p(m), and the step that ends an orbit
-_FIXED_POINT_TOL = 1e-13
-_THRESHOLD_TOL = 1e-12
+# the step that ends an orbit (roots are bisected until no double splits their bracket)
 _STEP_TOL = 1e-13
 
 
@@ -134,10 +131,14 @@ def _fixed_point(gm: UpdateMap, value: float, tangent: bool) -> FixedPoint:
     )
 
 
-def _bisect(h, a: float, b: float, fa: float, tol: float) -> tuple:
-    """Final bracket (a, b) of a sign change of h, of width at most tol; (x, x) on an exact zero."""
-    while b - a > tol:
-        mid = 0.5 * (a + b)
+def _bisect(h, a: float, b: float, fa: float) -> tuple:
+    """Final bracket (a, b) of a sign change of h: adjacent doubles, or (x, x) on an exact zero.
+
+    A bracket at 0 halves down the exponent, so a root near 0 keeps relative
+    accuracy; a bracket in [0, 1] takes at most 1,074 evaluations of h, for a
+    root at the least subnormal 2^-1074.
+    """
+    while a < (mid := 0.5 * (a + b)) < b:
         fm = h(mid)
         if fm == 0.0:
             return mid, mid
@@ -168,7 +169,7 @@ def _split(c: list, t: float) -> tuple:
     return left, right[::-1]
 
 
-def _bernstein_roots(coeffs: list, tol: float) -> tuple:
+def _bernstein_roots(coeffs: list) -> tuple:
     """(roots, evaluations) of the polynomial h in [0, 1] whose Bernstein coefficients are ``coeffs``.
 
     ``roots`` holds (root, tangent, final bracket width) per root, ascending;
@@ -176,12 +177,13 @@ def _bernstein_roots(coeffs: list, tol: float) -> tuple:
     on the scaled ``coeffs`` and on the scaled n (c[k+1] - c[k]), so every
     value the isolator reads comes from the coefficients it is given.  An
     endpoint is a root iff its coefficient is zero.  An interval whose
-    coefficients change sign once holds one root, bisected on h to ``tol``;
-    one whose coefficient differences change sign once holds one extremum,
-    bisected on h', and the sign of h there decides between no root, two
-    simple roots and a double (tangent) root; any other interval is split at
-    its midpoint.  Adjacent roots merge when h is within ``_rounding_bound``
-    of zero on the whole gap between them.
+    coefficients change sign once holds one root, bisected on h to adjacent
+    doubles; one whose coefficient differences change sign once holds one
+    extremum, bisected on h', and the sign of h there decides between no
+    root, two simple roots and a double (tangent) root; any other interval is
+    split at its midpoint, or is one point when no double splits it or its
+    coefficients are all within ``_rounding_bound`` of zero.  Adjacent roots
+    merge when h is within that bound of zero on the whole gap between them.
     """
     n = len(coeffs) - 1
     noise = _rounding_bound(n)
@@ -206,17 +208,17 @@ def _bernstein_roots(coeffs: list, tol: float) -> tuple:
         left, right = s[0], s[-1]
         one_extremum = _changes(d) == 1
         if changes == 1 or (one_extremum and left != right):
-            found.append((_bisect(h, a, b, left, tol), left, right))
+            found.append((_bisect(h, a, b, left), left, right))
         elif one_extremum:
-            lo, hi = _bisect(lambda x: bernstein_horner(slopes, x), a, b, d[0], tol)
+            lo, hi = _bisect(lambda x: bernstein_horner(slopes, x), a, b, d[0])
             xc = 0.5 * (lo + hi)
             v = h(xc)
             if abs(v) <= noise:
                 found.append(((lo, hi), left, right))
             elif (v > 0.0) != (left > 0.0):
-                found.append((_bisect(h, a, xc, left, tol), left, -left))
-                found.append((_bisect(h, xc, b, v, tol), -left, right))
-        elif b - a <= tol or all(abs(v) <= noise for v in c):
+                found.append((_bisect(h, a, xc, left), left, -left))
+                found.append((_bisect(h, xc, b, v), -left, right))
+        elif not a < 0.5 * (a + b) < b or all(abs(v) <= noise for v in c):
             # a cluster no finer split can resolve: one point
             found.append(((a, b), left, right))
         else:
@@ -258,7 +260,7 @@ def _fixed_points(gm: UpdateMap) -> FixedPointSet:
         raise IdentityMapError(
             "update map coincides with the identity; every point of [0,1] is fixed"
         )
-    roots, _ = _bernstein_roots(coeffs, _FIXED_POINT_TOL)
+    roots, _ = _bernstein_roots(coeffs)
     if gm.params.is_symmetric:
         # f(m-k) = 1 - f(k) exactly, so the exact roots mirror about 1/2 and 1/2 is one of them
         i = min(range(len(roots)), key=lambda j: abs(roots[j][0] - 0.5))
@@ -271,7 +273,7 @@ def find_fixed_points(params: ModelParams) -> FixedPointSet:
     """All solutions of g(x) = x in [0, 1], with stability and tangency flags.
 
     They are the roots of h(x) = g(x) - x, whose Bernstein coefficients are
-    f(k) - k/m; interior roots are bisected to 1e-13.
+    f(k) - k/m; interior roots are bisected to adjacent doubles.
     """
     return _fixed_points(UpdateMap.from_params(params))
 
@@ -396,10 +398,10 @@ def solve_threshold(m: int) -> ThresholdResult:
     c_0 = -1, c_s = E|S_s| - 1 = s C(s-1, floor((s-1)/2)) / 2^(s-1) - 1.  They run
     -1, 0, 0, 1/2, 1/2, 7/8, 7/8, ... and never decrease, so for m >= 3 one sign
     change certifies p(m) unique in (0, 1), and ``_bernstein_roots`` bisects it
-    to 1e-12; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
+    to adjacent doubles; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
     """
     m = _check_int("m", m, 2, MAX_CHILDREN)
-    [(p_m, _, width)], evaluations = _bernstein_roots(_threshold_coeffs(m), _THRESHOLD_TOL)
+    [(p_m, _, width)], evaluations = _bernstein_roots(_threshold_coeffs(m))
     return ThresholdResult(
         m=m, p_threshold=p_m, bracket_width=width, evaluations=evaluations, at_boundary=p_m == 1.0
     )
@@ -421,11 +423,9 @@ def m3_pb1_closed_form(p_r: float) -> FixedPointSet:
     gm = UpdateMap.from_params(ModelParams(3, 1.0, p_r))
     boundary = math.sqrt(3.0) - 1.0
     entries: list[tuple[float, bool]] = []
-    if p_r < boundary:
-        pass
-    elif p_r == boundary:
+    if p_r == boundary:
         entries.append((2.0 / 3.0 - 1.0 / math.sqrt(3.0), True))
-    else:
+    elif p_r > boundary:
         q = 1.0 - p_r
         a = 0.5 * q**3 - 3.0 * q + 2.0
         b = -(q**3) + 3.0 * q - 1.0

@@ -31,7 +31,7 @@ SQRT3M1 = math.sqrt(3.0) - 1.0
 ALPHA_TANGENT = 2.0 / 3.0 - 1.0 / math.sqrt(3.0)
 P3 = (2 + 2 ** (1 / 3) - 2 ** (2 / 3)) / 3  # only real root of 1.5p^3 - 3p^2 + 3p - 1
 
-# frozen regression baselines from this solver (bisection to 1e-12)
+# frozen regression baselines from this solver when it bisected to 1e-12
 THRESHOLD_BASELINES = {
     5: 0.34792667523920184,
     6: 0.2928998916889808,
@@ -137,6 +137,30 @@ def _coeffs_with_roots(roots: list) -> list:
     return [i / 2 ** max(map(abs, ints)).bit_length() for i in ints]
 
 
+def _root_bound(m: int, value: float, slope) -> float:
+    """Two ulps, plus the shift of a root of slope h' under a change of h by ``_rounding_bound(m)``."""
+    return 2 * math.ulp(value) + _rounding_bound(m) / abs(float(slope))
+
+
+def _mp_newton_root(coeffs: list, x0: float) -> tuple:
+    """(root, h' there), by Newton's method at the working precision from x0, of the
+    polynomial with Bernstein coefficients ``coeffs`` taken exactly."""
+
+    def bern(c, x):
+        n = len(c) - 1
+        return mpmath.fsum(v * math.comb(n, k) * x**k * (1 - x) ** (n - k) for k, v in enumerate(c))
+
+    c = [mpmath.mpf(v) for v in coeffs]
+    d = [(len(c) - 1) * (b - a) for a, b in zip(c, c[1:])]
+    x = mpmath.mpf(x0)
+    for _ in range(100):
+        step = bern(c, x) / bern(d, x)
+        x -= step
+        if abs(step) <= abs(x) * mpmath.eps * 1000:
+            return x, bern(d, x)
+    raise AssertionError(f"Newton did not converge from {x0!r}")
+
+
 class TestRootIsolation:
     """The isolation on Bernstein coefficients against oracles it does not use."""
 
@@ -184,7 +208,44 @@ class TestRootIsolation:
                 )
                 got = find_fixed_points(ModelParams(m, p_b, p_r)).values
                 assert len(got) == len(expected), (m, p_b, p_r, got, expected)
-                np.testing.assert_allclose(got, expected, atol=1e-10)
+                slope = [k * c for k, c in enumerate(poly)][:0:-1]
+                for value, root in zip(got, expected):
+                    bound = _root_bound(m, value, mpmath.polyval(slope, root))
+                    assert abs(value - root) <= bound, (m, p_b, p_r, value, root)
+
+    def test_interior_roots_match_newton_on_same_coefficients(self):
+        # up to m = 64, against 50-digit Newton roots of the very float
+        # coefficients the isolator is given, 40% of the maps symmetric
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        with mpmath.workdps(50):
+            for _ in range(150):
+                m = int(rng.integers(3, 65))
+                if rng.random() < 0.4:
+                    params = ModelParams.symmetric(m, float(rng.uniform(0.02, 0.98)))
+                else:
+                    params = ModelParams(m, *(float(v) for v in rng.uniform(0.02, 0.98, size=2)))
+                coeffs = [f - k / m for k, f in enumerate(UpdateMap.from_params(params).coeffs)]
+                for fp in find_fixed_points(params).points:
+                    if fp.tangent or fp.value in (0.0, 1.0):
+                        continue
+                    root, slope = _mp_newton_root(coeffs, fp.value)
+                    assert abs(fp.value - root) <= _root_bound(m, fp.value, slope), (params, fp)
+                    checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("p", [0.6, 0.7, 0.8, 0.9])
+    def test_m64_root_near_zero_keeps_relative_accuracy(self, p):
+        # h(x) = f(0) + (g'(0) - 1) x + ..., with g'(0) below 1e-20, so the root
+        # near 0 is f(0) to far better than an ulp; bisection from the bracket
+        # (0, b) halves down the exponent and reaches it
+        params = ModelParams.symmetric(64, p)
+        f0 = policy_table(params)[0]
+        low, half, high = find_fixed_points(params).values
+        assert abs(low - f0) <= 2 * math.ulp(f0)
+        assert low == pytest.approx(0.5 * (1 - p) ** 64, rel=1e-13)
+        # 1 - f(0) rounds to 1.0, so f(64) - 1 is exactly 0 and 1.0 is the root
+        assert (half, high) == (0.5, 1.0)
 
     @pytest.mark.parametrize(
         "roots, expected",
@@ -199,19 +260,17 @@ class TestRootIsolation:
         ],
     )
     def test_polynomials_from_no_map(self, roots, expected):
-        tol = 1e-12
-        got, evaluations = _bernstein_roots(_coeffs_with_roots(roots), tol)
-        assert len(got) == len(expected), got
-        for (value, tangent, width), (want, want_tangent) in zip(got, expected):
-            assert abs(value - want) <= tol and tangent is want_tangent
-            assert 0.0 <= width <= tol
+        # dyadic roots are midpoints on the bisection's way, where h is exactly zero
+        got, evaluations = _bernstein_roots(_coeffs_with_roots(roots))
+        assert [(value, tangent) for value, tangent, _ in got] == expected
+        assert all(width == 0.0 for _, _, width in got)
         interior = any(0.0 < want < 1.0 for want, _ in expected)
         assert (evaluations > 0) if interior else (evaluations == 0)
 
     def test_exact_zero_at_first_split(self):
         c = _coeffs_with_roots(["1/8", "1/2", "15/16", "2"])
         assert _split(c, 0.5)[1][0] == 0.0  # h(1/2) is exactly zero after the first split
-        got, _ = _bernstein_roots(c, 1e-12)
+        got, _ = _bernstein_roots(c)
         assert [value for value, _, _ in got].count(0.5) == 1
 
     @pytest.mark.parametrize("n, tangent", [(4, False), (5, True)])
@@ -220,7 +279,14 @@ class TestRootIsolation:
         # no split can resolve them: all of [0, 1] is one point, with no
         # evaluation of h, tangent iff the end coefficients share a sign
         c = [(-1.0) ** k * 1e-17 for k in range(n)]
-        assert _bernstein_roots(c, 1e-13) == ([(0.5, tangent, 1.0)], 0)
+        assert _bernstein_roots(c) == ([(0.5, tangent, 1.0)], 0)
+
+    def test_bisection_ends_at_least_subnormal(self):
+        # h = 5e-324 (1 - x) - x: the bracket (0, 1) halves down the whole
+        # exponent range, 1,074 times, to the exact zero h(5e-324) = 0
+        got, evaluations = _bernstein_roots([5e-324, -1.0])
+        assert got == [(5e-324, False, 0.0)]
+        assert evaluations <= 1100
 
 
 class TestClassifyStability:
@@ -471,7 +537,7 @@ class TestThresholdCertificate:
         want = g_prime_at_half(ModelParams.symmetric(m, p)) - 1.0
         assert abs(got - want) <= 2 * m * _rounding_bound(m)
 
-    @pytest.mark.parametrize("m", [3, 5, 8, 16, 33, 64])
+    @pytest.mark.parametrize("m", [*range(3, 17), 33, 64])
     def test_against_mpmath_root(self, m):
         with mpmath.workdps(50):
             root = mpmath.findroot(
@@ -480,13 +546,15 @@ class TestThresholdCertificate:
                 solver="anderson",
             )
             assert abs(mp_slope_at_half(m, root) - 1) < mpmath.mpf("1e-40")
-            assert abs(solve_threshold(m).p_threshold - root) <= 1e-12
+            assert abs(solve_threshold(m).p_threshold - root) <= 2 * math.ulp(root)
 
     def test_bracket_and_evaluations(self):
-        for m in (3, 8, 64):
+        # bisected until no double splits the bracket: one ulp wide, or zero
+        # where h is exactly 0.0 at a double (m = 8 and 64, among others)
+        for m in range(3, 65):
             res = solve_threshold(m)
-            assert 0.0 < res.bracket_width <= 1e-12
-            assert 0 < res.evaluations <= 40
+            assert 0.0 <= res.bracket_width <= math.ulp(res.p_threshold)
+            assert 0 < res.evaluations <= 60
         res = solve_threshold(2)
         assert (res.p_threshold, res.bracket_width, res.evaluations) == (1.0, 0.0, 0)
 
