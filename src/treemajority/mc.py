@@ -23,27 +23,33 @@ breadth-first windows of parents that fit the same budget, so a group never
 holds more draws than that, whatever the tree size; the one-step estimator
 sizes its chunks of trials by it too.
 
-Randomness comes from counter-based Philox streams keyed by seed, purpose,
-time step and replication.  Every Bernoulli variable owns one position i in
-its stream and reads the stream's i-th 16-bit head, the i-th uint16 of its
-raw words (word i // 4, so 16 variables per Philox block).  A rate p is cut
-at K = ceil(p * 2**53) into hi = K >> 37 and lo = K mod 2**37: a head below
-hi succeeds, one above fails, and only a head equal to hi with lo != 0 (one
+Randomness comes from counter-based Philox streams keyed by seed, purpose
+and time step.  Every Bernoulli variable owns one position i in its stream
+and reads the stream's i-th 16-bit head, the i-th uint16 of its raw words
+(word i // 4, so 16 variables per Philox block).  A rate p is cut at
+K = ceil(p * 2**53) into hi = K >> 37 and lo = K mod 2**37: a head below hi
+succeeds, one above fails, and only a head equal to hi with lo != 0 (one
 draw in 2**16) reads the 64-bit word at position i of the purpose's
-refinement stream (purpose + ``_REFINE``, same seed, time and replication)
-and succeeds iff its top 37 bits are below lo.  That is k < K for the 53-bit
+refinement stream (purpose + ``_REFINE``, same seed and time) and succeeds
+iff its top 37 bits are below lo.  That is k < K for the 53-bit
 k = head * 2**37 + low, so each outcome has probability K / 2**53, exactly as
 for a 53-bit uniform compared with p.  A coin is a head below 2**15.
 
-Step t's stream holds experiment outcomes for levels 1..D from position 0,
-then tie-break coins for levels 0..D-1 from position S = m + m**2 + ... +
-m**D, so each (vertex, variable) pair owns a fixed position in its stream.
-Step t reads only what its updates use, the outcomes of levels 1..D-t and the
-coins of levels 0..D-t-1: one Philox per call jumps to the block of each
-window's first head (``_Streams.heads``) instead of drawing the rest.  Which
-bits feed which vertex is independent of the validity window, the grouping,
-the draw windows and the execution order, so results are reproducible
-bit-for-bit.
+Step t updates the P_t = 1 + m + ... + m**(D-t-1) parents of levels
+0..D-t-1 and uses U_t = (m+1) * P_t variables of each replication:
+replication r owns positions r*U_t .. (r+1)*U_t - 1 of step t's stream, the
+m * P_t experiment outcomes of levels 1..D-t first, in breadth-first order,
+then the P_t tie-break coins.  Its initial states are positions r*V ..
+(r+1)*V - 1 of the initial stream, V the tree's vertex count.  So a group's
+replications sit next to each other, and a group reads each step, and its
+initial states, in one call: one counter reset to the block of the first
+head and one ``random_raw`` (``_Streams.rows``).  A step split into windows,
+which only a group of one meets, reads one outcome range and one coin range
+per window.  Which bits
+feed which vertex depends only on the replication, the step, the vertex and
+the variable, not on R, the grouping, the draw windows or the execution
+order, so results are reproducible bit-for-bit, and the first replications
+of a run are those of any shorter run with the same seed.
 Leaves have no children in the truncation and stay frozen at their initial
 draw.
 """
@@ -92,12 +98,12 @@ _LOW_BITS = 37
 class _Streams:
     """One Philox generator that visits every stream of a seed.
 
-    Stream (seed, purpose, time, rep) is the Philox stream with key ``seed``
-    that opens at counter [0, purpose, time, rep].  Philox emits four 64-bit
-    words per block and steps its counter before each block, so the stream's
-    block b is computed at counter [b + 1, purpose, time, rep].  ``_block``
-    sets the counter to [b, ...] with an empty buffer, so the next word read is
-    block b's first whatever came before: one state reset, not a new
+    Stream (seed, purpose, time) is the Philox stream with key ``seed`` that
+    opens at counter [0, purpose, time, 0].  Philox emits four 64-bit words
+    per block and steps its counter before each block, so the stream's block
+    b is computed at counter [b + 1, purpose, time, 0].  ``_block`` sets the
+    counter to [b, purpose, time, 0] with an empty buffer, so the next word
+    read is block b's first whatever came before: one state reset, not a new
     generator, per stream visited.
     """
 
@@ -106,20 +112,32 @@ class _Streams:
         self._bitgen = Philox(key=np.uint64(seed))
         self._state = self._bitgen.state
 
-    def _block(self, purpose: int, time: int, rep: int, block: int) -> Philox:
-        self._state["state"]["counter"][:] = (block, purpose, time, rep)
+    def _block(self, purpose: int, time: int, block: int) -> Philox:
+        self._state["state"]["counter"][:] = (block, purpose, time, 0)
         self._bitgen.state = self._state
         return self._bitgen
 
-    def heads(self, purpose: int, time: int, rep: int, pos: int, n: int) -> np.ndarray:
+    def heads(self, purpose: int, time: int, pos: int, n: int) -> np.ndarray:
         """The stream's 16-bit heads pos..pos+n-1 (16 per block)."""
         skip = pos % 16
-        raw = self._block(purpose, time, rep, pos // 16).random_raw((skip + n + 3) // 4)
+        raw = self._block(purpose, time, pos // 16).random_raw((skip + n + 3) // 4)
         return raw.view(np.uint16)[skip : skip + n]
 
-    def word(self, purpose: int, time: int, rep: int, pos: int) -> int:
+    def rows(self, purpose: int, time: int, reps: range, size: int, pos: int, n: int) -> np.ndarray:
+        """Heads pos..pos+n-1 of each replication's ``size`` heads, one row per replication.
+
+        Replication r owns the stream's heads r*size .. (r+1)*size - 1, so
+        rows that take all of them are one read of consecutive heads; only a
+        group of one reads part of its heads.
+        """
+        if n == size:
+            return self.heads(purpose, time, reps.start * size, len(reps) * size).reshape(len(reps), n)
+        (rep,) = reps
+        return self.heads(purpose, time, rep * size + pos, n)[None]
+
+    def word(self, purpose: int, time: int, pos: int) -> int:
         """The stream's 64-bit word ``pos``."""
-        return int(self._block(purpose, time, rep, pos // 4).random_raw(pos % 4 + 1)[-1])
+        return int(self._block(purpose, time, pos // 4).random_raw(pos % 4 + 1)[-1])
 
 
 def _check_seed(seed) -> int:
@@ -200,14 +218,14 @@ def estimate_g_one_step(
     while done < samples:
         n = min(chunk, samples - done)
         at = done * width
-        h = streams.heads(_ONESTEP, 0, 0, at, n * width).reshape(n, width)
+        h = streams.heads(_ONESTEP, 0, at, n * width).reshape(n, width)
         (child,) = _bernoulli(
-            h[:, :m], (x,), lambda r, c: streams.word(_ONESTEP + _REFINE, 0, 0, at + r * width + c)
+            h[:, :m], (x,), lambda r, c: streams.word(_ONESTEP + _REFINE, 0, at + r * width + c)
         )
         succ_b, succ_r = _bernoulli(
             h[:, m : 2 * m],
             (p_b, p_r),
-            lambda r, c: streams.word(_ONESTEP + _REFINE, 0, 0, at + r * width + m + c),
+            lambda r, c: streams.word(_ONESTEP + _REFINE, 0, at + r * width + m + c),
         )
         adopted += int(_adopt(child, succ_b, succ_r, h[:, 2 * m] < 2**15).sum())
         done += n
@@ -310,34 +328,34 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Row i of ``roots`` (shape (len(reps), T+1)) and of each ``states[d]``
     (shape (len(reps), m**d)) belongs to replication ``reps[i]``.  Step t
-    updates only levels 0..D-t-1, the ones still inside their validity
-    window.  It walks their vertices, the parents, in breadth-first windows
-    of ``width`` parents, sized so the group's variables fit in
+    updates only the P_t parents of levels 0..D-t-1, the ones still inside
+    their validity window.  It walks them in breadth-first windows of
+    ``width`` parents, sized so the group's variables fit in
     ``_UNIFORM_BYTES``.  Parents a..b-1 have children 1 + m*a .. m*b, so a
-    window reads one outcome range [m*a, m*b) and one coin range [S+a, S+b)
-    of each replication's stream, and updates its level pieces in ascending
-    order.  A parent's children come later in breadth-first order, so they
-    are still at time t when it reads them, and ``states[d]`` ends at time
-    min(T, D-d), the time every output reads.  The initial states are read in
-    windows of (m+1)*width vertices.  When the group's step-0 draws fit the
-    budget, every step is one window.
+    window reads outcomes m*a .. m*b - 1 and coins a..b-1 of each
+    replication's U_t = (m+1) * P_t variables, and updates its level pieces
+    in ascending order.  A parent's children come later in breadth-first
+    order, so they are still at time t when it reads them, and ``states[d]``
+    ends at time min(T, D-d), the time every output reads.  The initial states
+    are read in windows of (m+1)*width vertices.  When the group's step-0
+    draws fit the budget, which ``_groups`` ensures for every group of more
+    than one, every step and the initial states are one window and one read.
     """
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
     D, T, G = cfg.depth, cfg.horizon, len(reps)
     starts = _level_starts(cfg)
-    coins_at = starts[-1] - 1
     width = min(max(1, _UNIFORM_BYTES // (8 * (m + 1) * G)), starts[D])
-    span = (m + 1) * width
     streams = _Streams(cfg.seed)
-    h = np.empty((G, span), dtype=np.uint16)
 
+    V = starts[-1]
+    span = (m + 1) * width
     states = [np.empty((G, m**d), dtype=bool) for d in range(D + 1)]
-    for a in range(0, starts[-1], span):
-        b = min(a + span, starts[-1])
-        for i, rep in enumerate(reps):
-            h[i, : b - a] = streams.heads(_INIT, 0, rep, a, b - a)
+    for a in range(0, V, span):
+        b = min(a + span, V)
         (init,) = _bernoulli(
-            h[:, : b - a], (cfg.pi_0,), lambda r, c: streams.word(_INIT + _REFINE, 0, reps[r], a + c)
+            streams.rows(_INIT, 0, reps, V, a, b - a),
+            (cfg.pi_0,),
+            lambda r, c: streams.word(_INIT + _REFINE, 0, reps[r] * V + a + c),
         )
         for d, i0, i1 in _level_pieces(starts, a, b):
             off = starts[d] + i0 - a
@@ -346,17 +364,22 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
     roots[:, 0] = states[0][:, 0]
 
     for t in range(T):
-        for a in range(0, starts[D - t], width):
-            n = min(width, starts[D - t] - a)
-            for i, rep in enumerate(reps):
-                h[i, : m * n] = streams.heads(_STEP, t, rep, m * a, m * n)
-                h[i, m * n : (m + 1) * n] = streams.heads(_STEP, t, rep, coins_at + a, n)
+        P = starts[D - t]
+        U = (m + 1) * P
+        for a in range(0, P, width):
+            n = min(width, P - a)
+            if n == P:
+                h = streams.rows(_STEP, t, reps, U, 0, U)
+                outcomes, coins = h[:, : m * P], h[:, m * P :]
+            else:
+                outcomes = streams.rows(_STEP, t, reps, U, m * a, m * n)
+                coins = streams.rows(_STEP, t, reps, U, m * P + a, n)
             succ_b, succ_r = _bernoulli(
-                h[:, : m * n],
+                outcomes,
                 (p_b, p_r),
-                lambda r, c: streams.word(_STEP + _REFINE, t, reps[r], m * a + c),
+                lambda r, c: streams.word(_STEP + _REFINE, t, reps[r] * U + m * a + c),
             )
-            coin = h[:, m * n : (m + 1) * n] < 2**15
+            coin = coins < 2**15
             for d, i0, i1 in _level_pieces(starts, a, a + n):
                 off, k = starts[d] + i0 - a, i1 - i0
                 child = states[d + 1][:, m * i0 : m * i1].reshape(G, k, m)

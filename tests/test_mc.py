@@ -201,11 +201,12 @@ class TestIndependenceCheck:
 class TestStreamLayoutGolden:
     """Exact outputs pinned to the Philox draw layout.
 
-    Streams are keyed by (seed, purpose, t, rep); each step draws experiment
-    outcomes for levels 1..D and then coins for levels 0..D-1, one 16-bit
-    head per variable, with refinement words in stream purpose + 4.  Any
-    change to that layout, or to which draw feeds which vertex, moves these
-    bits.  The values come from the full-precision replay below
+    Streams are keyed by (seed, purpose, t); in step t each replication
+    owns a block of U_t = (m+1) * P_t variables, P_t the parents the step
+    updates: experiment outcomes for levels 1..D-t, then coins for levels
+    0..D-t-1, one 16-bit head per variable, with refinement words in stream
+    purpose + 4.  Any change to that layout, or to which draw feeds which
+    vertex, moves these bits.  The values come from the full-precision replay below
     (``_reference_outputs``, ``_all_pairs_correlation`` and the pairs drawn
     from purpose 3), not from ``mc``.
     """
@@ -213,34 +214,34 @@ class TestStreamLayoutGolden:
     CASES = {
         "horizon_below_depth": (
             dict(params=ModelParams(3, 0.7, 0.4), depth=5, horizon=3, pi_0=0.4, seed=2024, replications=60),
-            [0.4666666666666667, 0.5, 0.7333333333333333, 0.7833333333333333],
+            [0.48333333333333334, 0.43333333333333335, 0.7166666666666667, 0.9166666666666666],
             [
-                0.7833333333333333,
-                0.8111111111111112,
-                0.8222222222222222,
-                0.6913580246913578,
-                0.541769547325103,
-                0.40644718792866963,
+                0.9166666666666666,
+                0.7666666666666665,
+                0.7962962962962963,
+                0.6870370370370369,
+                0.5378600823045268,
+                0.39876543209876536,
             ],
-            0.1942883586821271,
+            0.22381412908589718,
         ),
         "horizon_zero": (
             dict(params=ModelParams(4, 0.6, 0.5), depth=3, horizon=0, pi_0=0.35, seed=7, replications=40),
-            [0.325],
-            [0.325, 0.3875, 0.3421875, 0.359375],
-            0.31622776601683794,
+            [0.3],
+            [0.3, 0.35, 0.3328125, 0.365234375],
+            0.20770355624952197,
         ),
         "binary": (
             dict(params=ModelParams(2, 0.9, 0.6), depth=6, horizon=6, pi_0=0.5, seed=99, replications=50),
-            [0.54, 0.6, 0.68, 0.88, 0.86, 0.84, 0.84],
-            [0.84, 0.86, 0.82, 0.7525, 0.67625, 0.588125, 0.50375],
-            0.017352640209845147,
+            [0.58, 0.6, 0.74, 0.8, 0.8, 0.86, 0.88],
+            [0.88, 0.82, 0.785, 0.71, 0.65625, 0.571875, 0.4884375],
+            0.054554472558998146,
         ),
         "depth_one": (
             dict(params=ModelParams(5, 0.8, 0.3), depth=1, horizon=1, pi_0=0.6, seed=3, replications=80),
-            [0.6125, 0.8125],
-            [0.8125, 0.5699999999999998],
-            0.18234702494353078,
+            [0.65, 0.85],
+            [0.85, 0.5824999999999999],
+            0.3006190332260428,
         ),
     }
 
@@ -254,37 +255,41 @@ class TestStreamLayoutGolden:
 
     def test_independence_check_bits_at_horizon_zero(self):
         cfg = SimConfig(ModelParams.symmetric(3, 0.5), depth=4, horizon=0, pi_0=0.5, seed=21, replications=100)
-        assert independence_check(cfg, level=2, pairs=12) == 0.30110115540787363
+        assert independence_check(cfg, level=2, pairs=12) == 0.361443144554628
 
     def test_independence_check_bits_after_steps(self):
         cfg = SimConfig(ModelParams(3, 0.8, 0.6), depth=6, horizon=2, pi_0=0.45, seed=22, replications=100)
-        assert independence_check(cfg, level=3, pairs=15) == 0.14912511403829587
+        assert independence_check(cfg, level=3, pairs=15) == 0.25798739079961264
 
 
 # The per-replication replay the grouped simulator replaced, kept as an
 # independent oracle at full precision.  It opens one fresh generator per
-# stream and reads every variable of every step, used or not, eagerly: the
-# variable at position i takes the i-th uint16 of its stream's raw words as
-# its head and the i-th raw word of the refinement stream as its low bits, and
-# succeeds at rate p iff the 53-bit k = head * 2**37 + (word >> 27) is below
-# ceil(p * 2**53), computed in exact rationals.  Stream purposes: 0 for steps,
-# 1 for initial states, 2 for the one-step estimator (3 draws independence
-# pairs); purpose + 4 is a purpose's refinement stream.
+# stream and reads every variable of every replication eagerly from the
+# stream's start: the variable at position i takes the i-th uint16 of its
+# stream's raw words as its head and the i-th raw word of the refinement
+# stream as its low bits, and succeeds at rate p iff the 53-bit
+# k = head * 2**37 + (word >> 27) is below ceil(p * 2**53), computed in exact
+# rationals.  Stream purposes: 0 for steps, 1 for initial states, 2 for the
+# one-step estimator (3 draws independence pairs); purpose + 4 is a purpose's
+# refinement stream.  Replication r's initial states are positions r*V + v of
+# stream (1, 0), V the vertex count, and its step-t variables positions
+# r*U_t + i of stream (0, t): outcomes of levels 1..D-t, then coins of levels
+# 0..D-t-1, U_t = (m+1) * P_t for the P_t = 1 + m + ... + m**(D-t-1) parents.
 _STEP, _INIT, _ONESTEP, _REFINE = 0, 1, 2, 4
 
 
-def _stream(seed: int, purpose: int, time: int = 0, rep: int = 0) -> Philox:
-    return Philox(key=np.uint64(seed), counter=[0, purpose, time, rep])
+def _stream(seed: int, purpose: int, time: int = 0) -> Philox:
+    return Philox(key=np.uint64(seed), counter=[0, purpose, time, 0])
 
 
-def _stream_heads(seed, purpose, time, rep, n):
-    return _stream(seed, purpose, time, rep).random_raw((n + 3) // 4).view(np.uint16)[:n]
+def _stream_heads(seed, purpose, time, n):
+    return _stream(seed, purpose, time).random_raw((n + 3) // 4).view(np.uint16)[:n]
 
 
-def _draws(seed: int, purpose: int, time: int, rep: int, n: int) -> np.ndarray:
+def _draws(seed: int, purpose: int, time: int, n: int) -> np.ndarray:
     """The 53-bit k of a stream's first n variables."""
-    heads = _stream_heads(seed, purpose, time, rep, n).astype(np.uint64)
-    low = _stream(seed, purpose + _REFINE, time, rep).random_raw(n) >> np.uint64(27)
+    heads = _stream_heads(seed, purpose, time, n).astype(np.uint64)
+    low = _stream(seed, purpose + _REFINE, time).random_raw(n) >> np.uint64(27)
     return heads << np.uint64(37) | low
 
 
@@ -293,21 +298,18 @@ def _below(k: np.ndarray, p: float) -> np.ndarray:
     return k < math.ceil(Fraction(p) * 2**53)
 
 
-def _reference_evolve(cfg: SimConfig, rep: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _reference_evolve(cfg: SimConfig, k_init: np.ndarray, k_steps: list[np.ndarray]):
+    """One replication from its initial draws and its block of each step's draws."""
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
-    D, T = cfg.depth, cfg.horizon
+    D = cfg.depth
     sizes = [m**d for d in range(D + 1)]
-    outcomes = sum(sizes[1:])
 
-    init = np.split(_draws(cfg.seed, _INIT, 0, rep, sum(sizes)), np.cumsum(sizes)[:-1])
-    states = [_below(k, cfg.pi_0) for k in init]
-    root_traj = np.empty(T + 1, dtype=bool)
-    root_traj[0] = states[0][0]
-
-    for t in range(T):
-        k = _draws(cfg.seed, _STEP, t, rep, outcomes + sum(sizes[:-1]))
-        k_x = np.split(k[:outcomes], np.cumsum(sizes[1:])[:-1])
-        k_y = np.split(k[outcomes:], np.cumsum(sizes[:-1])[:-1])
+    states = [_below(k, cfg.pi_0) for k in np.split(k_init, np.cumsum(sizes)[:-1])]
+    root_traj = [states[0][0]]
+    for t, k in enumerate(k_steps):
+        parents = sum(sizes[: D - t])
+        k_x = np.split(k[: m * parents], np.cumsum(sizes[1 : D - t]))
+        k_y = np.split(k[m * parents :], np.cumsum(sizes[: D - t - 1]))
         for d in range(D - t):
             child = states[d + 1].reshape(-1, m)
             k_child = k_x[d].reshape(-1, m)
@@ -315,14 +317,21 @@ def _reference_evolve(cfg: SimConfig, rep: int) -> tuple[np.ndarray, list[np.nda
             n_b = (success & child).sum(axis=1)
             n_r = (success & ~child).sum(axis=1)
             states[d] = (n_b > n_r) | ((n_b == n_r) & _below(k_y[d], 0.5))
-        root_traj[t + 1] = states[0][0]
+        root_traj.append(states[0][0])
 
-    return root_traj, states
+    return np.array(root_traj), states
 
 
 def _reference_outputs(cfg: SimConfig):
     """Each replication's replay; pi_hat and level_averages summed in replication order."""
-    runs = [_reference_evolve(cfg, rep) for rep in range(cfg.replications)]
+    m, D, R = cfg.params.m, cfg.depth, cfg.replications
+    starts = [sum(m**j for j in range(d)) for d in range(D + 2)]
+    k_init = _draws(cfg.seed, _INIT, 0, R * starts[D + 1]).reshape(R, -1)
+    k_steps = [
+        _draws(cfg.seed, _STEP, t, R * (m + 1) * starts[D - t]).reshape(R, -1)
+        for t in range(cfg.horizon)
+    ]
+    runs = [_reference_evolve(cfg, k_init[r], [k[r] for k in k_steps]) for r in range(R)]
     level_means = np.zeros(cfg.depth + 1)
     for _, states in runs:
         level_means += [s.mean() for s in states]
@@ -378,7 +387,8 @@ class TestGroupedReplay:
         # replications are summed shows in the bits
         m, depth = 3, 8
         cfg = _replay_config(m, depth, depth, replications=41)
-        per_rep = sum(m**d for d in range(1, depth + 1)) + sum(m**d for d in range(depth))
+        # a replication's step-0 block: m + 1 variables for each of its 1 + m + ... + m**(D-1) parents
+        per_rep = (m + 1) * sum(m**d for d in range(depth))
         group = max(1, mc._UNIFORM_BYTES // (8 * per_rep))
         assert math.ceil(cfg.replications / group) >= 3
         assert [len(reps) for reps in mc._groups(cfg)][0] == group
@@ -414,18 +424,77 @@ class TestGroupedReplay:
 
 
 class TestStreamJump:
-    @pytest.mark.parametrize("seed,purpose,time,rep", [(5, 0, 3, 7), (2**64 - 1, 1, 0, 2**40)])
-    def test_at_matches_one_long_draw(self, seed, purpose, time, rep):
+    @pytest.mark.parametrize("seed,purpose,time", [(5, 0, 3), (2**64 - 1, 1, 2**40)])
+    def test_at_matches_one_long_draw(self, seed, purpose, time):
         # heads from every position, most of them inside a Philox block
-        long = _stream_heads(seed, purpose, time, rep, 320)
-        words = _stream(seed, purpose, time, rep).random_raw(60)
+        long = _stream_heads(seed, purpose, time, 320)
+        words = _stream(seed, purpose, time).random_raw(60)
         streams = mc._Streams(seed)
         for n in range(40):
             for target in range(n, n + 60):
-                streams.heads(purpose, time, rep, n, 3)
-                got = streams.heads(purpose, time, rep, 3 * target, 17)
+                streams.heads(purpose, time, n, 3)
+                got = streams.heads(purpose, time, 3 * target, 17)
                 assert np.array_equal(got, long[3 * target : 3 * target + 17]), (n, target)
-                assert streams.word(purpose, time, rep, target % 60) == int(words[target % 60])
+                assert streams.word(purpose, time, target % 60) == int(words[target % 60])
+
+    @pytest.mark.parametrize("size", [1, 7, 16, 37])
+    def test_rows_match_one_long_draw(self, size):
+        # replication r's heads are r*size .. (r+1)*size - 1, at and off block boundaries
+        long = _stream_heads(9, 0, 2, 12 * size)
+        streams = mc._Streams(9)
+        for first in range(4):
+            for count in range(1, 9):
+                got = streams.rows(0, 2, range(first, first + count), size, 0, size)
+                want = long[first * size : (first + count) * size].reshape(count, size)
+                assert np.array_equal(got, want), (first, count)
+            for pos in range(size):
+                for n in range(1, size - pos + 1):
+                    got = streams.rows(0, 2, range(first, first + 1), size, pos, n)
+                    assert np.array_equal(got, long[None, first * size + pos : first * size + pos + n])
+
+
+class TestReplicationLayout:
+    """A replication's draws sit at positions fixed by the replication alone."""
+
+    @staticmethod
+    def _rows(cfg, reps):
+        """Root trajectories and states of replications ``reps``, from the groups that hold them."""
+        out = {}
+        for group in mc._groups(cfg):
+            if group.start < reps.stop and reps.start < group.stop:
+                roots, states = mc._evolve(cfg, group)
+                for i, rep in enumerate(group):
+                    out[rep] = (roots[i], [s[i] for s in states])
+        return [out[rep] for rep in reps]
+
+    def test_replication_prefix(self, monkeypatch):
+        base = _replay_config(3, 6, 6)
+        runs = []
+        for replications, budget in [(50, mc._UNIFORM_BYTES), (13, mc._UNIFORM_BYTES), (50, 8), (50, 8 * 4 * 364 * 4)]:
+            monkeypatch.setattr(mc, "_UNIFORM_BYTES", budget)
+            cfg = SimConfig(base.params, base.depth, base.horizon, base.pi_0, base.seed, replications)
+            runs.append(self._rows(cfg, range(10, 13)))
+        # the last budget gives groups of 4, so replications 10..12 straddle two groups
+        assert [len(g) for g in mc._groups(cfg)][:4] == [4, 4, 4, 4]
+        for run in runs[1:]:
+            for (root, states), (ref_root, ref_states) in zip(run, runs[0]):
+                assert np.array_equal(root, ref_root)
+                assert all(np.array_equal(s, r) for s, r in zip(states, ref_states))
+
+    def test_one_read_per_step(self, monkeypatch):
+        cfg = sym_config(m=3, p=0.7, depth=6, horizon=5, pi_0=0.4, reps=30)
+        (group,) = mc._groups(cfg)
+        calls = []
+        heads = mc._Streams.heads
+
+        def counted(self, *args):
+            calls.append(args)
+            return heads(self, *args)
+
+        monkeypatch.setattr(mc._Streams, "heads", counted)
+        mc._evolve(cfg, group)
+        assert len(group) == 30
+        assert len(calls) == 1 + cfg.horizon
 
 
 class TestOneStepChunking:
@@ -433,7 +502,7 @@ class TestOneStepChunking:
         params, x, samples, seed = ModelParams(64, 0.55, 0.5), 0.45, 20_000, 11
         m = params.m
         assert samples > mc._UNIFORM_BYTES // (8 * (2 * m + 1))  # more than one chunk
-        k = _draws(seed, _ONESTEP, 0, 0, samples * (2 * m + 1)).reshape(samples, 2 * m + 1)
+        k = _draws(seed, _ONESTEP, 0, samples * (2 * m + 1)).reshape(samples, 2 * m + 1)
         child_b = _below(k[:, :m], x)
         k_x = k[:, m : 2 * m]
         success = np.where(child_b, _below(k_x, params.p_b), _below(k_x, params.p_r))
@@ -447,7 +516,7 @@ class TestOneStepChunking:
     @pytest.mark.parametrize("budget", [8, 200, 4096])
     def test_any_budget_matches_the_replay(self, monkeypatch, budget):
         params, x, samples, seed = ModelParams(3, 0.6, 0.35), 0.4, 6_000, 12
-        k = _draws(seed, _ONESTEP, 0, 0, samples * 7).reshape(samples, 7)
+        k = _draws(seed, _ONESTEP, 0, samples * 7).reshape(samples, 7)
         child_b = _below(k[:, :3], x)
         success = np.where(child_b, _below(k[:, 3:6], params.p_b), _below(k[:, 3:6], params.p_r))
         lead = (success & child_b).sum(axis=1) - (success & ~child_b).sum(axis=1)
