@@ -206,9 +206,9 @@ class TestStreamLayoutGolden:
     updates: experiment outcomes for levels 1..D-t, then coins for levels
     0..D-t-1, one 16-bit head per variable, with refinement words in stream
     purpose + 4.  Any change to that layout, or to which draw feeds which
-    vertex, moves these bits.  The values come from the full-precision replay below
-    (``_reference_outputs``, ``_all_pairs_correlation`` and the pairs drawn
-    from purpose 3), not from ``mc``.
+    vertex, moves these bits.  The values come from the full-precision
+    replay below (``_reference_outputs``, ``_all_pairs_correlation`` and the
+    pairs drawn from purpose 3), not from ``mc``.
     """
 
     CASES = {
@@ -469,12 +469,14 @@ class TestReplicationLayout:
 
     def test_replication_prefix(self, monkeypatch):
         base = _replay_config(3, 6, 6)
+        default = mc._UNIFORM_BYTES
+        four = 4 * 8 * (3 + 1) * sum(3**d for d in range(6))  # four replications' step-0 variables
         runs = []
-        for replications, budget in [(50, mc._UNIFORM_BYTES), (13, mc._UNIFORM_BYTES), (50, 8), (50, 8 * 4 * 364 * 4)]:
+        for replications, budget in [(50, default), (13, default), (50, 8), (50, four)]:
             monkeypatch.setattr(mc, "_UNIFORM_BYTES", budget)
             cfg = SimConfig(base.params, base.depth, base.horizon, base.pi_0, base.seed, replications)
             runs.append(self._rows(cfg, range(10, 13)))
-        # the last budget gives groups of 4, so replications 10..12 straddle two groups
+        # groups of 4 split replications 10..12 between two groups
         assert [len(g) for g in mc._groups(cfg)][:4] == [4, 4, 4, 4]
         for run in runs[1:]:
             for (root, states), (ref_root, ref_states) in zip(run, runs[0]):
@@ -484,6 +486,7 @@ class TestReplicationLayout:
     def test_one_read_per_step(self, monkeypatch):
         cfg = sym_config(m=3, p=0.7, depth=6, horizon=5, pi_0=0.4, reps=30)
         (group,) = mc._groups(cfg)
+        assert len(group) == 30
         calls = []
         heads = mc._Streams.heads
 
@@ -493,7 +496,6 @@ class TestReplicationLayout:
 
         monkeypatch.setattr(mc._Streams, "heads", counted)
         mc._evolve(cfg, group)
-        assert len(group) == 30
         assert len(calls) == 1 + cfg.horizon
 
 
