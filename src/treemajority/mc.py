@@ -11,9 +11,11 @@ Two estimators:
   trajectory, the level means, the root's children and the
   ``independence_check`` pairs are all read from that one pass.
 
-The simulation runs replications in groups: each level of a group is one
-``(group size, m**d)`` boolean array, so a level update is one set of array
-operations per group, not per replication.  It replays the raw rule, never
+The simulation runs replications in groups: a group's trees are one
+``(group size, V)`` boolean array, V the vertex count, each row one tree in
+breadth-first order, so the children of consecutive parents are consecutive
+and a window of parents is one set of array operations per group, not per
+replication or level.  It replays the raw rule, never
 f(k): each child's draw is compared with the two scalar rates, and one
 signed int8 per child (+1 for a B success, -1 for an R success) is summed
 into the vertex's lead, broken by a coin on zero.  A group holds as many
@@ -30,8 +32,8 @@ and reads the stream's i-th 16-bit head, the i-th uint16 of its raw words
 K = ceil(p * 2**53) into hi = K >> 37 and lo = K mod 2**37: a head below hi
 succeeds, one above fails, and only a head equal to hi with lo != 0 (one
 draw in 2**16) reads the 64-bit word at position i of the purpose's
-refinement stream (purpose + ``_REFINE``, same seed and time) and succeeds
-iff its top 37 bits are below lo.  That is k < K for the 53-bit
+refinement stream (purpose + ``_REFINE``, same seed and time word) and
+succeeds iff its top 37 bits are below lo.  That is k < K for the 53-bit
 k = head * 2**37 + low, so each outcome has probability K / 2**53, exactly as
 for a 53-bit uniform compared with p.  A coin is a head below 2**15.
 
@@ -52,12 +54,18 @@ order, so results are reproducible bit-for-bit, and the first replications
 of a run are those of any shorter run with the same seed.
 Leaves have no children in the truncation and stay frozen at their initial
 draw.
+
+The one-step estimator has no time, so its time word names the kind of
+variable: trial i reads its children's states at positions i*m .. i*m + m - 1
+of stream (seed, ``_ONESTEP``, 0), their outcomes at the same positions of
+stream (seed, ``_ONESTEP``, 1) and its coin at position i of stream (seed,
+``_ONESTEP``, 2).  A chunk of trials reads each kind as one contiguous array,
+and positions depend only on the trial and the variable, never on the chunks.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -211,24 +219,23 @@ def estimate_g_one_step(
     seed = _check_seed(seed)
     m, p_b, p_r = params.m, params.p_b, params.p_r
     streams = _Streams(seed)
-    width = 2 * m + 1
     adopted = 0
-    chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * width)))
-    done = 0
-    while done < samples:
+    chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * (2 * m + 1))))
+    for done in range(0, samples, chunk):
         n = min(chunk, samples - done)
-        at = done * width
-        h = streams.heads(_ONESTEP, 0, at, n * width).reshape(n, width)
+        at = done * m
         (child,) = _bernoulli(
-            h[:, :m], (x,), lambda r, c: streams.word(_ONESTEP + _REFINE, 0, at + r * width + c)
+            streams.heads(_ONESTEP, 0, at, n * m).reshape(n, m),
+            (x,),
+            lambda r, c: streams.word(_ONESTEP + _REFINE, 0, at + r * m + c),
         )
         succ_b, succ_r = _bernoulli(
-            h[:, m : 2 * m],
+            streams.heads(_ONESTEP, 1, at, n * m).reshape(n, m),
             (p_b, p_r),
-            lambda r, c: streams.word(_ONESTEP + _REFINE, 0, at + r * width + m + c),
+            lambda r, c: streams.word(_ONESTEP + _REFINE, 1, at + r * m + c),
         )
-        adopted += int(_adopt(child, succ_b, succ_r, h[:, 2 * m] < 2**15).sum())
-        done += n
+        coin = streams.heads(_ONESTEP, 2, done, n) < 2**15
+        adopted += int(_adopt(child, succ_b, succ_r, coin).sum())
     est = adopted / samples
     half = 1.96 * np.sqrt(est * (1.0 - est) / samples)
     return float(est), float(half)
@@ -243,22 +250,11 @@ def _groups(cfg: SimConfig) -> Iterator[range]:
     """Consecutive replication groups whose step-0 draws fit in ``_UNIFORM_BYTES`` (at least one).
 
     Step 0 reads the outcomes of levels 1..D and the coins of levels 0..D-1,
-    m + 1 uniforms per parent; no step reads more.
+    m + 1 variables per parent; no step reads more.
     """
     size = max(1, _UNIFORM_BYTES // (8 * (cfg.params.m + 1) * _level_starts(cfg)[-2]))
     for lo in range(0, cfg.replications, size):
         yield range(lo, min(lo + size, cfg.replications))
-
-
-def _level_pieces(starts: list[int], a: int, b: int) -> Iterator[tuple[int, int, int]]:
-    """(d, i0, i1) for each level d that breadth-first vertices a..b-1 meet, in ascending order.
-
-    Level d's vertices i0..i1-1 are the flat vertices starts[d] + i0 .. starts[d] + i1 - 1.
-    """
-    d = bisect_right(starts, a) - 1
-    while starts[d] < b:
-        yield d, max(a, starts[d]) - starts[d], min(b, starts[d + 1]) - starts[d]
-        d += 1
 
 
 def _count_children(signs: np.ndarray) -> np.ndarray:
@@ -326,20 +322,25 @@ def _adopt(
 def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
     """A group of replications: root trajectories and every level at its last valid time.
 
-    Row i of ``roots`` (shape (len(reps), T+1)) and of each ``states[d]``
-    (shape (len(reps), m**d)) belongs to replication ``reps[i]``.  Step t
-    updates only the P_t parents of levels 0..D-t-1, the ones still inside
-    their validity window.  It walks them in breadth-first windows of
-    ``width`` parents, sized so the group's variables fit in
-    ``_UNIFORM_BYTES``.  Parents a..b-1 have children 1 + m*a .. m*b, so a
-    window reads outcomes m*a .. m*b - 1 and coins a..b-1 of each
-    replication's U_t = (m+1) * P_t variables, and updates its level pieces
-    in ascending order.  A parent's children come later in breadth-first
-    order, so they are still at time t when it reads them, and ``states[d]``
-    ends at time min(T, D-d), the time every output reads.  The initial states
-    are read in windows of (m+1)*width vertices.  When the group's step-0
-    draws fit the budget, which ``_groups`` ensures for every group of more
-    than one, every step and the initial states are one window and one read.
+    The group's trees are one ``(len(reps), V)`` array ``flat`` in
+    breadth-first order, level d at columns starts[d] .. starts[d+1] - 1, and
+    row i of ``roots`` (shape (len(reps), T+1)) and of ``flat`` belongs to
+    replication ``reps[i]``.  Step t updates only the P_t parents of levels
+    0..D-t-1, the ones still inside their validity window.  It walks them in
+    breadth-first windows of ``width`` parents, sized so the group's
+    variables fit in ``_UNIFORM_BYTES``.  Parents a..a+n-1 have children
+    1 + m*a .. m*(a+n), a contiguous block in the order of the window's
+    outcomes m*a .. m*(a+n) - 1 of each replication's U_t = (m+1) * P_t
+    variables, so a window is one ``_bernoulli`` and one ``_adopt`` call,
+    written to columns a..a+n-1.  The update stays synchronous: ``_adopt``
+    builds its result before the write, and a later window reads only
+    children above every parent written before it, so each parent reads its
+    children at time t, and level d ends at time min(T, D-d), the time every
+    output reads.  The initial states are drawn into ``flat`` in windows of
+    (m+1)*width vertices.  When the group's step-0 draws fit the budget, which
+    ``_groups`` ensures for every group of more than one, every step and the
+    initial states are one window and one read.  Returns ``roots`` and the
+    level views ``flat[:, starts[d]:starts[d+1]]``.
     """
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
     D, T, G = cfg.depth, cfg.horizon, len(reps)
@@ -349,19 +350,16 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
 
     V = starts[-1]
     span = (m + 1) * width
-    states = [np.empty((G, m**d), dtype=bool) for d in range(D + 1)]
+    flat = np.empty((G, V), dtype=bool)
     for a in range(0, V, span):
         b = min(a + span, V)
-        (init,) = _bernoulli(
+        (flat[:, a:b],) = _bernoulli(
             streams.rows(_INIT, 0, reps, V, a, b - a),
             (cfg.pi_0,),
             lambda r, c: streams.word(_INIT + _REFINE, 0, reps[r] * V + a + c),
         )
-        for d, i0, i1 in _level_pieces(starts, a, b):
-            off = starts[d] + i0 - a
-            states[d][:, i0:i1] = init[:, off : off + i1 - i0]
     roots = np.empty((G, T + 1), dtype=bool)
-    roots[:, 0] = states[0][:, 0]
+    roots[:, 0] = flat[:, 0]
 
     for t in range(T):
         P = starts[D - t]
@@ -379,20 +377,16 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
                 (p_b, p_r),
                 lambda r, c: streams.word(_STEP + _REFINE, t, reps[r] * U + m * a + c),
             )
-            coin = coins < 2**15
-            for d, i0, i1 in _level_pieces(starts, a, a + n):
-                off, k = starts[d] + i0 - a, i1 - i0
-                child = states[d + 1][:, m * i0 : m * i1].reshape(G, k, m)
-                x = slice(m * off, m * (off + k))
-                states[d][:, i0:i1] = _adopt(
-                    child,
-                    succ_b[:, x].reshape(child.shape),
-                    succ_r[:, x].reshape(child.shape),
-                    coin[:, off : off + k],
-                )
-        roots[:, t + 1] = states[0][:, 0]
+            window = (G, n, m)
+            flat[:, a : a + n] = _adopt(
+                flat[:, 1 + m * a : 1 + m * (a + n)].reshape(window),
+                succ_b.reshape(window),
+                succ_r.reshape(window),
+                coins < 2**15,
+            )
+        roots[:, t + 1] = flat[:, 0]
 
-    return roots, states
+    return roots, [flat[:, starts[d] : starts[d + 1]] for d in range(D + 1)]
 
 
 def simulate_tree(config: SimConfig) -> SimResult:
@@ -405,9 +399,10 @@ def simulate_tree(config: SimConfig) -> SimResult:
         rows = slice(reps.start, reps.stop)
         roots[rows], states = _evolve(config, reps)
         children[rows] = states[1]
-        # one replication at a time, in order, so the sum does not depend on the grouping
-        for means in np.column_stack([s.mean(axis=1) for s in states]):
-            level_means += means
+        # one replication at a time, in order, so the sum does not depend on the grouping;
+        # a count of 0/1 states is exact, so count / size has the bits of the row's mean
+        for i in range(len(reps)):
+            level_means += [np.count_nonzero(s[i]) / s.shape[1] for s in states]
     level_means /= R
     pi_hat = roots.mean(axis=0)
     return SimResult(

@@ -275,6 +275,9 @@ class TestStreamLayoutGolden:
 # stream (1, 0), V the vertex count, and its step-t variables positions
 # r*U_t + i of stream (0, t): outcomes of levels 1..D-t, then coins of levels
 # 0..D-t-1, U_t = (m+1) * P_t for the P_t = 1 + m + ... + m**(D-t-1) parents.
+# One-step trial i reads its children's states at positions i*m + k of stream
+# (2, 0), their outcomes at positions i*m + k of stream (2, 1) and its coin at
+# position i of stream (2, 2).
 _STEP, _INIT, _ONESTEP, _REFINE = 0, 1, 2, 4
 
 
@@ -291,6 +294,12 @@ def _draws(seed: int, purpose: int, time: int, n: int) -> np.ndarray:
     heads = _stream_heads(seed, purpose, time, n).astype(np.uint64)
     low = _stream(seed, purpose + _REFINE, time).random_raw(n) >> np.uint64(27)
     return heads << np.uint64(37) | low
+
+
+def _onestep_draws(seed: int, samples: int, m: int):
+    """The 53-bit k of each one-step trial's children's states, their outcomes and its coin."""
+    k_child, k_x = (_draws(seed, _ONESTEP, kind, samples * m).reshape(samples, m) for kind in (0, 1))
+    return k_child, k_x, _draws(seed, _ONESTEP, 2, samples)
 
 
 def _below(k: np.ndarray, p: float) -> np.ndarray:
@@ -498,19 +507,33 @@ class TestReplicationLayout:
         mc._evolve(cfg, group)
         assert len(calls) == 1 + cfg.horizon
 
+    def test_one_adopt_per_window(self, monkeypatch):
+        # the group's steps fit the budget, so each step is one window of every parent
+        cfg = sym_config(m=3, p=0.7, depth=6, horizon=5, pi_0=0.4, reps=30)
+        (group,) = mc._groups(cfg)
+        assert len(group) == 30
+        adopt, calls = mc._adopt, []
+
+        def counted(*arrays):
+            calls.append(arrays)
+            return adopt(*arrays)
+
+        monkeypatch.setattr(mc, "_adopt", counted)
+        mc._evolve(cfg, group)
+        assert len(calls) == cfg.horizon
+
 
 class TestOneStepChunking:
     def test_chunks_match_one_block(self):
         params, x, samples, seed = ModelParams(64, 0.55, 0.5), 0.45, 20_000, 11
         m = params.m
         assert samples > mc._UNIFORM_BYTES // (8 * (2 * m + 1))  # more than one chunk
-        k = _draws(seed, _ONESTEP, 0, samples * (2 * m + 1)).reshape(samples, 2 * m + 1)
-        child_b = _below(k[:, :m], x)
-        k_x = k[:, m : 2 * m]
+        k_child, k_x, k_coin = _onestep_draws(seed, samples, m)
+        child_b = _below(k_child, x)
         success = np.where(child_b, _below(k_x, params.p_b), _below(k_x, params.p_r))
         n_b = (success & child_b).sum(axis=1)
         n_r = (success & ~child_b).sum(axis=1)
-        adopted = int(((n_b > n_r) | ((n_b == n_r) & _below(k[:, 2 * m], 0.5))).sum())
+        adopted = int(((n_b > n_r) | ((n_b == n_r) & _below(k_coin, 0.5))).sum())
         est, _ = estimate_g_one_step(params, x, samples, seed)
         assert est == adopted / samples
 
@@ -518,13 +541,33 @@ class TestOneStepChunking:
     @pytest.mark.parametrize("budget", [8, 200, 4096])
     def test_any_budget_matches_the_replay(self, monkeypatch, budget):
         params, x, samples, seed = ModelParams(3, 0.6, 0.35), 0.4, 6_000, 12
-        k = _draws(seed, _ONESTEP, 0, samples * 7).reshape(samples, 7)
-        child_b = _below(k[:, :3], x)
-        success = np.where(child_b, _below(k[:, 3:6], params.p_b), _below(k[:, 3:6], params.p_r))
+        k_child, k_x, k_coin = _onestep_draws(seed, samples, 3)
+        child_b = _below(k_child, x)
+        success = np.where(child_b, _below(k_x, params.p_b), _below(k_x, params.p_r))
         lead = (success & child_b).sum(axis=1) - (success & ~child_b).sum(axis=1)
-        adopted = int(((lead > 0) | ((lead == 0) & _below(k[:, 6], 0.5))).sum())
+        adopted = int(((lead > 0) | ((lead == 0) & _below(k_coin, 0.5))).sum())
         monkeypatch.setattr(mc, "_UNIFORM_BYTES", budget)
         assert estimate_g_one_step(params, x, samples, seed)[0] == adopted / samples
+
+    def test_contiguous_kinds(self, monkeypatch):
+        params, samples = ModelParams(3, 0.6, 0.35), 1_000
+        monkeypatch.setattr(mc, "_UNIFORM_BYTES", 8 * 7 * 64)  # chunks of 64 trials
+        heads, adopt, calls, contiguous = mc._Streams.heads, mc._adopt, [], []
+
+        def counted(self, *args):
+            calls.append(args)
+            return heads(self, *args)
+
+        def checked(*arrays):
+            contiguous.append(all(a.flags.c_contiguous for a in arrays))
+            return adopt(*arrays)
+
+        monkeypatch.setattr(mc._Streams, "heads", counted)
+        monkeypatch.setattr(mc, "_adopt", checked)
+        estimate_g_one_step(params, 0.4, samples, 12)
+        chunks = math.ceil(samples / 64)
+        assert len(calls) == 3 * chunks
+        assert contiguous == [True] * chunks
 
 
 def _two_count_adopt(child, k_x, k_y, p_b, p_r):
