@@ -1,5 +1,5 @@
 """Command-line front end: policy tables, map curves, fixed points, trajectories,
-phase thresholds, tree simulations, and derivative cross-checks.
+phase thresholds and tree simulations.
 
 Each handler returns its results as a dict, or CSV text under ``policy`` and
 ``gmap``'s ``--format csv``.  ``main`` turns a dict into the JSON report: a
@@ -9,13 +9,18 @@ codes: 0 success, 2 usage or validation error (an unwritable ``--out``
 included), 3 unsupported analysis regime, 4 internal solver failure.
 
 numpy and the simulator (``mc``) are imported by the handlers that use them,
-``simulate``, ``estimate-g`` and ``dcheck``, so the analytic subcommands
-start without them.
+``simulate`` and ``estimate-g``, so the analytic subcommands start without
+them.
+
+``main`` parses with one parser per process, built on its first call: argparse
+keeps no state between ``parse_args`` calls, and each handler looks up the
+functions it calls when it runs.  ``build_parser`` returns a new parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,8 +33,8 @@ from .dynamics import (
     find_fixed_points,
     solve_threshold,
 )
-from .model import ModelParams, policy_table, policy_value
-from .update_map import UpdateMap, df_dp, g_double_prime, g_eval, g_prime
+from .model import ModelParams, policy_table
+from .update_map import UpdateMap, g_double_prime, g_eval, g_prime
 
 __all__ = ["main", "build_parser"]
 
@@ -159,43 +164,6 @@ def _cmd_estimate(args) -> dict:
     return {"estimate": est, "ci_half_width": half, "analytic": g_eval(gm, args.x)}
 
 
-def _cmd_dcheck(args) -> dict:
-    import numpy as np
-
-    from .mc import _check_seed
-
-    if args.cases < 1:
-        raise ValueError("--cases must be at least 1")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(args.seed))))
-    h1, h2 = 1e-6, 1e-4
-    dev_gp = dev_gpp = dev_dfdp = 0.0
-    max_dfdp = -np.inf
-    for _ in range(args.cases):
-        m = int(gen.integers(2, 9))
-        params = ModelParams(m, float(gen.random()), float(gen.random()))
-        gm = UpdateMap.from_params(params)
-        x = float(h2 + (1 - 2 * h2) * gen.random())
-        fd1 = (g_eval(gm, x + h1) - g_eval(gm, x - h1)) / (2 * h1)
-        fd2 = (g_eval(gm, x + h2) - 2 * g_eval(gm, x) + g_eval(gm, x - h2)) / h2**2
-        dev_gp = max(dev_gp, abs(g_prime(gm, x) - fd1))
-        dev_gpp = max(dev_gpp, abs(g_double_prime(gm, x) - fd2))
-
-        ell = int(gen.integers(0, (m - 1) // 2 + 1))
-        p = float(0.05 + 0.9 * gen.random())
-        sym_hi = ModelParams.symmetric(m, p + h1)
-        sym_lo = ModelParams.symmetric(m, p - h1)
-        fd = (policy_value(sym_hi, ell) - policy_value(sym_lo, ell)) / (2 * h1)
-        val = df_dp(m, ell, p)
-        dev_dfdp = max(dev_dfdp, abs(val - fd))
-        max_dfdp = max(max_dfdp, val)
-    return {
-        "max_abs_dev_gprime": dev_gp,
-        "max_abs_dev_gdoubleprime": dev_gpp,
-        "max_abs_dev_df_dp": dev_dfdp,
-        "max_df_dp": max_dfdp,
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treemajority",
@@ -257,18 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(handler=_cmd_estimate)
 
-    sp = sub.add_parser("dcheck", help="derivatives vs finite differences sweep")
-    sp.add_argument("--cases", type=int, default=200)
-    sp.add_argument("--seed", type=int, required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_dcheck)
-
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
         text = report if isinstance(report, str) else _to_json({"spec": _spec(args), **report})

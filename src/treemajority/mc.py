@@ -422,6 +422,7 @@ def _max_abs_correlation(columns: np.ndarray, pairs: np.ndarray | None = None) -
     that touch a constant column have undefined correlation and are dropped
     before the loop; NaN when no pair is usable.  Each pair keeps its own dot
     product, so the result does not depend on which other pairs are present.
+    A correlation of exactly ±1 can round past 1, so each is clamped to 1.
     """
     x = columns.astype(float)
     x -= x.mean(axis=0)
@@ -430,7 +431,7 @@ def _max_abs_correlation(columns: np.ndarray, pairs: np.ndarray | None = None) -
         pairs = np.column_stack(np.triu_indices(x.shape[1], 1))
     pairs = pairs[(norms[pairs] > 0.0).all(axis=1)].tolist()
     cols, norms = list(x.T), norms.tolist()
-    corrs = (abs(float(cols[i] @ cols[j] / (norms[i] * norms[j]))) for i, j in pairs)
+    corrs = (min(abs(float(cols[i] @ cols[j] / (norms[i] * norms[j]))), 1.0) for i, j in pairs)
     return max(corrs, default=np.nan)
 
 

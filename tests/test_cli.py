@@ -256,6 +256,16 @@ class TestSimulateCommand:
         report = json.loads(out, parse_constant=refuse)
         assert report["pair_correlation"] is None
 
+    def test_exact_correlation_reads_one(self, capsys):
+        # two of the root's children differ in each of the 3 replications, a
+        # correlation of exactly -1 whose rounded magnitude read 1.0000000000000002
+        code, out, _ = run_cli(
+            capsys, "simulate", "--m", "3", "--p", "0.7", "--depth", "2", "--horizon", "0",
+            "--pi0", "0.3", "--reps", "3", "--seed", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["pair_correlation"] == 1.0
+
     def test_non_finite_report_refused(self):
         with pytest.raises(ValueError):
             cli._to_json({"x": float("nan")})
@@ -282,7 +292,6 @@ class TestSimulateCommand:
             "estimate-g", "--m", "4", "--p-b", "0.7", "--p-r", "0.4", "--x", "0.3",
             "--samples", "1000", "--seed", "1",
         ],
-        "dcheck": ["dcheck", "--cases", "5", "--seed", "3"],
     }
 
     @pytest.mark.parametrize("command", list(REPLAYED))
@@ -340,27 +349,22 @@ class TestEstimateCommand:
         se = math.sqrt(g * (1 - g) / 100000)
         assert abs(report["estimate"] - g) <= 4 * se
 
-
-class TestDcheckCommand:
-    def test_deviations_small(self, capsys):
-        code, out, _ = run_cli(capsys, "dcheck", "--cases", "50", "--seed", "11")
-        assert code == 0
-        report = json.loads(out)
-        assert report["max_abs_dev_gprime"] <= 1e-5
-        assert report["max_abs_dev_gdoubleprime"] <= 1e-5
-        assert report["max_abs_dev_df_dp"] <= 1e-6
-        assert report["max_df_dp"] < 0.0
-
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exit_2(self, capsys, seed):
-        code, out, err = run_cli(capsys, "dcheck", "--seed", seed, "--cases", "2")
+        code, out, err = run_cli(
+            capsys, "estimate-g", "--m", "4", "--p", "0.5", "--x", "0.3", "--samples", "10",
+            "--seed", seed,
+        )
         assert code == 2 and out == ""
         assert err == "error: seed must fit in 64 unsigned bits\n"
 
-    def test_zero_cases_exit_2(self, capsys):
-        code, out, err = run_cli(capsys, "dcheck", "--cases", "0", "--seed", "1")
-        assert code == 2 and out == ""
-        assert err == "error: --cases must be at least 1\n"
+
+def test_dcheck_is_not_a_subcommand(capsys):
+    # criteria 6a and 6b check g', g'' and df_dp against finite differences
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dcheck", "--cases", "5", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dcheck'" in capsys.readouterr().err
 
 
 class TestOutFlag:
@@ -377,6 +381,87 @@ class TestOutFlag:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write report: ")
         assert not target.exists()
+
+
+class TestOneParser:
+    """``main`` parses every request with one parser, built on its first call."""
+
+    THRESHOLD = ["threshold", "--m", "3"]
+    # argparse refusal, ValueError, unsupported regime, then valid requests
+    SEQUENCE = [
+        ["fixed-points", "--m", "3", "--p", "0.8", "--format", "json"],
+        ["policy", "--m", "3", "--p", "0.5", "--p-b", "0.2"],
+        ["fixed-points", "--m", "2", "--p", "1"],
+        *TestSimulateCommand.REPLAYED.values(),
+        ["policy", "--m", "3", "--p-b", "1", "--p-r", "0.4"],
+        ["gmap", "--m", "3", "--p", "0.8", "--grid", "4"],
+    ]
+
+    @pytest.fixture
+    def cleared(self):
+        cached = cli._parser
+        cached.cache_clear()
+        yield
+        cached.cache_clear()
+
+    def _send(self, capsys, argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def test_built_once_per_process(self, capsys, monkeypatch, tmp_path, cleared):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        codes = [self._send(capsys, argv)[0] for argv in self.SEQUENCE]
+        codes.append(self._send(capsys, [*self.THRESHOLD, "--out", str(tmp_path / "r.json")])[0])
+        assert codes == [2, 2, 3] + [0] * 10
+        assert len(built) == 1
+
+    def test_out_is_not_carried(self, capsys, tmp_path, cleared):
+        target = tmp_path / "r.json"
+        code, out, _ = self._send(capsys, [*self.THRESHOLD, "--out", str(target)])
+        assert code == 0 and out == ""
+        code, out, _ = self._send(capsys, self.THRESHOLD)
+        assert code == 0 and out == target.read_text()
+
+    def test_rates_are_not_carried(self, capsys, cleared):
+        self._send(capsys, ["fixed-points", "--m", "3", "--p", "0.8"])
+        code, out, _ = self._send(capsys, ["fixed-points", "--m", "3", "--p-b", "1", "--p-r", "0.75"])
+        assert code == 0
+        spec = json.loads(out)["spec"]
+        assert (spec["p_b"], spec["p_r"]) == (1.0, 0.75)
+
+    def test_refusal_is_not_carried(self, capsys, cleared):
+        code, _, _ = self._send(capsys, ["fixed-points", "--m", "3", "--p", "0.8", "--format", "json"])
+        assert code == 2
+        code, out, _ = self._send(capsys, ["policy", "--m", "3", "--p", "0.5", "--format", "json"])
+        assert code == 0 and json.loads(out)["spec"]["format"] == "json"
+
+    def test_same_bytes_as_a_fresh_parser(self, capsys, monkeypatch, cleared):
+        shared = [self._send(capsys, argv) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert [self._send(capsys, argv) for argv in self.SEQUENCE] == shared
+
+
+_IMPORT_BUILDS_NO_PARSER = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import treemajority.cli
+print(len(built))
+"""
 
 
 # Runs in a fresh interpreter: every analytic subcommand and every analytic
@@ -415,11 +500,19 @@ print(" ".join(m for m in ("numpy", "numpy.random", "treemajority.mc") if m in s
 """
 
 
-def test_analytic_subcommands_leave_numpy_unloaded():
+def _fresh_interpreter(code: str) -> str:
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout.strip()
+
+
+def test_analytic_subcommands_leave_numpy_unloaded():
+    assert _fresh_interpreter(_COLD_START) == ""
+
+
+def test_import_builds_no_parser():
+    assert _fresh_interpreter(_IMPORT_BUILDS_NO_PARSER) == "0"

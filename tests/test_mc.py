@@ -716,7 +716,8 @@ def _all_pairs_correlation(columns, pairs=None):
         corr = float(x[:, i] @ x[:, j] / (norms[i] * norms[j]))
         if np.isnan(best) or abs(corr) > abs(best):
             best = abs(corr)
-    return best
+    # no correlation exceeds 1 in magnitude; an exact ±1 can round past it
+    return best if np.isnan(best) else min(best, 1.0)
 
 
 def _same_float(a, b):
