@@ -35,25 +35,26 @@ draw in 2**16) reads the 64-bit word at position i of the purpose's
 refinement stream (purpose + ``_REFINE``, same seed and time word) and
 succeeds iff its top 37 bits are below lo.  That is k < K for the 53-bit
 k = head * 2**37 + low, so each outcome has probability K / 2**53, exactly as
-for a 53-bit uniform compared with p.  A coin is a head below 2**15.
+for a 53-bit uniform compared with p.  A coin is a draw at rate 1/2, whose
+cut is (2**15, 0): a head below 2**15, never a refinement word.
 
 Step t updates the P_t = 1 + m + ... + m**(D-t-1) parents of levels
-0..D-t-1 and uses U_t = (m+1) * P_t variables of each replication:
-replication r owns positions r*U_t .. (r+1)*U_t - 1 of step t's stream, the
-m * P_t experiment outcomes of levels 1..D-t first, in breadth-first order,
-then the P_t tie-break coins.  Its initial states are positions r*V ..
-(r+1)*V - 1 of the initial stream, V the tree's vertex count.  So a group's
-replications sit next to each other, and a group reads each step, and its
-initial states, in one call: one counter reset to the block of the first
-head and one ``random_raw`` (``_Streams.rows``).  A step split into windows,
-which only a group of one meets, reads one outcome range and one coin range
-per window.  Which bits
+0..D-t-1.  Their m * P_t experiment outcomes, for the children at levels
+1..D-t, and their P_t tie-break coins sit in two streams of their own,
+(seed, ``_STEP``, t) and (seed, ``_COIN``, t), both in breadth-first order:
+replication r owns outcome positions r*m*P_t .. (r+1)*m*P_t - 1 and coin
+positions r*P_t .. (r+1)*P_t - 1.  Its initial states are positions r*V ..
+(r+1)*V - 1 of stream (seed, ``_INIT``, 0), V the tree's vertex count.  So
+a group's replications sit next to each other, and every read is one run of
+consecutive heads, whole rows of a group or a window of a group of one: one
+counter reset to the block of the first head and one ``random_raw``
+(``_Streams.rows``).  ``_Streams.draw`` alone turns such a read into
+Bernoulli outcomes and maps a tied head back to its position.  Which bits
 feed which vertex depends only on the replication, the step, the vertex and
 the variable, not on R, the grouping, the draw windows or the execution
 order, so results are reproducible bit-for-bit, and the first replications
-of a run are those of any shorter run with the same seed.
-Leaves have no children in the truncation and stay frozen at their initial
-draw.
+of a run are those of any shorter run with the same seed.  Leaves have no
+children in the truncation and stay frozen at their initial draw.
 
 The one-step estimator has no time, so its time word names the kind of
 variable: trial i reads its children's states at positions i*m .. i*m + m - 1
@@ -92,12 +93,14 @@ _LEAF_GUARD = 10**8
 _UNIFORM_BYTES = 2 * 2**20
 
 # stream purposes (second counter word); purpose + _REFINE holds the
-# refinement words of the purpose's tied heads
+# refinement words of the purpose's tied heads, so no purpose may equal
+# another's purpose + _REFINE
 _INIT = 1
 _STEP = 0
 _ONESTEP = 2
 _PAIRS = 3
 _REFINE = 4
+_COIN = 7
 
 # a 53-bit draw k = head * 2**37 + low splits into a 16-bit head and 37 low bits
 _LOW_BITS = 37
@@ -135,13 +138,28 @@ class _Streams:
         """Heads pos..pos+n-1 of each replication's ``size`` heads, one row per replication.
 
         Replication r owns the stream's heads r*size .. (r+1)*size - 1, so
-        rows that take all of them are one read of consecutive heads; only a
-        group of one reads part of its heads.
+        the rows are one read, from the first row's first head to the last
+        row's last.  It holds len(reps) * n heads only for whole rows or one
+        row; any other read fails to reshape (ValueError) rather than return
+        another replication's heads.
         """
-        if n == size:
-            return self.heads(purpose, time, reps.start * size, len(reps) * size).reshape(len(reps), n)
-        (rep,) = reps
-        return self.heads(purpose, time, rep * size + pos, n)[None]
+        span = (len(reps) - 1) * size + n
+        return self.heads(purpose, time, reps.start * size + pos, span).reshape(len(reps), n)
+
+    def draw(
+        self, purpose: int, time: int, reps: range, size: int, pos: int, n: int, rates: tuple[float, ...]
+    ) -> list[np.ndarray]:
+        """Exact Bernoulli outcomes of ``rows(...)``, one (len(reps), n) bool array per rate.
+
+        The head at row r, column c sits at position (reps.start + r) * size
+        + pos + c, and a tied one reads the refinement word at the same
+        position of stream (seed, purpose + ``_REFINE``, time).
+        """
+        return _bernoulli(
+            self.rows(purpose, time, reps, size, pos, n),
+            rates,
+            lambda r, c: self.word(purpose + _REFINE, time, (reps.start + r) * size + pos + c),
+        )
 
     def word(self, purpose: int, time: int, pos: int) -> int:
         """The stream's 64-bit word ``pos``."""
@@ -222,20 +240,11 @@ def estimate_g_one_step(
     adopted = 0
     chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * (2 * m + 1))))
     for done in range(0, samples, chunk):
-        n = min(chunk, samples - done)
-        at = done * m
-        (child,) = _bernoulli(
-            streams.heads(_ONESTEP, 0, at, n * m).reshape(n, m),
-            (x,),
-            lambda r, c: streams.word(_ONESTEP + _REFINE, 0, at + r * m + c),
-        )
-        succ_b, succ_r = _bernoulli(
-            streams.heads(_ONESTEP, 1, at, n * m).reshape(n, m),
-            (p_b, p_r),
-            lambda r, c: streams.word(_ONESTEP + _REFINE, 1, at + r * m + c),
-        )
-        coin = streams.heads(_ONESTEP, 2, done, n) < 2**15
-        adopted += int(_adopt(child, succ_b, succ_r, coin).sum())
+        trials = range(done, min(done + chunk, samples))
+        (child,) = streams.draw(_ONESTEP, 0, trials, m, 0, m, (x,))
+        succ_b, succ_r = streams.draw(_ONESTEP, 1, trials, m, 0, m, (p_b, p_r))
+        (coin,) = streams.draw(_ONESTEP, 2, trials, 1, 0, 1, (0.5,))
+        adopted += int(_adopt(child, succ_b, succ_r, coin[:, 0]).sum())
     est = adopted / samples
     half = 1.96 * np.sqrt(est * (1.0 - est) / samples)
     return float(est), float(half)
@@ -249,8 +258,9 @@ def _level_starts(cfg: SimConfig) -> list[int]:
 def _groups(cfg: SimConfig) -> Iterator[range]:
     """Consecutive replication groups whose step-0 draws fit in ``_UNIFORM_BYTES`` (at least one).
 
-    Step 0 reads the outcomes of levels 1..D and the coins of levels 0..D-1,
-    m + 1 variables per parent; no step reads more.
+    Step 0 reads the outcomes of levels 1..D from its outcome stream and the
+    coins of levels 0..D-1 from its coin stream, m + 1 variables per parent;
+    no step reads more.
     """
     size = max(1, _UNIFORM_BYTES // (8 * (cfg.params.m + 1) * _level_starts(cfg)[-2]))
     for lo in range(0, cfg.replications, size):
@@ -330,17 +340,17 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
     breadth-first windows of ``width`` parents, sized so the group's
     variables fit in ``_UNIFORM_BYTES``.  Parents a..a+n-1 have children
     1 + m*a .. m*(a+n), a contiguous block in the order of the window's
-    outcomes m*a .. m*(a+n) - 1 of each replication's U_t = (m+1) * P_t
-    variables, so a window is one ``_bernoulli`` and one ``_adopt`` call,
-    written to columns a..a+n-1.  The update stays synchronous: ``_adopt``
-    builds its result before the write, and a later window reads only
-    children above every parent written before it, so each parent reads its
-    children at time t, and level d ends at time min(T, D-d), the time every
-    output reads.  The initial states are drawn into ``flat`` in windows of
-    (m+1)*width vertices.  When the group's step-0 draws fit the budget, which
-    ``_groups`` ensures for every group of more than one, every step and the
-    initial states are one window and one read.  Returns ``roots`` and the
-    level views ``flat[:, starts[d]:starts[d+1]]``.
+    outcomes m*a .. m*(a+n) - 1 of each replication's m * P_t, and read
+    coins a..a+n-1 of its P_t, so every window is one ``draw`` of outcomes,
+    one of coins and one ``_adopt`` call, written to columns a..a+n-1.  The
+    update stays synchronous: ``_adopt`` builds its result before the write,
+    and a later window reads only children above every parent written before
+    it, so each parent reads its children at time t, and level d ends at
+    time min(T, D-d), the time every output reads.  The initial states are
+    drawn into ``flat`` in windows of (m+1)*width vertices.  When the group's
+    step-0 draws fit the budget, which ``_groups`` ensures for every group of
+    more than one, every step and the initial states are one window.
+    Returns ``roots`` and the level views ``flat[:, starts[d]:starts[d+1]]``.
     """
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
     D, T, G = cfg.depth, cfg.horizon, len(reps)
@@ -352,37 +362,23 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
     span = (m + 1) * width
     flat = np.empty((G, V), dtype=bool)
     for a in range(0, V, span):
-        b = min(a + span, V)
-        (flat[:, a:b],) = _bernoulli(
-            streams.rows(_INIT, 0, reps, V, a, b - a),
-            (cfg.pi_0,),
-            lambda r, c: streams.word(_INIT + _REFINE, 0, reps[r] * V + a + c),
-        )
+        n = min(span, V - a)
+        (flat[:, a : a + n],) = streams.draw(_INIT, 0, reps, V, a, n, (cfg.pi_0,))
     roots = np.empty((G, T + 1), dtype=bool)
     roots[:, 0] = flat[:, 0]
 
     for t in range(T):
         P = starts[D - t]
-        U = (m + 1) * P
         for a in range(0, P, width):
             n = min(width, P - a)
-            if n == P:
-                h = streams.rows(_STEP, t, reps, U, 0, U)
-                outcomes, coins = h[:, : m * P], h[:, m * P :]
-            else:
-                outcomes = streams.rows(_STEP, t, reps, U, m * a, m * n)
-                coins = streams.rows(_STEP, t, reps, U, m * P + a, n)
-            succ_b, succ_r = _bernoulli(
-                outcomes,
-                (p_b, p_r),
-                lambda r, c: streams.word(_STEP + _REFINE, t, reps[r] * U + m * a + c),
-            )
+            succ_b, succ_r = streams.draw(_STEP, t, reps, m * P, m * a, m * n, (p_b, p_r))
+            (coins,) = streams.draw(_COIN, t, reps, P, a, n, (0.5,))
             window = (G, n, m)
             flat[:, a : a + n] = _adopt(
                 flat[:, 1 + m * a : 1 + m * (a + n)].reshape(window),
                 succ_b.reshape(window),
                 succ_r.reshape(window),
-                coins < 2**15,
+                coins,
             )
         roots[:, t + 1] = flat[:, 0]
 
@@ -394,16 +390,14 @@ def simulate_tree(config: SimConfig) -> SimResult:
     R = config.replications
     roots = np.empty((R, config.horizon + 1), dtype=bool)
     children = np.empty((R, config.params.m), dtype=bool)
-    level_means = np.zeros(config.depth + 1)
+    counts = [0] * (config.depth + 1)
     for reps in _groups(config):
         rows = slice(reps.start, reps.stop)
         roots[rows], states = _evolve(config, reps)
         children[rows] = states[1]
-        # one replication at a time, in order, so the sum does not depend on the grouping;
-        # a count of 0/1 states is exact, so count / size has the bits of the row's mean
-        for i in range(len(reps)):
-            level_means += [np.count_nonzero(s[i]) / s.shape[1] for s in states]
-    level_means /= R
+        # exact integer counts, so the means do not depend on the grouping
+        counts = [c + int(np.count_nonzero(s)) for c, s in zip(counts, states)]
+    level_means = np.array([c / (R * config.params.m**d) for d, c in enumerate(counts)])
     pi_hat = roots.mean(axis=0)
     return SimResult(
         config=config,

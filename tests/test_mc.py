@@ -202,28 +202,29 @@ class TestStreamLayoutGolden:
     """Exact outputs pinned to the Philox draw layout.
 
     Streams are keyed by (seed, purpose, t); in step t each replication
-    owns a block of U_t = (m+1) * P_t variables, P_t the parents the step
-    updates: experiment outcomes for levels 1..D-t, then coins for levels
-    0..D-t-1, one 16-bit head per variable, with refinement words in stream
-    purpose + 4.  Any change to that layout, or to which draw feeds which
-    vertex, moves these bits.  The values come from the full-precision
-    replay below (``_reference_outputs``, ``_all_pairs_correlation`` and the
+    owns m * P_t positions of the outcome stream (purpose 0), for levels
+    1..D-t, and P_t positions of the coin stream (purpose 7), for levels
+    0..D-t-1, P_t the parents the step updates; one 16-bit head per
+    variable, with refinement words in stream purpose + 4.  Level means are
+    exact counts over R * m**d.  Any change to that layout, or to which draw
+    feeds which vertex, moves these bits.  The values come from the
+    full-precision replay below (``_reference_outputs``, ``_all_pairs_correlation`` and the
     pairs drawn from purpose 3), not from ``mc``.
     """
 
     CASES = {
         "horizon_below_depth": (
             dict(params=ModelParams(3, 0.7, 0.4), depth=5, horizon=3, pi_0=0.4, seed=2024, replications=60),
-            [0.48333333333333334, 0.43333333333333335, 0.7166666666666667, 0.9166666666666666],
+            [0.48333333333333334, 0.5666666666666667, 0.7, 0.8166666666666667],
             [
-                0.9166666666666666,
-                0.7666666666666665,
-                0.7962962962962963,
-                0.6870370370370369,
-                0.5378600823045268,
-                0.39876543209876536,
+                0.8166666666666667,
+                0.7277777777777777,
+                0.8185185185185185,
+                0.667283950617284,
+                0.5316872427983539,
+                0.3987654320987654,
             ],
-            0.22381412908589718,
+            0.20998026278290408,
         ),
         "horizon_zero": (
             dict(params=ModelParams(4, 0.6, 0.5), depth=3, horizon=0, pi_0=0.35, seed=7, replications=40),
@@ -233,14 +234,14 @@ class TestStreamLayoutGolden:
         ),
         "binary": (
             dict(params=ModelParams(2, 0.9, 0.6), depth=6, horizon=6, pi_0=0.5, seed=99, replications=50),
-            [0.58, 0.6, 0.74, 0.8, 0.8, 0.86, 0.88],
-            [0.88, 0.82, 0.785, 0.71, 0.65625, 0.571875, 0.4884375],
-            0.054554472558998146,
+            [0.58, 0.6, 0.74, 0.74, 0.86, 0.86, 0.84],
+            [0.84, 0.8, 0.805, 0.73, 0.67625, 0.57625, 0.4884375],
+            0.09320982345263387,
         ),
         "depth_one": (
             dict(params=ModelParams(5, 0.8, 0.3), depth=1, horizon=1, pi_0=0.6, seed=3, replications=80),
-            [0.65, 0.85],
-            [0.85, 0.5824999999999999],
+            [0.65, 0.7625],
+            [0.7625, 0.5825],
             0.3006190332260428,
         ),
     }
@@ -259,7 +260,7 @@ class TestStreamLayoutGolden:
 
     def test_independence_check_bits_after_steps(self):
         cfg = SimConfig(ModelParams(3, 0.8, 0.6), depth=6, horizon=2, pi_0=0.45, seed=22, replications=100)
-        assert independence_check(cfg, level=3, pairs=15) == 0.25798739079961264
+        assert independence_check(cfg, level=3, pairs=15) == 0.3037665094675386
 
 
 # The per-replication replay the grouped simulator replaced, kept as an
@@ -269,16 +270,18 @@ class TestStreamLayoutGolden:
 # stream's raw words as its head and the i-th raw word of the refinement
 # stream as its low bits, and succeeds at rate p iff the 53-bit
 # k = head * 2**37 + (word >> 27) is below ceil(p * 2**53), computed in exact
-# rationals.  Stream purposes: 0 for steps, 1 for initial states, 2 for the
-# one-step estimator (3 draws independence pairs); purpose + 4 is a purpose's
-# refinement stream.  Replication r's initial states are positions r*V + v of
-# stream (1, 0), V the vertex count, and its step-t variables positions
-# r*U_t + i of stream (0, t): outcomes of levels 1..D-t, then coins of levels
-# 0..D-t-1, U_t = (m+1) * P_t for the P_t = 1 + m + ... + m**(D-t-1) parents.
-# One-step trial i reads its children's states at positions i*m + k of stream
-# (2, 0), their outcomes at positions i*m + k of stream (2, 1) and its coin at
-# position i of stream (2, 2).
-_STEP, _INIT, _ONESTEP, _REFINE = 0, 1, 2, 4
+# rationals.  Stream purposes: 0 for step outcomes, 7 for step coins, 1 for
+# initial states, 2 for the one-step estimator (3 draws independence pairs);
+# purpose + 4 is a purpose's refinement stream.  Replication r's initial
+# states are positions r*V + v of stream (1, 0), V the vertex count.  Step t
+# updates the P_t = 1 + m + ... + m**(D-t-1) parents of levels 0..D-t-1:
+# replication r's outcomes of levels 1..D-t are positions r*m*P_t + i of
+# stream (0, t), and its coins of levels 0..D-t-1 positions r*P_t + i of
+# stream (7, t), both in breadth-first order.  One-step trial i reads its
+# children's states at positions i*m + k of stream (2, 0), their outcomes at
+# positions i*m + k of stream (2, 1) and its coin at position i of stream
+# (2, 2).
+_STEP, _INIT, _ONESTEP, _REFINE, _COIN = 0, 1, 2, 4, 7
 
 
 def _stream(seed: int, purpose: int, time: int = 0) -> Philox:
@@ -307,18 +310,17 @@ def _below(k: np.ndarray, p: float) -> np.ndarray:
     return k < math.ceil(Fraction(p) * 2**53)
 
 
-def _reference_evolve(cfg: SimConfig, k_init: np.ndarray, k_steps: list[np.ndarray]):
-    """One replication from its initial draws and its block of each step's draws."""
+def _reference_evolve(cfg: SimConfig, k_init: np.ndarray, k_steps: list[tuple[np.ndarray, np.ndarray]]):
+    """One replication from its initial draws and its outcome and coin draws of each step."""
     m, p_b, p_r = cfg.params.m, cfg.params.p_b, cfg.params.p_r
     D = cfg.depth
     sizes = [m**d for d in range(D + 1)]
 
     states = [_below(k, cfg.pi_0) for k in np.split(k_init, np.cumsum(sizes)[:-1])]
     root_traj = [states[0][0]]
-    for t, k in enumerate(k_steps):
-        parents = sum(sizes[: D - t])
-        k_x = np.split(k[: m * parents], np.cumsum(sizes[1 : D - t]))
-        k_y = np.split(k[m * parents :], np.cumsum(sizes[: D - t - 1]))
+    for t, (k_outcomes, k_coins) in enumerate(k_steps):
+        k_x = np.split(k_outcomes, np.cumsum(sizes[1 : D - t]))
+        k_y = np.split(k_coins, np.cumsum(sizes[: D - t - 1]))
         for d in range(D - t):
             child = states[d + 1].reshape(-1, m)
             k_child = k_x[d].reshape(-1, m)
@@ -332,19 +334,22 @@ def _reference_evolve(cfg: SimConfig, k_init: np.ndarray, k_steps: list[np.ndarr
 
 
 def _reference_outputs(cfg: SimConfig):
-    """Each replication's replay; pi_hat and level_averages summed in replication order."""
+    """Each replication's replay, pi_hat, and level_averages as exact counts over R * m**d."""
     m, D, R = cfg.params.m, cfg.depth, cfg.replications
     starts = [sum(m**j for j in range(d)) for d in range(D + 2)]
     k_init = _draws(cfg.seed, _INIT, 0, R * starts[D + 1]).reshape(R, -1)
     k_steps = [
-        _draws(cfg.seed, _STEP, t, R * (m + 1) * starts[D - t]).reshape(R, -1)
+        (
+            _draws(cfg.seed, _STEP, t, R * m * starts[D - t]).reshape(R, -1),
+            _draws(cfg.seed, _COIN, t, R * starts[D - t]).reshape(R, -1),
+        )
         for t in range(cfg.horizon)
     ]
-    runs = [_reference_evolve(cfg, k_init[r], [k[r] for k in k_steps]) for r in range(R)]
-    level_means = np.zeros(cfg.depth + 1)
-    for _, states in runs:
-        level_means += [s.mean() for s in states]
-    level_means /= cfg.replications
+    runs = [
+        _reference_evolve(cfg, k_init[r], [(k_x[r], k_y[r]) for k_x, k_y in k_steps]) for r in range(R)
+    ]
+    counts = [sum(int(states[d].sum()) for _, states in runs) for d in range(D + 1)]
+    level_means = np.array([c / (R * m**d) for d, c in enumerate(counts)])
     roots = np.array([root for root, _ in runs])
     return runs, roots.mean(axis=0), level_means
 
@@ -392,11 +397,11 @@ class TestGroupedReplay:
             _assert_replays_reference(_replay_config(m, depth, horizon))
 
     def test_many_groups(self):
-        # m = 3 makes the level means inexact in binary, so the order in which
-        # replications are summed shows in the bits
+        # m = 3 makes the level means inexact in binary, so a sum that
+        # depended on the grouping would show in the bits
         m, depth = 3, 8
         cfg = _replay_config(m, depth, depth, replications=41)
-        # a replication's step-0 block: m + 1 variables for each of its 1 + m + ... + m**(D-1) parents
+        # a replication's step-0 draws: m + 1 variables for each of its 1 + m + ... + m**(D-1) parents
         per_rep = (m + 1) * sum(m**d for d in range(depth))
         group = max(1, mc._UNIFORM_BYTES // (8 * per_rep))
         assert math.ceil(cfg.replications / group) >= 3
@@ -460,6 +465,28 @@ class TestStreamJump:
                 for n in range(1, size - pos + 1):
                     got = streams.rows(0, 2, range(first, first + 1), size, pos, n)
                     assert np.array_equal(got, long[None, first * size + pos : first * size + pos + n])
+                    # part of each row of a group would read across another replication's heads
+                    if n < size:
+                        with pytest.raises(ValueError):
+                            streams.rows(0, 2, range(first, first + 2), size, pos, n)
+
+
+class TestStreamPurposes:
+    def test_purposes_never_collide(self, monkeypatch):
+        # every purpose the estimators draw from, each with its refinement
+        # stream, and the pairs stream are distinct second counter words
+        drawn, draw = set(), mc._Streams.draw
+
+        def recorded(self, purpose, *args):
+            drawn.add(purpose)
+            return draw(self, purpose, *args)
+
+        monkeypatch.setattr(mc._Streams, "draw", recorded)
+        independence_check(sym_config(depth=3, horizon=2, reps=100), level=1, pairs=3)
+        estimate_g_one_step(ModelParams(3, 0.5, 0.5), 0.5, 10, seed=1)
+        assert {mc._STEP, mc._COIN, mc._INIT, mc._ONESTEP} <= drawn
+        purposes = sorted(drawn) + [mc._PAIRS] + [p + mc._REFINE for p in sorted(drawn)]
+        assert len(set(purposes)) == len(purposes), purposes
 
 
 class TestReplicationLayout:
@@ -505,7 +532,8 @@ class TestReplicationLayout:
 
         monkeypatch.setattr(mc._Streams, "heads", counted)
         mc._evolve(cfg, group)
-        assert len(calls) == 1 + cfg.horizon
+        # the initial states, then each step's outcomes and its coins
+        assert len(calls) == 1 + 2 * cfg.horizon
 
     def test_one_adopt_per_window(self, monkeypatch):
         # the group's steps fit the budget, so each step is one window of every parent
