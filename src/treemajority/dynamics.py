@@ -15,6 +15,7 @@ cobweb argument for strictly increasing maps.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -75,7 +76,12 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class FixedPointSet:
+    """Fixed points, and the sign of h = g - x on each gap from 0 to 1 around them:
+    +1 or -1, or 0 on the empty gap beside a point at 0 or 1 where h is exactly
+    zero.  A point is tangent iff the gaps on its two sides have the same sign."""
+
     points: tuple  # FixedPoint entries, ascending by value
+    gap_signs: tuple  # gap i ends at point i; one more entry than points
 
     @property
     def values(self) -> tuple:
@@ -122,13 +128,13 @@ def _rounding_bound(m: int) -> float:
     return 4.0 * (m + 1) * sys.float_info.epsilon
 
 
-def _fixed_point(gm: UpdateMap, value: float, tangent: bool) -> FixedPoint:
-    return FixedPoint(
-        value=value,
-        stability=_stability_label(g_prime(gm, value)),
-        tangent=bool(tangent),
-        residual=abs(g_eval(gm, value) - value),
+def _point_set(gm: UpdateMap, values: list, gap_signs: tuple) -> FixedPointSet:
+    """Fixed points ``values`` of ``gm``, ascending; a point is tangent iff its two gaps agree."""
+    points = tuple(
+        FixedPoint(x, _stability_label(g_prime(gm, x)), left == right, abs(g_eval(gm, x) - x))
+        for x, left, right in zip(values, gap_signs, gap_signs[1:])
     )
+    return FixedPointSet(points=points, gap_signs=gap_signs)
 
 
 def _bisect(h, a: float, b: float, fa: float) -> tuple:
@@ -150,8 +156,8 @@ def _bisect(h, a: float, b: float, fa: float) -> tuple:
 
 
 def _signs(c: list) -> list:
-    """Signs (+1.0 or -1.0) of the nonzero entries of a coefficient list, in order."""
-    return [1.0 if v > 0.0 else -1.0 for v in c if v != 0.0]
+    """Signs (+1 or -1) of the nonzero entries of a coefficient list, in order."""
+    return [1 if v > 0.0 else -1 for v in c if v != 0.0]
 
 
 def _changes(signs: list) -> int:
@@ -170,10 +176,12 @@ def _split(c: list, t: float) -> tuple:
 
 
 def _bernstein_roots(coeffs: list) -> tuple:
-    """(roots, evaluations) of the polynomial h in [0, 1] whose Bernstein coefficients are ``coeffs``.
+    """(roots, gap_signs, evaluations) of h in [0, 1], whose Bernstein coefficients are ``coeffs``.
 
-    ``roots`` holds (root, tangent, final bracket width) per root, ascending;
-    ``evaluations`` counts the evaluations of h.  h and h' are Horner's rule
+    ``roots`` holds (root, final bracket width) per root, ascending;
+    ``gap_signs`` the sign of h on each gap around them, as in ``FixedPointSet``:
+    the sign of the first nonzero coefficient, then the sign just right of each
+    root; ``evaluations`` counts the evaluations of h.  h and h' are Horner's rule
     on the scaled ``coeffs`` and on the scaled n (c[k+1] - c[k]), so every
     value the isolator reads comes from the coefficients it is given.  An
     endpoint is a root iff its coefficient is zero.  An interval whose
@@ -196,7 +204,7 @@ def _bernstein_roots(coeffs: list) -> tuple:
         evaluations += 1
         return bernstein_horner(values, x)
 
-    # (final bracket, sign of h just left of the root, sign just right of it), ascending
+    # (final bracket, sign of h just right of the root), ascending
     found: list = []
 
     def isolate(c: list, a: float, b: float) -> None:
@@ -208,25 +216,25 @@ def _bernstein_roots(coeffs: list) -> tuple:
         left, right = s[0], s[-1]
         one_extremum = _changes(d) == 1
         if changes == 1 or (one_extremum and left != right):
-            found.append((_bisect(h, a, b, left), left, right))
+            found.append((_bisect(h, a, b, left), right))
         elif one_extremum:
             lo, hi = _bisect(lambda x: bernstein_horner(slopes, x), a, b, d[0])
             xc = 0.5 * (lo + hi)
             v = h(xc)
             if abs(v) <= noise:
-                found.append(((lo, hi), left, right))
+                found.append(((lo, hi), right))
             elif (v > 0.0) != (left > 0.0):
-                found.append((_bisect(h, a, xc, left), left, -left))
-                found.append((_bisect(h, xc, b, v), -left, right))
+                found.append((_bisect(h, a, xc, left), _signs([v])[0]))
+                found.append((_bisect(h, xc, b, v), right))
         elif not a < 0.5 * (a + b) < b or all(abs(v) <= noise for v in c):
             # a cluster no finer split can resolve: one point
-            found.append(((a, b), left, right))
+            found.append(((a, b), right))
         else:
             mid = 0.5 * (a + b)
             lower, upper = _split(c, 0.5)
             isolate(lower, a, mid)
             if upper[0] == 0.0:
-                found.append(((mid, mid), _signs(lower)[-1], _signs(upper)[0]))
+                found.append(((mid, mid), _signs(upper)[0]))
             isolate(upper, mid, b)
 
     isolate(coeffs, 0.0, 1.0)
@@ -236,20 +244,23 @@ def _bernstein_roots(coeffs: list) -> tuple:
         upper = _split(coeffs, a)[1]
         return all(abs(v) <= noise for v in _split(upper, (b - a) / (1.0 - a))[0])
 
-    # [first root, last root, bracket start, bracket end, sign left of first, of last]
+    # [first root, last root, bracket start, bracket end, sign right of the last]
     clusters: list = []
-    for (lo, hi), left, right in found:
+    for (lo, hi), right in found:
         x = 0.5 * (lo + hi)
         if clusters and flat(clusters[-1][1], x):
-            clusters[-1][1], clusters[-1][3], clusters[-1][5] = x, hi, right
+            clusters[-1][1], clusters[-1][3], clusters[-1][4] = x, hi, right
         else:
-            clusters.append([x, x, lo, hi, left, right])
-    roots = [(0.5 * (x0 + x1), left == right, hi - lo) for x0, x1, lo, hi, left, right in clusters]
+            clusters.append([x, x, lo, hi, right])
+    roots = [(0.5 * (x0 + x1), hi - lo) for x0, x1, lo, hi, _ in clusters]
+    gap_signs = _signs(coeffs)[:1] + [cluster[4] for cluster in clusters]
     if coeffs[0] == 0.0:
-        roots.insert(0, (0.0, False, 0.0))
+        roots.insert(0, (0.0, 0.0))
+        gap_signs.insert(0, 0)
     if coeffs[-1] == 0.0:
-        roots.append((1.0, False, 0.0))
-    return roots, evaluations
+        roots.append((1.0, 0.0))
+        gap_signs.append(0)
+    return roots, tuple(gap_signs), evaluations
 
 
 def _fixed_points(gm: UpdateMap) -> FixedPointSet:
@@ -260,13 +271,12 @@ def _fixed_points(gm: UpdateMap) -> FixedPointSet:
         raise IdentityMapError(
             "update map coincides with the identity; every point of [0,1] is fixed"
         )
-    roots, _ = _bernstein_roots(coeffs)
+    roots, gap_signs, _ = _bernstein_roots(coeffs)
+    values = [x for x, _ in roots]
     if gm.params.is_symmetric:
         # f(m-k) = 1 - f(k) exactly, so the exact roots mirror about 1/2 and 1/2 is one of them
-        i = min(range(len(roots)), key=lambda j: abs(roots[j][0] - 0.5))
-        roots[i] = (0.5, *roots[i][1:])
-    points = tuple(_fixed_point(gm, val, tang) for val, tang, _ in roots)
-    return FixedPointSet(points=points)
+        values[min(range(len(values)), key=lambda j: abs(values[j] - 0.5))] = 0.5
+    return _point_set(gm, values, gap_signs)
 
 
 def find_fixed_points(params: ModelParams) -> FixedPointSet:
@@ -327,25 +337,16 @@ def iterate_dynamics(params: ModelParams, pi_0: float, max_steps: int = 10**6) -
     return _iterate(gm, pi_0, max_steps, lambda: _fixed_points(gm))
 
 
-def _predict(gm: UpdateMap, fps: FixedPointSet, pi_0: float) -> float:
-    """``predict_limit`` on a map already built and its fixed points."""
-    m = gm.params.m
-    # h = g - x just right of 0: the sign of its first nonzero coefficient f(k) - k/m
-    rising = next(f > k / m for k, f in enumerate(gm.coeffs) if f != k / m)
-    below = above = None
-    for fp in fps.points:
-        if fp.value == pi_0:
-            return fp.value
-        if fp.value > pi_0:
-            above = fp.value
-            break
-        below = fp.value
-        if fp.value > 0.0 and not fp.tangent:
-            rising = not rising  # h changes sign at a crossing root
-    limit = above if rising else below
-    if limit is None:
-        raise SolverError(f"no fixed point {'above' if rising else 'below'} pi_0={pi_0!r}")
-    return limit
+def _predict(fps: FixedPointSet, pi_0: float) -> float:
+    """``predict_limit`` on a map's fixed points."""
+    values = fps.values
+    i = bisect.bisect_left(values, pi_0)  # pi_0 is point i, or lies in gap i
+    if i < len(values) and values[i] == pi_0:
+        return values[i]
+    j = i if fps.gap_signs[i] > 0 else i - 1
+    if not 0 <= j < len(values):
+        raise SolverError(f"no fixed point {'above' if j == i else 'below'} pi_0={pi_0!r}")
+    return values[j]
 
 
 def predict_limit(params: ModelParams, pi_0: float) -> float:
@@ -353,10 +354,9 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
 
     The map is strictly increasing, so the orbit moves monotonically, up where
     h = g - x > 0 and down where h < 0, to the first fixed point that way; a
-    fixed point is its own limit.  The sign of h on each gap between reported
-    points comes from the root set alone, with no tolerance and for any number
-    of points: just right of 0 it is the sign of the first nonzero coefficient
-    f(k) - k/m, and it flips at every root in (0, 1) not flagged tangent.
+    fixed point is its own limit.  The direction is the sign of h on the gap
+    that holds pi_0, read off the root set's ``gap_signs`` with no evaluation
+    of g and no tolerance, for any number of points.
     Monotonicity: moving one child from R to B can only raise the B-minus-R
     success count, so the steps f(k+1) - f(k) are nonnegative,
     g' = m sum (f(k+1) - f(k)) B_{k,m-1} is nonnegative, and a nonconstant g
@@ -365,8 +365,7 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
     either and there is nothing to check.
     """
     pi_0 = _check_prob("pi_0", pi_0)
-    gm = UpdateMap.from_params(params)
-    return _predict(gm, _fixed_points(gm), pi_0)
+    return _predict(_fixed_points(UpdateMap.from_params(params)), pi_0)
 
 
 def _trajectory_request(params: ModelParams, pi_0: float, max_steps: int, predict: bool) -> tuple:
@@ -379,7 +378,7 @@ def _trajectory_request(params: ModelParams, pi_0: float, max_steps: int, predic
     gm = UpdateMap.from_params(params)
     fixed_points = functools.cache(functools.partial(_fixed_points, gm))
     traj = _iterate(gm, pi_0, max_steps, fixed_points)
-    return traj, (_predict(gm, fixed_points(), traj.values[0]) if predict else None)
+    return traj, (_predict(fixed_points(), traj.values[0]) if predict else None)
 
 
 def _threshold_coeffs(m: int) -> list:
@@ -401,7 +400,7 @@ def solve_threshold(m: int) -> ThresholdResult:
     to adjacent doubles; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
     """
     m = _check_int("m", m, 2, MAX_CHILDREN)
-    [(p_m, _, width)], evaluations = _bernstein_roots(_threshold_coeffs(m))
+    [(p_m, width)], _, evaluations = _bernstein_roots(_threshold_coeffs(m))
     return ThresholdResult(
         m=m, p_threshold=p_m, bracket_width=width, evaluations=evaluations, at_boundary=p_m == 1.0
     )
@@ -415,24 +414,24 @@ def m3_pb1_closed_form(p_r: float) -> FixedPointSet:
         A = q^3/2 - 3q + 2,   B = -q^3 + 3q - 1,   C = q^3/2,
 
     and discriminant B^2 - 4AC = (2 p_r - 1)(p_r + 1 + sqrt3)(p_r - (sqrt3 - 1)).
-    The root 1 is always present; the quadratic contributes no root for
-    p_r < sqrt3 - 1, a double (tangent) root at sqrt3 - 1, and two simple
-    roots above it.
+    The root 1 is always present, with h = 0 on the empty gap beyond it; the
+    quadratic contributes no root for p_r < sqrt3 - 1 (gaps +, 0), a double
+    (tangent) root at sqrt3 - 1 (+, +, 0), and two simple roots above it
+    (+, -, +, 0), the lower one at 0 when p_r = 1 and C = 0 (0, -, +, 0).
     """
     p_r = _check_prob("p_r", p_r)
     gm = UpdateMap.from_params(ModelParams(3, 1.0, p_r))
     boundary = math.sqrt(3.0) - 1.0
-    entries: list[tuple[float, bool]] = []
-    if p_r == boundary:
-        entries.append((2.0 / 3.0 - 1.0 / math.sqrt(3.0), True))
-    elif p_r > boundary:
+    if p_r < boundary:
+        values, gap_signs = [], (1, 0)
+    elif p_r == boundary:
+        values, gap_signs = [2.0 / 3.0 - 1.0 / math.sqrt(3.0)], (1, 1, 0)
+    else:
         q = 1.0 - p_r
         a = 0.5 * q**3 - 3.0 * q + 2.0
         b = -(q**3) + 3.0 * q - 1.0
         disc = (2.0 * p_r - 1.0) * (p_r + 1.0 + math.sqrt(3.0)) * (p_r - boundary)
         sq = math.sqrt(max(disc, 0.0))
-        for root in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-            entries.append((min(max(root, 0.0), 1.0), False))
-    entries.append((1.0, False))
-    points = tuple(_fixed_point(gm, val, tang) for val, tang in sorted(entries))
-    return FixedPointSet(points=points)
+        values = [min(max(root / (2.0 * a), 0.0), 1.0) for root in (-b - sq, -b + sq)]
+        gap_signs = (0 if p_r == 1.0 else 1, -1, 1, 0)
+    return _point_set(gm, values + [1.0], gap_signs)

@@ -165,12 +165,16 @@ class TestRootIsolation:
     """The isolation on Bernstein coefficients against oracles it does not use."""
 
     @pytest.mark.parametrize(
-        "offset", [0.0] + [s * 10.0**-k for s in (1, -1) for k in range(3, 11)]
+        "offset",
+        [0.0]
+        + [s * 10.0**-k for s in (1, -1) for k in range(3, 11)]
+        + [pytest.param(-SQRT3M1, id="p_r=0"), pytest.param(1.0 - SQRT3M1, id="p_r=1")],
     )
     def test_m3_pb1_near_tangency_matches_closed_form(self, offset):
-        p_r = SQRT3M1 + offset
-        got = find_fixed_points(ModelParams(3, 1.0, p_r)).points
-        want = m3_pb1_closed_form(p_r).points
+        p_r = SQRT3M1 + offset  # exactly 0.0 and 1.0 at the two end cases
+        got_set, want_set = find_fixed_points(ModelParams(3, 1.0, p_r)), m3_pb1_closed_form(p_r)
+        assert got_set.gap_signs == want_set.gap_signs, (p_r, got_set.values)
+        got, want = got_set.points, want_set.points
         assert len(got) == len(want), [fp.value for fp in got]
         for g, w in zip(got, want):
             assert g.tangent == w.tangent
@@ -261,17 +265,18 @@ class TestRootIsolation:
     )
     def test_polynomials_from_no_map(self, roots, expected):
         # dyadic roots are midpoints on the bisection's way, where h is exactly zero
-        got, evaluations = _bernstein_roots(_coeffs_with_roots(roots))
-        assert [(value, tangent) for value, tangent, _ in got] == expected
-        assert all(width == 0.0 for _, _, width in got)
+        got, gap_signs, evaluations = _bernstein_roots(_coeffs_with_roots(roots))
+        tangents = [left == right for left, right in zip(gap_signs, gap_signs[1:])]
+        assert [(value, tangent) for (value, _), tangent in zip(got, tangents)] == expected
+        assert all(width == 0.0 for _, width in got)
         interior = any(0.0 < want < 1.0 for want, _ in expected)
         assert (evaluations > 0) if interior else (evaluations == 0)
 
     def test_exact_zero_at_first_split(self):
         c = _coeffs_with_roots(["1/8", "1/2", "15/16", "2"])
         assert _split(c, 0.5)[1][0] == 0.0  # h(1/2) is exactly zero after the first split
-        got, _ = _bernstein_roots(c)
-        assert [value for value, _, _ in got].count(0.5) == 1
+        got, _, _ = _bernstein_roots(c)
+        assert [value for value, _ in got].count(0.5) == 1
 
     @pytest.mark.parametrize("n, tangent", [(4, False), (5, True)])
     def test_cluster_within_rounding_is_one_point(self, n, tangent):
@@ -279,13 +284,13 @@ class TestRootIsolation:
         # no split can resolve them: all of [0, 1] is one point, with no
         # evaluation of h, tangent iff the end coefficients share a sign
         c = [(-1.0) ** k * 1e-17 for k in range(n)]
-        assert _bernstein_roots(c) == ([(0.5, tangent, 1.0)], 0)
+        assert _bernstein_roots(c) == ([(0.5, 1.0)], (1, 1 if tangent else -1), 0)
 
     def test_bisection_ends_at_least_subnormal(self):
         # h = 5e-324 (1 - x) - x: the bracket (0, 1) halves down the whole
         # exponent range, 1,074 times, to the exact zero h(5e-324) = 0
-        got, evaluations = _bernstein_roots([5e-324, -1.0])
-        assert got == [(5e-324, False, 0.0)]
+        got, gap_signs, evaluations = _bernstein_roots([5e-324, -1.0])
+        assert (got, gap_signs) == ([(5e-324, 0.0)], (1, -1))
         assert evaluations <= 1100
 
 
@@ -435,6 +440,21 @@ class TestPredictLimit:
             with mpmath.workdps(50):
                 # h(x) / (1 - x)^m as a polynomial in r = x / (1 - x)
                 scaled = [mpmath.mpf(f - k / m) * math.comb(m, k) for k, f in enumerate(gm.coeffs)]
+                # gap i runs from ends[i] to ends[i+1]; an end gap is empty, with sign 0,
+                # when that end is a point at which h is exactly zero; any other gap has
+                # the sign of h at its midpoint (at 0 or 1 for a gap no double splits)
+                signs = fps.gap_signs
+                assert len(signs) == len(values) + 1
+                ends = [0.0, *values, 1.0]
+                for i, sign in enumerate(signs):
+                    if (i == 0 and scaled[0] == 0) or (i == len(values) and scaled[-1] == 0):
+                        assert sign == 0 and ends[i] == ends[i + 1], (gm.params, i, signs)
+                        continue
+                    x = (mpmath.mpf(ends[i]) + ends[i + 1]) / 2
+                    h = mpmath.fsum(c * x**k * (1 - x) ** (m - k) for k, c in enumerate(scaled))
+                    assert sign == mpmath.sign(h) != 0, (gm.params, i, signs, values)
+                for fp, left, right in zip(fps.points, signs, signs[1:]):
+                    assert fp.tangent == (left == right), (gm.params, fp, signs)
                 for pi_0 in starts:
                     if not 0.0 <= pi_0 < 1.0 or pi_0 in values:
                         continue
@@ -443,7 +463,7 @@ class TestPredictLimit:
                         expected = min(v for v in values if v > pi_0)
                     else:
                         expected = max(v for v in values if v < pi_0)
-                    assert _predict(gm, fps, pi_0) == expected, (gm.params, pi_0, values)
+                    assert _predict(fps, pi_0) == expected, (gm.params, pi_0, values)
                     checked += 1
 
     @pytest.mark.parametrize("m", [24, 32, 64])
