@@ -24,7 +24,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from .dynamics import (
     SolverError,
@@ -112,7 +111,7 @@ def _cmd_gmap(args) -> dict | str:
 
 def _cmd_fixed_points(args) -> dict:
     fps = find_fixed_points(_params_from_args(args))
-    return {"count": len(fps.points), "points": [asdict(fp) for fp in fps.points]}
+    return {"count": len(fps.points), "points": [dict(vars(fp)) for fp in fps.points]}
 
 
 def _cmd_trajectory(args) -> dict:
@@ -130,7 +129,7 @@ def _cmd_trajectory(args) -> dict:
 
 
 def _cmd_threshold(args) -> dict:
-    return asdict(solve_threshold(args.m))
+    return dict(vars(solve_threshold(args.m)))
 
 
 def _cmd_simulate(args) -> dict:

@@ -9,9 +9,12 @@ is ``P[win] + P[tie] / 2`` computed by a double sum over the two mass
 functions.
 
 Every binomial mass comes from one pure-Python recurrence,
-``bernstein_weights``, run from the smaller tail.  A Bernstein form is
-evaluated at a point by Horner's rule on its binomial-scaled coefficients
-(``bernstein_scaled``, ``bernstein_horner``), never by building its weights.
+``bernstein_weights``, run from the smaller tail.  A map's policy table and
+its steps read one set of rows, the masses of the success counts among n
+B-children and among n R-children for n = 0..m (``_weight_rows``): 2(m+1)
+rows, or m+1 when p_b == p_r.  A Bernstein form is evaluated at a point by
+Horner's rule on its binomial-scaled coefficients (``bernstein_scaled``,
+``bernstein_horner``), never by building its weights.
 """
 
 from __future__ import annotations
@@ -170,25 +173,63 @@ def binomial_pmf(n: int, p: float) -> list:
     return bernstein_weights(_check_int("n", n, 0), _check_prob("p", p))
 
 
-def policy_value(params: ModelParams, k: int) -> float:
-    """Probability of adopting B given exactly k of the m children are in state B."""
-    m = params.m
-    k = _check_int("k", k, 0, m)
-    a = bernstein_weights(k, params.p_b)  # successes among the k B-children
-    b = bernstein_weights(m - k, params.p_r)  # successes among the m-k R-children
-    win = below = 0.0  # below: P[R-successes < i], saturating once i > m-k
+def _weight_rows(params: ModelParams) -> tuple:
+    """(rows_b, rows_r): ``bernstein_weights(n, p_b)`` and ``bernstein_weights(n, p_r)`` for n = 0..m.
+
+    Row n of rows_b holds the masses of the success count among n B-children,
+    row n of rows_r the same among n R-children.  Every policy value and every
+    step reads two of them, so a map builds its 2(m+1) rows once, and m+1 when
+    p_b == p_r, where the two lists are one.
+    """
+    m, p_b, p_r = params.m, params.p_b, params.p_r
+    rows_b = [bernstein_weights(n, p_b) for n in range(m + 1)]
+    rows_r = rows_b if p_r == p_b else [bernstein_weights(n, p_r) for n in range(m + 1)]
+    return rows_b, rows_r
+
+
+def _value(a: list, b: list) -> float:
+    """P[win] + P[tie] / 2 from the masses a and b of the success counts of the B- and R-children."""
+    last = len(b) - 1
+    win = below = 0.0  # below: P[R-successes < i], saturating once i > last
     for i, ai in enumerate(a):
         win += ai * below
-        if i <= m - k:
+        if i <= last:
             below += b[i]
     tie = _dot(a, b)
     return min(max(win + 0.5 * tie, 0.0), 1.0)
 
 
+def _policy_table(params: ModelParams, rows: tuple) -> list:
+    """``policy_table`` from the map's ``_weight_rows``."""
+    rows_b, rows_r = rows
+    m = params.m
+    return [_value(rows_b[k], rows_r[m - k]) for k in range(m + 1)]
+
+
+def _policy_steps(params: ModelParams, rows: tuple) -> list:
+    """``policy_differences`` from the map's ``_weight_rows``."""
+    rows_b, rows_r = rows
+    m, p_b, p_r = params.m, params.p_b, params.p_r
+    steps = []
+    for k in range(m):
+        a, b = rows_b[k], rows_r[m - 1 - k]  # the other k B-children and m-1-k R-children
+        tie = _dot(a, b)  # P[d = 0]
+        behind = _dot(a, b[1:])  # P[d = -1]
+        ahead = _dot(a[1:], b)  # P[d = 1]
+        steps.append(0.5 * (p_b * (behind + tie) + p_r * (tie + ahead)))
+    return steps
+
+
+def policy_value(params: ModelParams, k: int) -> float:
+    """Probability of adopting B given exactly k of the m children are in state B."""
+    k = _check_int("k", k, 0, params.m)
+    return _value(bernstein_weights(k, params.p_b), bernstein_weights(params.m - k, params.p_r))
+
+
 def policy_table(params: ModelParams) -> list:
     """Adoption probabilities f(0..m) as Python floats: entry k is the chance a
     parent adopts B given exactly k of its m children are in state B."""
-    return [policy_value(params, k) for k in range(params.m + 1)]
+    return _policy_table(params, _weight_rows(params))
 
 
 def policy_differences(params: ModelParams) -> list:
@@ -205,13 +246,4 @@ def policy_differences(params: ModelParams) -> list:
     to itself even where f(k) and f(k+1) both round to 1, and it is never
     negative: the policy values are nondecreasing in k.
     """
-    m, p_b, p_r = params.m, params.p_b, params.p_r
-    steps = []
-    for k in range(m):
-        a = bernstein_weights(k, p_b)  # successes among the k B-children
-        b = bernstein_weights(m - 1 - k, p_r)  # among the m-1-k R-children
-        tie = _dot(a, b)  # P[d = 0]
-        behind = _dot(a, b[1:])  # P[d = -1]
-        ahead = _dot(a[1:], b)  # P[d = 1]
-        steps.append(0.5 * (p_b * (behind + tie) + p_r * (tie + ahead)))
-    return steps
+    return _policy_steps(params, _weight_rows(params))

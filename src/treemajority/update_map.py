@@ -9,7 +9,10 @@ a degree-m polynomial whose Bernstein coefficients are exactly the policy
 values f(0..m).  Derivatives are taken analytically on the lower-degree
 Bernstein bases, never by numerical differencing: g' has coefficients
 m (f(k+1) - f(k)), built without subtracting policy values
-(``model.policy_differences``), and g'' their differences.  Every value is
+(``model.policy_differences``), and g'' their differences.  A map builds its
+binomial weight rows once (``model._weight_rows``: m+1 rows, or 2(m+1) when
+p_b != p_r); the policy values read them when the map is built and the steps
+on first use of g' or g''.  Every value is
 Horner's rule on binomial-scaled coefficients (``model.bernstein_horner``),
 scaled once per map, in Python floats: within 1.5 (n+1) machine epsilons of
 the exact Bernstein sum of degree n for coefficients in [0, 1].  g is clamped
@@ -27,10 +30,11 @@ from .model import (
     ModelParams,
     _check_int,
     _check_prob,
+    _policy_steps,
+    _policy_table,
+    _weight_rows,
     bernstein_horner,
     bernstein_scaled,
-    policy_differences,
-    policy_table,
     policy_value,
 )
 
@@ -53,7 +57,14 @@ class UpdateMap:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "UpdateMap":
-        return cls(params=params, coeffs=tuple(policy_table(params)))
+        rows = _weight_rows(params)
+        gm = cls(params=params, coeffs=tuple(_policy_table(params, rows)))
+        vars(gm)["_rows"] = rows  # fills the cached property below, so the steps read the same rows
+        return gm
+
+    @cached_property
+    def _rows(self) -> tuple:
+        return _weight_rows(self.params)
 
     # Binomial-scaled coefficient lists for bernstein_horner, built on first use.
 
@@ -63,7 +74,7 @@ class UpdateMap:
 
     @cached_property
     def _differences(self) -> list:
-        return policy_differences(self.params)
+        return _policy_steps(self.params, self._rows)
 
     @cached_property
     def _steps(self) -> tuple:

@@ -516,3 +516,108 @@ def test_analytic_subcommands_leave_numpy_unloaded():
 
 def test_import_builds_no_parser():
     assert _fresh_interpreter(_IMPORT_BUILDS_NO_PARSER) == "0"
+
+
+# Reports of well-conditioned requests, away from folds and pitchforks, pinned
+# bit for bit: a change to the map build or the root finder must not move them.
+GOLDEN = [
+    (
+        ["threshold", "--m", "3"],
+        {"m": 3, "p_threshold": 0.5575066659755579, "bracket_width": 1.1102230246251565e-16, "evaluations": 53, "at_boundary": False},
+    ),
+    (
+        ["threshold", "--m", "8"],
+        {"m": 8, "p_threshold": 0.22249969378076237, "bracket_width": 0.0, "evaluations": 55, "at_boundary": False},
+    ),
+    (
+        ["threshold", "--m", "16"],
+        {"m": 16, "p_threshold": 0.11340506759468955, "bracket_width": 1.3877787807814457e-17, "evaluations": 56, "at_boundary": False},
+    ),
+    (
+        ["threshold", "--m", "64"],
+        {"m": 64, "p_threshold": 0.028760341294702757, "bracket_width": 0.0, "evaluations": 55, "at_boundary": False},
+    ),
+    (
+        ["fixed-points", "--m", "3", "--p", "0.9"],
+        {"count": 3, "points": [
+            {"value": 0.0006863421217495136, "stability": "attractive", "tangent": False, "residual": 0.0},
+            {"value": 0.5, "stability": "repulsive", "tangent": False, "residual": 1.1102230246251565e-16},
+            {"value": 0.9993136578782507, "stability": "attractive", "tangent": False, "residual": 0.0},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "3", "--p", "0.5"],
+        {"count": 1, "points": [
+            {"value": 0.5, "stability": "attractive", "tangent": False, "residual": 0.0},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "8", "--p", "0.3"],
+        {"count": 3, "points": [
+            {"value": 0.06730032360256533, "stability": "attractive", "tangent": False, "residual": 0.0},
+            {"value": 0.5, "stability": "repulsive", "tangent": False, "residual": 1.6653345369377348e-16},
+            {"value": 0.932699676397434, "stability": "attractive", "tangent": False, "residual": 0.0},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "16", "--p", "0.2"],
+        {"count": 3, "points": [
+            {"value": 0.021759895643754978, "stability": "attractive", "tangent": False, "residual": 1.0408340855860843e-17},
+            {"value": 0.5, "stability": "repulsive", "tangent": False, "residual": 4.440892098500626e-16},
+            {"value": 0.9782401043562465, "stability": "attractive", "tangent": False, "residual": 0.0},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "64", "--p", "0.05"],
+        {"count": 3, "points": [
+            {"value": 0.029955708768873403, "stability": "attractive", "tangent": False, "residual": 6.245004513516506e-17},
+            {"value": 0.5, "stability": "repulsive", "tangent": False, "residual": 1.4988010832439613e-15},
+            {"value": 0.970044291231122, "stability": "attractive", "tangent": False, "residual": 0.0},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "64", "--p", "0.02"],
+        {"count": 1, "points": [
+            {"value": 0.5, "stability": "attractive", "tangent": False, "residual": 4.996003610813204e-16},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "3", "--p-b", "0.8", "--p-r", "0.6"],
+        {"count": 1, "points": [
+            {"value": 0.9935489416029586, "stability": "attractive", "tangent": False, "residual": 0.0},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "8", "--p-b", "0.75", "--p-r", "0.55"],
+        {"count": 3, "points": [
+            {"value": 0.0009525698773065955, "stability": "attractive", "tangent": False, "residual": 2.168404344971009e-19},
+            {"value": 0.32775899711799306, "stability": "repulsive", "tangent": False, "residual": 5.551115123125783e-17},
+            {"value": 0.9999923465839158, "stability": "attractive", "tangent": False, "residual": 1.1102230246251565e-16},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "16", "--p-b", "0.4", "--p-r", "0.6"],
+        {"count": 3, "points": [
+            {"value": 2.1476681344854324e-07, "stability": "attractive", "tangent": False, "residual": 2.6469779601696886e-23},
+            {"value": 0.6798933121775577, "stability": "repulsive", "tangent": False, "residual": 0.0},
+            {"value": 0.9998551109018374, "stability": "attractive", "tangent": False, "residual": 1.1102230246251565e-16},
+        ]},
+    ),
+    (
+        ["fixed-points", "--m", "64", "--p-b", "0.55", "--p-r", "0.5"],
+        {"count": 3, "points": [
+            {"value": 2.7105054312137617e-20, "stability": "attractive", "tangent": False, "residual": 0.0},
+            {"value": 0.4696116984535943, "stability": "repulsive", "tangent": False, "residual": 1.1102230246251565e-16},
+            {"value": 0.9999999999999993, "stability": "attractive", "tangent": False, "residual": 2.220446049250313e-16},
+        ]},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_golden_reports(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    del report["spec"]
+    assert report == expected

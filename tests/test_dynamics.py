@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treemajority import dynamics, model
 from treemajority.dynamics import _bernstein_roots, _rounding_bound, _split, _threshold_coeffs
-from treemajority.dynamics import _fixed_points, _predict
+from treemajority.dynamics import _fixed_points, _predict, _trajectory_request
 from treemajority.dynamics import (
     ATTRACTIVE,
     NEUTRAL,
@@ -292,6 +295,107 @@ class TestRootIsolation:
         got, gap_signs, evaluations = _bernstein_roots([5e-324, -1.0])
         assert (got, gap_signs) == ([(5e-324, 0.0)], (1, -1))
         assert evaluations <= 1100
+
+
+def _h_coeffs(params: ModelParams) -> list:
+    """Bernstein coefficients f(k) - k/m of h = g - x, as ``find_fixed_points`` builds them."""
+    return [f - k / params.m for k, f in enumerate(policy_table(params))]
+
+
+def _split_callers(monkeypatch) -> list:
+    """Record the name of the function behind each ``dynamics._split`` call."""
+    callers, split = [], dynamics._split
+
+    def counted(c, t):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return split(c, t)
+
+    monkeypatch.setattr(dynamics, "_split", counted)
+    return callers
+
+
+class TestMergeProbe:
+    """Adjacent roots reach the de Casteljau merge test only where h can be flat."""
+
+    def _cases(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            yield ModelParams(rng.randint(2, 64), rng.random(), rng.random())
+        for m in range(3, 65):
+            p = solve_threshold(m).p_threshold
+            for k in range(8, 15):
+                for sign in (1, -1):
+                    yield ModelParams.symmetric(m, p + sign * 10.0**-k)
+        for k in range(3, 17):
+            for sign in (1, -1):
+                yield ModelParams(3, 1.0, SQRT3M1 + sign * 10.0**-k)
+
+    def test_merge_decisions_match_testing_every_gap(self, monkeypatch):
+        # the reference never skips the splits, as with no probe at all
+        callers = _split_callers(monkeypatch)
+        probed = tested = 0
+        for params in self._cases():
+            c = _h_coeffs(params)
+            del callers[:]
+            roots, gap_signs, _ = _bernstein_roots(c)
+            probed += callers.count("flat")
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_FLAT_PROBE", math.inf)
+                del callers[:]
+                assert _bernstein_roots(c)[:2] == (roots, gap_signs), params
+                tested += callers.count("flat")
+        # the probe skips some gaps, and some still reach the split test
+        assert 0 < probed < tested
+
+    def test_pitchfork_window_still_merges(self, monkeypatch):
+        # just above p(3) h stays within rounding of zero between the three
+        # roots, so they reach the split test and merge into one point
+        callers = _split_callers(monkeypatch)
+        p = solve_threshold(3).p_threshold + 1e-10
+        roots, gap_signs, _ = _bernstein_roots(_h_coeffs(ModelParams.symmetric(3, p)))
+        assert len(roots) == 1 and gap_signs == (1, -1)
+        assert callers.count("flat") == 2
+
+    def test_separated_roots_skip_the_splits(self, monkeypatch):
+        callers = _split_callers(monkeypatch)
+        fps = find_fixed_points(ModelParams.symmetric(64, 0.05))
+        assert len(fps.points) == 3 and 0.02 < fps.values[0] < 0.04
+        assert set(callers) == {"isolate"}
+
+
+class TestOneRowSetPerMap:
+    """A map builds its binomial weight rows once: m+1 of them, or 2(m+1) when p_b != p_r."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        calls, weights = [], model.bernstein_weights
+
+        def counted(n, x):
+            calls.append((n, x))
+            return weights(n, x)
+
+        monkeypatch.setattr(model, "bernstein_weights", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "params, rows_per_map",
+        [
+            (ModelParams.symmetric(3, 0.9), 4),
+            (ModelParams.symmetric(64, 0.05), 65),
+            (ModelParams(8, 0.75, 0.55), 18),
+            (ModelParams(64, 0.55, 0.5), 130),
+        ],
+    )
+    def test_rows_per_request(self, rows, params, rows_per_map):
+        find_fixed_points(params)
+        assert len(rows) == rows_per_map
+        del rows[:]
+        traj, predicted = _trajectory_request(params, 0.3, 10**4, True)
+        assert traj.converged and predicted == traj.limit
+        assert len(rows) == rows_per_map
+        del rows[:]
+        _trajectory_request(params, 0.3, 10**4, False)
+        assert len(rows) == rows_per_map
 
 
 class TestClassifyStability:

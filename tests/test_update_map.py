@@ -12,6 +12,7 @@ from treemajority.model import (
     bernstein_horner,
     bernstein_scaled,
     policy_differences,
+    policy_table,
     policy_value,
 )
 from treemajority.update_map import (
@@ -333,3 +334,18 @@ class TestDfDp:
             df_dp(4, 2, 0.5)  # floor((4-1)/2) = 1
         with pytest.raises(ValueError):
             df_dp(3, -1, 0.5)
+
+
+class TestOneRowSet:
+    """The map and the public functions give each quantity by one code path."""
+
+    @pytest.mark.parametrize("m", range(2, 65))
+    def test_map_matches_public_functions(self, m):
+        # symmetric, asymmetric and endpoint rates
+        for p_b, p_r in [(0.3, 0.3), (0.62, 0.45), (0.2, 0.9), (0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (1.0, 0.58)]:
+            params = ModelParams(m, p_b, p_r)
+            gm = UpdateMap.from_params(params)
+            table = policy_table(params)
+            assert gm.coeffs == tuple(table), (p_b, p_r)
+            assert gm._differences == policy_differences(params), (p_b, p_r)
+            assert [policy_value(params, k) for k in range(m + 1)] == table, (p_b, p_r)
