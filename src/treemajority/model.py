@@ -19,6 +19,7 @@ Horner's rule on its binomial-scaled coefficients (``bernstein_scaled``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,17 +127,33 @@ def _dot(u, v) -> float:
     return acc
 
 
+@functools.cache
+def _binomial_row(n: int) -> tuple:
+    """(C(n,k) as floats for k = 0..n, the (k, C(n,k)) pairs whose float is rounded).
+
+    Every C(n,k) below 2^53 is exact as a double, so for n <= 56 the second
+    list is empty; at n = 64 it holds 15 of the middle terms.
+    """
+    row = [math.comb(n, k) for k in range(n + 1)]
+    return [float(w) for w in row], [(k, w) for k, w in enumerate(row) if float(w) != w]
+
+
 def bernstein_scaled(c: list) -> tuple:
     """The coefficients c[k] C(n,k), k = 0..n, and the same list reversed, for ``bernstein_horner``.
 
-    Each product is rounded once: c[k] is an exact ratio of integers with a
-    power-of-two denominator, and Python divides integers with one rounding.
+    Each product is rounded once.  Where C(n,k) is exact as a double (always
+    below 2^53) it is one float product, the correctly rounded product of two
+    exact reals.  The rest, middle terms for n >= 57, divide integers: c[k]
+    is an exact ratio of integers with a power-of-two denominator, and Python
+    rounds the quotient once too.  So the two forms give the same bits.  A
+    zero, -0.0 included, scales to 0.0.
     """
     n = len(c) - 1
-    scaled = []
-    for k, ck in enumerate(c):
-        num, den = float(ck).as_integer_ratio()
-        scaled.append(num * math.comb(n, k) / den)
+    weights, rounded = _binomial_row(n)
+    scaled = [float(ck) * w + 0.0 for ck, w in zip(c, weights)]
+    for k, w in rounded:
+        num, den = float(c[k]).as_integer_ratio()
+        scaled[k] = num * w / den
     return scaled, scaled[::-1]
 
 
@@ -151,7 +168,8 @@ def bernstein_horner(scaled: tuple, x: float) -> float:
     roundoffs of relative error (one from s[k], 2n from Horner's rule, n from
     r^k (1-b)^(n-k) and two from the power and the last product), so the
     absolute error stays below 1.5 (n+1) eps sum_k |c[k]| C(n,k) x^k (1-x)^(n-k),
-    which is at most 1.5 (n+1) eps max|c[k]|.
+    which is at most 1.5 (n+1) eps max|c[k]|.  Underflow adds at most one
+    least subnormal per product, (n+1) of them in all.
     """
     up, down = scaled
     if x > 0.5:

@@ -363,6 +363,103 @@ class TestMergeProbe:
         assert set(callers) == {"isolate"}
 
 
+def _bisect_pairs(monkeypatch) -> list:
+    """Run each ``dynamics._bisect`` call twice, skipping proved midpoints and not,
+    check that both return the same bracket, and record the two evaluation counts."""
+    pairs, bisect_ = [], dynamics._bisect
+
+    def both(f, a, b, fa, ends, bound, monotone=False):
+        counts = [0, 0]
+
+        def counted(i):
+            def g(x):
+                counts[i] += 1
+                return f(x)
+
+            return g
+
+        got = bisect_(counted(0), a, b, fa, ends, bound, monotone)
+        assert got == bisect_(counted(1), a, b, fa, ends, math.inf, monotone), (a, b)
+        pairs.append(tuple(counts))
+        return got
+
+    monkeypatch.setattr(dynamics, "_bisect", both)
+    return pairs
+
+
+class TestProvedBisection:
+    """Bisection evaluates only the midpoints whose sign is unproved, and ends where plain bisection does."""
+
+    def _inputs(self):
+        yield from (_h_coeffs(params) for params in TestMergeProbe()._cases())
+        yield from (_threshold_coeffs(m) for m in range(2, 65))
+        yield [5e-324, -1.0]
+        yield [-1.0, 1e-300]
+        # one sign change, but the differences change sign twice: two
+        # extrema inside the one-root interval, where every midpoint is read
+        yield [-1.0, -0.25, -0.75, 1.0]
+
+    def test_same_roots_within_worst_case(self, monkeypatch):
+        skipped = plain = 0
+        for c in self._inputs():
+            got = _bernstein_roots(c)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_CERTIFIED", math.inf)
+                want = _bernstein_roots(c)
+            assert got[:2] == want[:2], c
+            skipped, plain = skipped + got[2], plain + want[2]
+        # plain bisection evaluates h 92,351 times here, 55% of them within
+        # twice the error bound of zero, where no midpoint can be proved
+        assert skipped <= 0.8 * plain, (skipped, plain)
+        pairs = _bisect_pairs(monkeypatch)
+        for c in self._inputs():
+            _bernstein_roots(c)
+        assert len(pairs) > 2000
+        for evaluated, every in pairs:
+            assert evaluated <= every + dynamics._PROBE_CREDIT + every // dynamics._PROBE_EVERY
+
+    def test_two_extrema_read_every_midpoint(self, monkeypatch):
+        pairs = _bisect_pairs(monkeypatch)
+        _bernstein_roots([-1.0, -0.25, -0.75, 1.0])
+        [(evaluated, every)] = pairs
+        assert evaluated == every > 50
+
+
+def _mp_bernstein(c: list, x: float):
+    """sum_k c[k] C(n,k) x^k (1-x)^(n-k) of the exact float inputs, in 50 digits."""
+    n = len(c) - 1
+    with mpmath.workdps(50):
+        t = mpmath.mpf(x)
+        return mpmath.fsum(mpmath.mpf(v) * math.comb(n, k) * t**k * (1 - t) ** (n - k) for k, v in enumerate(c))
+
+
+class TestHornerBound:
+    """The premise of the skipped midpoints: Horner's rule on a list is within
+    1.5 (n+1) eps max|c| of the exact value, for every list the isolator reads."""
+
+    def _lists(self):
+        yield from (_threshold_coeffs(m) for m in range(3, 65))
+        rng = random.Random(20261019)
+        for _ in range(50):
+            c = _h_coeffs(ModelParams(rng.randint(2, 64), rng.random(), rng.random()))
+            yield c
+            yield [(len(c) - 1) * (b - a) for a, b in zip(c, c[1:])]  # h'
+
+    def test_error_within_bound_of_list(self):
+        rng = random.Random(7)
+        eps = sys.float_info.epsilon
+        # the bound scales with the list: the threshold's coefficients reach
+        # 5.36 and the slope lists more, not the [-1, 1] of a map's f(k) - k/m
+        assert max(max(map(abs, c)) for c in self._lists()) > 5.0
+        for c in self._lists():
+            n, scaled = len(c) - 1, bernstein_scaled(c)
+            bound = 1.5 * (n + 1) * eps * max(map(abs, c))
+            points = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53] + [rng.random() for _ in range(15)]
+            for x in points:
+                err = abs(bernstein_horner(scaled, x) - _mp_bernstein(c, x))
+                assert err <= bound, (n, x, float(err), bound)
+
+
 class TestOneRowSetPerMap:
     """A map builds its binomial weight rows once: m+1 of them, or 2(m+1) when p_b != p_r."""
 
@@ -674,11 +771,12 @@ class TestThresholdCertificate:
 
     def test_bracket_and_evaluations(self):
         # bisected until no double splits the bracket: one ulp wide, or zero
-        # where h is exactly 0.0 at a double (m = 8 and 64, among others)
+        # where h is exactly 0.0 at a double (m = 8 and 64, among others);
+        # plain bisection evaluates 51 to 58 midpoints, the proved ones are skipped
         for m in range(3, 65):
             res = solve_threshold(m)
             assert 0.0 <= res.bracket_width <= math.ulp(res.p_threshold)
-            assert 0 < res.evaluations <= 60
+            assert 0 < res.evaluations <= 24
         res = solve_threshold(2)
         assert (res.p_threshold, res.bracket_width, res.evaluations) == (1.0, 0.0, 0)
 

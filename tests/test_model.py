@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from treemajority.mc import SimConfig, estimate_g_one_step, independence_check
 from treemajority.model import (
     MAX_CHILDREN,
     ModelParams,
+    bernstein_scaled,
     binomial_pmf,
     policy_differences,
     policy_table,
@@ -73,6 +76,35 @@ class TestBinomialPMF:
         assert mass.size == n + 1
         assert np.all(mass >= 0.0) and np.all(mass <= 1.0)
         assert abs(mass.sum() - 1.0) <= 1e-12
+
+
+def _scaled_by_integers(c: list) -> list:
+    """c[k] C(n,k), each an exact ratio of integers rounded once by Python's integer division."""
+    n = len(c) - 1
+    out = []
+    for k, ck in enumerate(c):
+        num, den = ck.as_integer_ratio()
+        out.append(num * math.comb(n, k) / den)
+    return out
+
+
+class TestBernsteinScaled:
+    # subnormals down to 5e-324 are among the doubles; 1e280 C(64,32) stays finite
+    coefficients = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022)]),
+        st.floats(min_value=-1e280, max_value=1e280, allow_nan=False),
+    )
+
+    @pytest.mark.parametrize("n", range(MAX_CHILDREN + 1))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_float_products_match_integer_path(self, n, data):
+        # a float product where C(n,k) is exact as a double, the integer path
+        # elsewhere: both round the same exact real once, so the bits agree
+        c = data.draw(st.lists(self.coefficients, min_size=n + 1, max_size=n + 1))
+        scaled, reverse = bernstein_scaled(c)
+        assert [v.hex() for v in scaled] == [v.hex() for v in _scaled_by_integers(c)]
+        assert reverse == scaled[::-1]
 
 
 class TestPolicyValue:
