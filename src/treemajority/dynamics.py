@@ -11,12 +11,13 @@ where the Descartes count shows at most one extremum, |h| has no local
 minimum away from the root, so between two points where h reads above
 twice its error bound, on one side of the root, h has that sign, as it
 would read at the midpoint.  Secant probes place such points near the root
-first.  Fixed points are the roots of
-h(x) = g(x) - x, with coefficients f(k) - k/m; p(m) is the root of
-g'(1/2) - 1 = E|S_N| - 1 as a polynomial in p, with N ~ Binomial(m, p) and
-S a simple symmetric random walk.  Limits of the recursion
-pi_{t+1} = g(pi_t) are predicted from the fixed-point layout using the
-cobweb argument for strictly increasing maps.
+first.  Fixed points are the roots of h(x) = g(x) - x, with coefficients
+f(k) - k/m; p(m) is the root of T(p) = g'(1/2) - 1 = E|S_N| - 1 as a
+polynomial in p, with N ~ Binomial(m, p) and S a simple symmetric random
+walk.  A symmetric map's h is odd about 1/2: its left half is rooted, with
+1/2 divided out and T(p) read for the side of p(m), and mirrored.  Limits of
+the recursion pi_{t+1} = g(pi_t) are predicted from the fixed-point layout
+using the cobweb argument for strictly increasing maps.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class FixedPoint:
 class FixedPointSet:
     """Fixed points, and the sign of h = g - x on each gap from 0 to 1 around them:
     +1 or -1, or 0 on the empty gap beside a point at 0 or 1 where h is exactly
-    zero.  A point is tangent iff the gaps on its two sides have the same sign."""
+    zero; a symmetric map's gaps right of 1/2 are those left of it, negated.
+    A point is tangent iff the gaps on its two sides have the same sign."""
 
     points: tuple  # FixedPoint entries, ascending by value
     gap_signs: tuple  # gap i ends at point i; one more entry than points
@@ -452,19 +454,34 @@ def _bernstein_roots(coeffs: list) -> tuple:
 
 
 def _fixed_points(gm: UpdateMap) -> FixedPointSet:
-    """``find_fixed_points`` on a map already built."""
+    """``find_fixed_points`` on a map already built.
+
+    A symmetric map's h is odd about its root 1/2.  If h's coefficients change
+    sign once and c_0 != 0, 1/2 is the only root (Descartes).  Else T(p) =
+    h'(1/2) = g'(1/2) - 1 is read on ``solve_threshold``'s polynomial: within
+    2E (``_CERTIFIED`` times its ``_horner_bound``) the side of p(m) is
+    undecided, and 1/2 stands alone.  Else h on [0, 1/2], with coefficients
+    d_j in w = 2x, is (1 - w) q(w): q has coefficients d_j m / (m - j), j < m,
+    the last q(1) = -h'(1/2)/2, set to -T(p)/2.  Each root w of q gives alpha = w/2 and 1.0 - alpha.
+    """
     m = gm.params.m
     coeffs = [f - k / m for k, f in enumerate(gm.coeffs)]
     if max(map(abs, coeffs)) <= _rounding_bound(m):
-        raise IdentityMapError(
-            "update map coincides with the identity; every point of [0,1] is fixed"
-        )
-    roots, gap_signs, _ = _bernstein_roots(coeffs)
-    values = [x for x, _ in roots]
-    if gm.params.is_symmetric:
-        # f(m-k) = 1 - f(k) exactly, so the exact roots mirror about 1/2 and 1/2 is one of them
-        values[min(range(len(values)), key=lambda j: abs(values[j] - 0.5))] = 0.5
-    return _point_set(gm, values, gap_signs)
+        raise IdentityMapError("update map coincides with the identity; every point of [0,1] is fixed")
+    if not gm.params.is_symmetric:
+        roots, gap_signs, _ = _bernstein_roots(coeffs)
+        return _point_set(gm, [x for x, _ in roots], gap_signs)
+    signs = _signs(coeffs)
+    if _changes(signs) > 1 or coeffs[0] == 0.0:
+        _, scaled, bound = _threshold_form(m)
+        slope = bernstein_horner(scaled, gm.params.p_b)
+        if abs(slope) > _CERTIFIED * bound:
+            q = [d * (m / (m - j)) for j, d in enumerate(_split(coeffs, 0.5)[0][:-2])] + [-0.5 * slope]
+            roots, gap_signs, _ = _bernstein_roots(q)
+            alphas = [0.5 * w for w, _ in roots]
+            values = alphas + [0.5] + [1.0 - x for x in reversed(alphas)]
+            return _point_set(gm, values, gap_signs + tuple(-s for s in reversed(gap_signs)))
+    return _point_set(gm, [0.5], (signs[0], signs[-1]))
 
 
 def find_fixed_points(params: ModelParams) -> FixedPointSet:
@@ -473,7 +490,8 @@ def find_fixed_points(params: ModelParams) -> FixedPointSet:
     They are the roots of h(x) = g(x) - x, whose Bernstein coefficients are
     f(k) - k/m; interior roots are bisected to adjacent doubles, evaluating
     only the midpoints whose sign is not proved (``_bisect``), so the points
-    are those of plain bisection.
+    are those of plain bisection.  For p_b = p_r, f(m-k) = 1 - f(k): h is odd
+    about 1/2, and the points are alpha, 1/2, 1.0 - alpha (``_fixed_points``).
     """
     return _fixed_points(UpdateMap.from_params(params))
 
@@ -578,6 +596,13 @@ def _threshold_coeffs(m: int) -> list:
     ]
 
 
+@functools.cache
+def _threshold_form(m: int) -> tuple:
+    """(coefficients, ``bernstein_scaled`` list, error bound E) of T(p) = g'(1/2) - 1, built once per m."""
+    c = _threshold_coeffs(m)
+    return c, bernstein_scaled(c), _horner_bound(c)
+
+
 def solve_threshold(m: int) -> ThresholdResult:
     """The success rate p(m) at which the symmetric-regime slope at 1/2 crosses 1.
 
@@ -588,13 +613,14 @@ def solve_threshold(m: int) -> ThresholdResult:
     -1, 0, 0, 1/2, 1/2, 7/8, 7/8, ... and never decrease, so for m >= 3 one sign
     change certifies p(m) unique in (0, 1), and ``_bernstein_roots`` bisects it
     to adjacent doubles; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
+    ``_fixed_points`` reads the same T(p) (``_threshold_form``) for a symmetric map's side of p(m).
     The polynomial is monotone in p, so the bisection evaluates only the
     midpoints between the certified points nearest the root (``_bisect``):
     ``evaluations`` is 15 to 24 for m = 3..64, where plain bisection takes 51
     to 58, and the bracket is the same.
     """
     m = _check_int("m", m, 2, MAX_CHILDREN)
-    [(p_m, width)], _, evaluations = _bernstein_roots(_threshold_coeffs(m))
+    [(p_m, width)], _, evaluations = _bernstein_roots(_threshold_form(m)[0])
     return ThresholdResult(
         m=m, p_threshold=p_m, bracket_width=width, evaluations=evaluations, at_boundary=p_m == 1.0
     )

@@ -1,11 +1,15 @@
-"""Shared independent oracles: exhaustive rule enumeration and finite differences.
+"""Shared independent oracles: exhaustive rule enumeration, the rule's
+success-count double sum at 50 digits, the m = 3 and 4 closed-form fixed
+point, and finite differences.
 
-These deliberately avoid the library's own computation paths (no binomial
-convolutions, no Bernstein algebra) so agreement is a real cross-check.
+These deliberately avoid the library's own computation paths (no Bernstein
+algebra, no root finder) so agreement is a real cross-check.
 """
 
 import itertools
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,6 +41,46 @@ def enumerate_policy(m: int, p_b: float, p_r: float, k: int) -> float:
         elif n_b == n_r:
             total += 0.5 * prob
     return total
+
+
+def mp_policy(m: int, p) -> list:
+    """f(0..m) for p_b = p_r = p at 50 digits, from the raw rule: with k of the
+    m children holding B, B is adopted on more B- than R-successes and with
+    probability 1/2 on a tie, summed over the two binomial success counts."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        pmf = [[math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(n + 1)] for n in range(m + 1)]
+        values = []
+        for k in range(m + 1):
+            a, b = pmf[k], pmf[m - k]
+            values.append(mpmath.fsum(ai * (mpmath.fsum(b[:i]) + (b[i] / 2 if i < len(b) else 0))
+                                      for i, ai in enumerate(a)))
+        return values
+
+
+def symmetric_alpha_closed_form(m: int, p: float):
+    """The fixed point alpha < 1/2 of the symmetric map at m = 3 or 4, at 50 digits, or None.
+
+    h = g - x is odd about 1/2: h(1/2 + s) = s (G(s^2) - 1), and at m = 3
+    and 4 G is linear in y = s^2.  With u_k = 1/2 - f(k),
+
+        m = 3:  G(y) = u_0 (3/2 + 2y) + 6 u_1 (1/4 - y),
+        m = 4:  G(y) = u_0 (1 + 4y) + 8 u_1 (1/4 - y),
+
+    so the outer fixed points are 1/2 -+ sqrt(y*), where G(y*) = 1, when y*
+    lies in (0, 1/4); otherwise 1/2 is the only one.
+    """
+    f0, f1 = mp_policy(m, p)[:2]
+    with mpmath.workdps(50):
+        u0, u1 = 0.5 - f0, 0.5 - f1
+        if m == 3:
+            const, slope = 1.5 * u0 + 1.5 * u1, 2 * u0 - 6 * u1
+        elif m == 4:
+            const, slope = u0 + 2 * u1, 4 * u0 - 8 * u1
+        else:
+            raise ValueError("G is linear only at m = 3 and 4")
+        y = (1 - const) / slope
+        return 0.5 - mpmath.sqrt(y) if 0 < y < 0.25 else None
 
 
 def central_diff(f, x: float, h: float) -> float:

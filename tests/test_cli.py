@@ -542,7 +542,7 @@ GOLDEN = [
         {"count": 3, "points": [
             {"value": 0.0006863421217495136, "stability": "attractive", "tangent": False, "residual": 0.0},
             {"value": 0.5, "stability": "repulsive", "tangent": False, "residual": 1.1102230246251565e-16},
-            {"value": 0.9993136578782507, "stability": "attractive", "tangent": False, "residual": 0.0},
+            {"value": 0.9993136578782504, "stability": "attractive", "tangent": False, "residual": 0.0},
         ]},
     ),
     (
@@ -556,23 +556,23 @@ GOLDEN = [
         {"count": 3, "points": [
             {"value": 0.06730032360256533, "stability": "attractive", "tangent": False, "residual": 0.0},
             {"value": 0.5, "stability": "repulsive", "tangent": False, "residual": 1.6653345369377348e-16},
-            {"value": 0.932699676397434, "stability": "attractive", "tangent": False, "residual": 0.0},
+            {"value": 0.9326996763974347, "stability": "attractive", "tangent": False, "residual": 1.1102230246251565e-16},
         ]},
     ),
     (
         ["fixed-points", "--m", "16", "--p", "0.2"],
         {"count": 3, "points": [
-            {"value": 0.021759895643754978, "stability": "attractive", "tangent": False, "residual": 1.0408340855860843e-17},
+            {"value": 0.02175989564375498, "stability": "attractive", "tangent": False, "residual": 1.3877787807814457e-17},
             {"value": 0.5, "stability": "repulsive", "tangent": False, "residual": 4.440892098500626e-16},
-            {"value": 0.9782401043562465, "stability": "attractive", "tangent": False, "residual": 0.0},
+            {"value": 0.978240104356245, "stability": "attractive", "tangent": False, "residual": 8.881784197001252e-16},
         ]},
     ),
     (
         ["fixed-points", "--m", "64", "--p", "0.05"],
         {"count": 3, "points": [
-            {"value": 0.029955708768873403, "stability": "attractive", "tangent": False, "residual": 6.245004513516506e-17},
+            {"value": 0.029955708768873407, "stability": "attractive", "tangent": False, "residual": 5.551115123125783e-17},
             {"value": 0.5, "stability": "repulsive", "tangent": False, "residual": 1.4988010832439613e-15},
-            {"value": 0.970044291231122, "stability": "attractive", "tangent": False, "residual": 0.0},
+            {"value": 0.9700442912311266, "stability": "attractive", "tangent": False, "residual": 2.886579864025407e-15},
         ]},
     ),
     (
@@ -621,3 +621,14 @@ def test_golden_reports(capsys, argv, expected):
     report = json.loads(out)
     del report["spec"]
     assert report == expected
+
+
+SYMMETRIC_GOLDEN = [(argv, expected) for argv, expected in GOLDEN if argv[0] == "fixed-points" and "--p" in argv]
+
+
+@pytest.mark.parametrize("argv, expected", SYMMETRIC_GOLDEN, ids=[" ".join(argv) for argv, _ in SYMMETRIC_GOLDEN])
+def test_golden_symmetric_points_mirror(argv, expected):
+    # a symmetric map is rooted on [0, 1/2] and mirrored, so the upper point is 1.0 - alpha
+    values = [pt["value"] for pt in expected["points"]]
+    assert values[len(values) // 2] == 0.5
+    assert values[-1] == 1.0 - values[0]

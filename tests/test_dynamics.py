@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -28,7 +29,7 @@ from treemajority.dynamics import (
 from treemajority.model import ModelParams, bernstein_horner, bernstein_scaled, policy_table
 from treemajority.update_map import UpdateMap, g_eval, g_prime_at_half
 
-from conftest import enumerate_policy
+from conftest import enumerate_policy, mp_policy, symmetric_alpha_closed_form
 
 SQRT3M1 = math.sqrt(3.0) - 1.0
 ALPHA_TANGENT = 2.0 / 3.0 - 1.0 / math.sqrt(3.0)
@@ -112,7 +113,7 @@ class TestFindFixedPoints:
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 17, 40, 59, 64])
     def test_symmetric_half_reported_exactly(self, m):
-        # near p(m) the roots near 1/2 merge into one neutral cluster, which rounding can centre off 1/2
+        # 1/2 is divided out of h rather than bisected, so it is reported exactly, also at p(m)
         p_m = solve_threshold(m).p_threshold
         for p in [k / 20 for k in range(20)] + [p_m, p_m - 1e-6, p_m + 1e-6]:
             fps = find_fixed_points(ModelParams.symmetric(m, p))
@@ -360,7 +361,8 @@ class TestMergeProbe:
         callers = _split_callers(monkeypatch)
         fps = find_fixed_points(ModelParams.symmetric(64, 0.05))
         assert len(fps.points) == 3 and 0.02 < fps.values[0] < 0.04
-        assert set(callers) == {"isolate"}
+        # one split at 1/2 takes h to its left half; the merge test's splits never run
+        assert callers.count("_fixed_points") == 1 and "flat" not in callers
 
 
 def _bisect_pairs(monkeypatch) -> list:
@@ -639,8 +641,16 @@ class TestPredictLimit:
             starts = [v + d for v in values for d in (-1e-9, -1e-12, -1e-13, 1e-13, 1e-12, 1e-9)]
             starts += [float(x) for x in rng.random(3)]
             with mpmath.workdps(50):
-                # h(x) / (1 - x)^m as a polynomial in r = x / (1 - x)
                 scaled = [mpmath.mpf(f - k / m) * math.comb(m, k) for k, f in enumerate(gm.coeffs)]
+                # a symmetric map is rooted on [0, 1/2] and mirrored, so right of 1/2
+                # the sign of h is read as -sign h(1 - x), and h(1) as -h(0)
+                mirrored = gm.params.is_symmetric
+
+                def sign_of_h(x):
+                    if mirrored and x > 0.5:
+                        return -sign_of_h(1 - x)
+                    return mpmath.sign(mpmath.fsum(c * x**k * (1 - x) ** (m - k) for k, c in enumerate(scaled)))
+
                 # gap i runs from ends[i] to ends[i+1]; an end gap is empty, with sign 0,
                 # when that end is a point at which h is exactly zero; any other gap has
                 # the sign of h at its midpoint (at 0 or 1 for a gap no double splits)
@@ -648,19 +658,17 @@ class TestPredictLimit:
                 assert len(signs) == len(values) + 1
                 ends = [0.0, *values, 1.0]
                 for i, sign in enumerate(signs):
-                    if (i == 0 and scaled[0] == 0) or (i == len(values) and scaled[-1] == 0):
+                    if (i == 0 and scaled[0] == 0) or (i == len(values) and scaled[0 if mirrored else -1] == 0):
                         assert sign == 0 and ends[i] == ends[i + 1], (gm.params, i, signs)
                         continue
                     x = (mpmath.mpf(ends[i]) + ends[i + 1]) / 2
-                    h = mpmath.fsum(c * x**k * (1 - x) ** (m - k) for k, c in enumerate(scaled))
-                    assert sign == mpmath.sign(h) != 0, (gm.params, i, signs, values)
+                    assert sign == sign_of_h(x) != 0, (gm.params, i, signs, values)
                 for fp, left, right in zip(fps.points, signs, signs[1:]):
                     assert fp.tangent == (left == right), (gm.params, fp, signs)
                 for pi_0 in starts:
                     if not 0.0 <= pi_0 < 1.0 or pi_0 in values:
                         continue
-                    x = mpmath.mpf(pi_0)
-                    if mpmath.polyval(scaled[::-1], x / (1 - x)) > 0:
+                    if sign_of_h(mpmath.mpf(pi_0)) > 0:
                         expected = min(v for v in values if v > pi_0)
                     else:
                         expected = max(v for v in values if v < pi_0)
@@ -720,18 +728,19 @@ def exact_walk_excess(s: int) -> Fraction:
 
 def mp_slope_at_half(m: int, p):
     """g'(1/2) in the symmetric regime from the raw rule at 50 digits:
-    sum_k f(k) C(m,k) (2k - m) / 2^(m-1), with f(k) the win-plus-half-tie
-    double sum over the B- and R-success counts."""
-    q = 1 - p
-    pmf = [[math.comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)] for n in range(m + 1)]
-    total = mpmath.mpf(0)
-    for k in range(m + 1):
-        a, b = pmf[k], pmf[m - k]
-        f = mpmath.mpf(0)
-        for i, ai in enumerate(a):
-            f += ai * (mpmath.fsum(b[:i]) + (b[i] / 2 if i < len(b) else 0))
-        total += f * math.comb(m, k) * (2 * k - m)
-    return total / mpmath.mpf(2) ** (m - 1)
+    sum_k f(k) C(m,k) (2k - m) / 2^(m-1), with f(k) from ``mp_policy``."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(f * math.comb(m, k) * (2 * k - m) for k, f in enumerate(mp_policy(m, p)))
+        return total / mpmath.mpf(2) ** (m - 1)
+
+
+@functools.cache
+def mp_threshold(m: int):
+    """p(m) at 50 digits: mpmath's own root of g'(1/2) - 1 from the raw rule."""
+    with mpmath.workdps(50):
+        return mpmath.findroot(
+            lambda p: mp_slope_at_half(m, p) - 1, (mpmath.mpf("0.001"), mpmath.mpf("0.999")), solver="anderson"
+        )
 
 
 class TestThresholdCertificate:
@@ -761,11 +770,7 @@ class TestThresholdCertificate:
     @pytest.mark.parametrize("m", [*range(3, 17), 33, 64])
     def test_against_mpmath_root(self, m):
         with mpmath.workdps(50):
-            root = mpmath.findroot(
-                lambda p: mp_slope_at_half(m, p) - 1,
-                (mpmath.mpf("0.001"), mpmath.mpf("0.999")),
-                solver="anderson",
-            )
+            root = mp_threshold(m)
             assert abs(mp_slope_at_half(m, root) - 1) < mpmath.mpf("1e-40")
             assert abs(solve_threshold(m).p_threshold - root) <= 2 * math.ulp(root)
 
@@ -860,3 +865,110 @@ class TestCountLaw:
                 assert len(find_fixed_points(ModelParams.symmetric(m, p)).points) == 1
             for p in (p_m + 0.005, p_m + 0.05):
                 assert len(find_fixed_points(ModelParams.symmetric(m, p)).points) == 3
+
+
+def mp_alpha(m: int, p: float):
+    """The fixed point below 1/2 of the symmetric map at p, at 50 digits, from the raw rule.
+
+    h(1/2 - s) / (-s) = G(s^2) - 1 falls from g'(1/2) - 1 > 0 at s = 0 to
+    -2 f(0) at s = 1/2; it is bisected in s, geometrically while the bracket
+    spans a factor of two, to 1e-15 relative.
+    """
+    f = mp_policy(m, p)
+    with mpmath.workdps(50):
+
+        def odd_part(s):
+            x = 0.5 - s
+            return (mpmath.fsum(fk * math.comb(m, k) * x**k * (1 - x) ** (m - k) for k, fk in enumerate(f)) - x) / -s
+
+        lo, hi = mpmath.mpf(10) ** -30, mpmath.mpf(0.5)
+        assert odd_part(lo) > 0 > odd_part(hi)
+        while hi - lo > lo * 1e-15:
+            mid = (lo + hi) / 2 if hi < 2 * lo else mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if odd_part(mid) > 0 else (lo, mid)
+        return 0.5 - (lo + hi) / 2
+
+
+class TestSymmetricPitchfork:
+    """Just above p(m) the symmetric map has the paper's three fixed points alpha, 1/2 and 1 - alpha,
+    and at or below it the one point 1/2; the oracles are 50-digit roots of the raw rule."""
+
+    MS = (3, 4, 5, 8, 16, 32, 64)
+    DELTAS = (1e-8, 1e-10, 1e-12)
+
+    @staticmethod
+    def _check_triple(params: ModelParams, alpha) -> None:
+        values = find_fixed_points(params).values
+        assert len(values) == 3, (params, values)
+        assert abs((values[0] - 0.5) - (alpha - 0.5)) <= 1e-4 * (0.5 - alpha), (params, values[0], alpha)
+        assert values[1] == 0.5 and values[2] == 1.0 - values[0]
+        assert predict_limit(params, 0.3) == values[0]
+
+    @pytest.mark.parametrize("m", MS)
+    def test_three_mirrored_points_above(self, m):
+        for delta in self.DELTAS:
+            params = ModelParams.symmetric(m, float(mp_threshold(m) + delta))
+            self._check_triple(params, mp_alpha(m, params.p_b))
+
+    @pytest.mark.parametrize("m", MS)
+    def test_one_point_at_and_below(self, m):
+        p_m = mp_threshold(m)
+        for p in [float(p_m)] + [float(p_m - delta) for delta in self.DELTAS]:
+            assert find_fixed_points(ModelParams.symmetric(m, p)).values == (0.5,), (m, p)
+        assert find_fixed_points(ModelParams.symmetric(m, float(p_m))).points[0].stability == NEUTRAL
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_closed_form_alpha(self, m):
+        # G is linear at m = 3 and 4; T(p) = g'(1/2) - 1 is certified nonzero at every offset here
+        for k in range(3, 13):
+            params = ModelParams.symmetric(m, float(mp_threshold(m) + 10.0**-k))
+            self._check_triple(params, symmetric_alpha_closed_form(m, params.p_b))
+
+
+def _horner_calls(monkeypatch) -> list:
+    """Record each ``bernstein_horner`` call made in ``dynamics``: True where it reads
+    the threshold polynomial T(p) = g'(1/2) - 1, False where it reads h or h'."""
+    calls, horner = [], dynamics.bernstein_horner
+
+    def counted(scaled, x):
+        calls.append(scaled is dynamics._threshold_form(len(scaled[0]) - 1)[1])
+        return horner(scaled, x)
+
+    monkeypatch.setattr(dynamics, "bernstein_horner", counted)
+    return calls
+
+
+class TestHalfIsolation:
+    """A symmetric map is rooted on [0, 1/2] only, and not at all where its coefficients change sign once."""
+
+    @staticmethod
+    def _grid() -> list:
+        # the benchmark's phase_diagram fixed-points grid at seed 7 (bench/workloads.py), 48
+        # maps on each side of p(m); p(m) is solve_threshold's here, not the benchmark's
+        # 50-digit oracle, so 5 of the 96 maps lie an ulp or so from the benchmark's
+        rng, grid = random.Random(7), []
+        for m in (3, 4, 5, 6, 7, 8, 16, 64):
+            p_m = solve_threshold(m).p_threshold
+            for lo, hi in ((0.02, p_m), (p_m, 0.98)):
+                for k in range(6):
+                    grid.append((ModelParams.symmetric(m, lo + (hi - lo) * (k + rng.uniform(0.05, 0.95)) / 6), hi == p_m))
+        return grid
+
+    def test_below_threshold_evaluates_no_h(self, monkeypatch):
+        # 43 of the 48 maps have coefficients that change sign once and read
+        # nothing; the other 5 read T(p) once, and their deflated coefficients
+        # are all positive
+        grid = self._grid()
+        calls = _horner_calls(monkeypatch)
+        for params, below in grid:
+            if below:
+                assert find_fixed_points(params).values == (0.5,)
+        assert calls == [True] * 5
+
+    def test_grid_evaluations(self, monkeypatch):
+        # rooting all of [0, 1] and snapping the middle root to 1/2 made 4,784 calls here
+        grid = self._grid()
+        calls = _horner_calls(monkeypatch)
+        for params, _ in grid:
+            find_fixed_points(params)
+        assert len(calls) <= 0.55 * 4784, len(calls)
