@@ -78,8 +78,27 @@ def _spec(args: argparse.Namespace) -> dict:
 
 
 def _to_json(report: dict) -> str:
-    # RFC 8259 JSON has no NaN or Infinity: a report holding one raises ValueError (exit 2)
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+
+    Any indent sends json to its pure-Python encoder, one call per item.  So a
+    top-level list of Python floats (trajectory ``values``, gmap's curves) is
+    written by one join of ``float.__repr__``, json's own float text, and
+    spliced in where the report, dumped once with ``[]`` in its place, reads
+    ``"key": []`` at indent 2 (report keys are strings): nested entries sit
+    deeper, and json escapes newlines inside strings, so that text is unique.
+    The report is dumped once, not once per key: the indented encoder leaves
+    reference cycles, and the tree workloads' times move with them.  RFC 8259
+    JSON has no NaN or Infinity: a report holding one raises ValueError (exit 2).
+    """
+    floats = [key for key, value in report.items() if type(value) is list and set(map(type, value)) == {float}]
+    text = json.dumps({**report, **dict.fromkeys(floats, [])}, indent=2, allow_nan=False)
+    for key in floats:
+        values = report[key]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        anchor = "\n  " + json.dumps(key) + ": ["
+        text = text.replace(anchor + "]", anchor + "\n    " + ",\n    ".join(map(float.__repr__, values)) + "\n  ]", 1)
+    return text + "\n"
 
 
 def _cmd_policy(args) -> dict | str:

@@ -136,12 +136,19 @@ def _rounding_bound(m: int) -> float:
     Horner's rule (``model.bernstein_horner``) keeps h within 1.5 (m+1) eps
     max|c| of the exact value, and a de Casteljau coefficient is m rounds of
     convex combinations, so the bound covers both for coefficients within
-    8/3 of zero, such as a map's f(k) - k/m.  Not every list the isolator
-    evaluates is: the threshold's E|S_s| - 1 reaches 1.19 at m = 7 and 5.36
-    at m = 64, and a map's slope list n (c[k+1] - c[k]) reaches 22 (m = 64,
-    p = 0.95).  So the midpoints ``_bisect`` leaves unevaluated rest on
-    ``_horner_bound``, read from the list evaluated, and this value stays as
-    it is: the decisions it makes set the fixed points to the byte.
+    8/3 of zero.  It is applied to the lists ``_bernstein_roots`` is given,
+    whose reach max|c| is:
+    - an asymmetric map's f(k) - k/m: at most 1, as f(k) and k/m lie in [0, 1];
+    - a symmetric map's deflated q (``_fixed_points``): up to 2.6721, at
+      m = 64, p = 0.99, over m in {3, 4, 5, 8, 16, 32, 64} and p = k/100
+      (a test pins it).  Past 8/3, so there Horner's first-order bound is
+      1.002 times this value;
+    - the threshold's E|S_s| - 1: up to 5.36 (m = 64), but its one sign
+      change is bisected without any decision this bound makes.
+    A map's slope list n (c[k+1] - c[k]) reaches 22 (m = 64, p = 0.95).  So
+    the midpoints ``_bisect`` leaves unevaluated rest on ``_horner_bound``,
+    read from the list evaluated, and this value stays as it is: the
+    decisions it makes set the fixed points to the byte.
     """
     return 4.0 * (m + 1) * sys.float_info.epsilon
 

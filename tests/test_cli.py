@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import treemajority.cli as cli
 from treemajority.dynamics import SolverError, m3_pb1_closed_form
@@ -266,12 +268,6 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["pair_correlation"] == 1.0
 
-    def test_non_finite_report_refused(self):
-        with pytest.raises(ValueError):
-            cli._to_json({"x": float("nan")})
-        with pytest.raises(ValueError):
-            cli._to_json({"x": [float("-inf")]})
-
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(self.ARGS[:-2])
@@ -316,6 +312,69 @@ class TestSimulateCommand:
             cli.main([*self.REPLAYED[command], "--format", "json"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# signed zero, the least subnormal, where repr turns to exponent form, the largest double
+_EXTREME = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 0.1, sys.float_info.max, -sys.float_info.max])
+_KEYS = st.one_of(st.sampled_from(['a"b', "é", "x", "values", "line\nbreak"]), st.text(max_size=5))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FINITE, st.sampled_from(["a\nb", "\n  \"x\": []"]), st.text(max_size=6)
+)
+_NESTED = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=10
+)
+_TOP_VALUES = st.one_of(
+    _NESTED,
+    st.lists(_FINITE | _EXTREME, max_size=8),
+    st.sampled_from([[], [0.5], [1, 2.0], [2.0, True], [np.float64(0.1), np.float64(-0.0)]]),
+    st.lists(_FINITE.map(np.float64), max_size=4),
+)
+
+
+class TestReportEncoding:
+    """``_to_json`` writes exactly ``json.dumps(report, indent=2, allow_nan=False)`` and a newline."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(_KEYS, _TOP_VALUES, max_size=6))
+    @example({"values": [1.0, -0.0], "spec": {"values": []}, "x": "\n  \"values\": []"})
+    @example({'a"b': [5e-324, 1e16], "é": [1e22, sys.float_info.max], "n": [1, 2.0], "e": []})
+    def test_same_bytes_as_json(self, report):
+        assert cli._to_json(report) == json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("command", list(TestSimulateCommand.REPLAYED))
+    def test_report_is_its_own_reencoding(self, capsys, command):
+        code, out, _ = run_cli(capsys, *TestSimulateCommand.REPLAYED[command])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_non_finite_in_float_list_refused(self, bad, at):
+        values = [0.25] * 5
+        values[at] = bad
+        with pytest.raises(ValueError):
+            cli._to_json({"steps": 4, "values": values})
+
+    def test_non_finite_report_refused(self):
+        with pytest.raises(ValueError):
+            cli._to_json({"x": float("nan")})
+        with pytest.raises(ValueError):
+            cli._to_json({"x": [float("-inf")]})
+
+    @pytest.mark.parametrize("command", list(TestSimulateCommand.REPLAYED))
+    def test_one_indented_dump_per_report(self, capsys, monkeypatch, command):
+        # json's indented encoder leaves reference cycles behind: one call per
+        # report leaves the collector what it saw before the float-list splice
+        dumps, indented = json.dumps, []
+
+        def counted(obj, **kwargs):
+            indented.append(kwargs.get("indent") == 2)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        code, _, _ = run_cli(capsys, *TestSimulateCommand.REPLAYED[command])
+        assert code == 0 and indented.count(True) == 1
 
 
 @pytest.mark.parametrize(

@@ -462,6 +462,23 @@ class TestHornerBound:
                 assert err <= bound, (n, x, float(err), bound)
 
 
+def test_rounding_bound_reach_on_symmetric_maps(monkeypatch):
+    # _rounding_bound's docstring states the reach max|c| of the lists it is
+    # applied to; for a symmetric map that is the deflated q, which passes 8/3
+    isolate, reach = dynamics._bernstein_roots, []
+
+    def recorded(coeffs):
+        reach.append((max(map(abs, coeffs)), m, k))
+        return isolate(coeffs)
+
+    monkeypatch.setattr(dynamics, "_bernstein_roots", recorded)
+    for m in (3, 4, 5, 8, 16, 32, 64):
+        for k in range(1, 100):
+            find_fixed_points(ModelParams.symmetric(m, k / 100))
+    top, m_top, k_top = max(reach)
+    assert round(top, 4) == 2.6721 and (m_top, k_top) == (64, 99)
+
+
 class TestOneRowSetPerMap:
     """A map builds its binomial weight rows once: m+1 of them, or 2(m+1) when p_b != p_r."""
 
