@@ -25,6 +25,19 @@ breadth-first windows of parents that fit the same budget, so a group never
 holds more draws than that, whatever the tree size; the one-step estimator
 sizes its chunks of trials by it too.
 
+Only a read's raw Philox words (and a tie search's indices) are allocated
+per read.  The outcomes (which hold the tie masks before them), the signs,
+the lead and the update's result are written with ``out=`` into one
+grow-only ``_Workspace`` per thread, kept across calls, so warm requests
+reuse pages they have already touched instead of freeing them to the kernel
+and faulting them in on the next window.  A buffer holds one byte per
+variable of the largest read it has served, so within ``_UNIFORM_BYTES / 8``
+bytes (or one parent's variables, when the budget holds fewer), and a
+thread keeps a few; threads never share one.  Results do not depend on the
+workspace: every array taken from it is written in full before it is read,
+and no kernel writes into its arguments.  What outlives a read is copied
+out of it: the initial states and each update into the group's states.
+
 Randomness comes from counter-based Philox streams keyed by seed, purpose
 and time step.  Every Bernoulli variable owns one position i in its stream
 and reads the stream's i-th 16-bit head, the i-th uint16 of its raw words
@@ -67,6 +80,7 @@ and positions depend only on the trial and the variable, never on the chunks.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -104,6 +118,50 @@ _COIN = 7
 
 # a 53-bit draw k = head * 2**37 + low splits into a 16-bit head and 37 low bits
 _LOW_BITS = 37
+
+# workspace slots: a read's outcomes at rate i go to slot i, or to slot
+# _COINS or _STATES for the coins and the estimator's child states read
+# beside them; then an update's signs, lead and result
+_COINS, _STATES, _SIGNS, _LEAD, _ADOPTED = range(2, 7)
+
+
+class _Workspace:
+    """One thread's scratch arrays for ``_bernoulli`` and ``_adopt``, kept between calls.
+
+    ``take(slot, shape)`` returns the first prod(shape) elements of the
+    slot's buffer in that shape; the buffer grows to the largest array it
+    has served and never shrinks.  The view of the slot's last shape is
+    kept, so a run of equal windows costs one tuple comparison a take.
+    """
+
+    def __init__(self) -> None:
+        self.buffers = [
+            np.empty(0, dtype=np.int8 if slot in (_SIGNS, _LEAD) else bool) for slot in range(_ADOPTED + 1)
+        ]
+        self.views = list(self.buffers)
+
+    def take(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
+        view = self.views[slot]
+        if view.shape != shape:
+            buf, n = self.buffers[slot], math.prod(shape)
+            if buf.size < n:
+                buf = self.buffers[slot] = np.empty(n, dtype=buf.dtype)
+            view = self.views[slot] = buf[:n].reshape(shape)
+        return view
+
+
+class _Local(threading.local):
+    """Each thread's own ``workspace``, made on the thread's first use.
+
+    A plain object inside the thread-local one, since every attribute read
+    on a ``threading.local`` costs a lookup of the thread's dict.
+    """
+
+    def __init__(self) -> None:
+        self.workspace = _Workspace()
+
+
+_LOCAL = _Local()
 
 
 class _Streams:
@@ -147,18 +205,28 @@ class _Streams:
         return self.heads(purpose, time, reps.start * size + pos, span).reshape(len(reps), n)
 
     def draw(
-        self, purpose: int, time: int, reps: range, size: int, pos: int, n: int, rates: tuple[float, ...]
+        self,
+        purpose: int,
+        time: int,
+        reps: range,
+        size: int,
+        pos: int,
+        n: int,
+        rates: tuple[float, ...],
+        slot: int = 0,
     ) -> list[np.ndarray]:
         """Exact Bernoulli outcomes of ``rows(...)``, one (len(reps), n) bool array per rate.
 
         The head at row r, column c sits at position (reps.start + r) * size
         + pos + c, and a tied one reads the refinement word at the same
-        position of stream (seed, purpose + ``_REFINE``, time).
+        position of stream (seed, purpose + ``_REFINE``, time).  Rate i's
+        outcomes are workspace slot ``slot + i`` (see ``_bernoulli``).
         """
         return _bernoulli(
             self.rows(purpose, time, reps, size, pos, n),
             rates,
             lambda r, c: self.word(purpose + _REFINE, time, (reps.start + r) * size + pos + c),
+            slot,
         )
 
     def word(self, purpose: int, time: int, pos: int) -> int:
@@ -241,10 +309,10 @@ def estimate_g_one_step(
     chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * (2 * m + 1))))
     for done in range(0, samples, chunk):
         trials = range(done, min(done + chunk, samples))
-        (child,) = streams.draw(_ONESTEP, 0, trials, m, 0, m, (x,))
+        (child,) = streams.draw(_ONESTEP, 0, trials, m, 0, m, (x,), _STATES)
         succ_b, succ_r = streams.draw(_ONESTEP, 1, trials, m, 0, m, (p_b, p_r))
-        (coin,) = streams.draw(_ONESTEP, 2, trials, 1, 0, 1, (0.5,))
-        adopted += int(_adopt(child, succ_b, succ_r, coin[:, 0]).sum())
+        (coin,) = streams.draw(_ONESTEP, 2, trials, 1, 0, 1, (0.5,), _COINS)
+        adopted += np.count_nonzero(_adopt(child, succ_b, succ_r, coin[:, 0]))
     est = adopted / samples
     half = 1.96 * np.sqrt(est * (1.0 - est) / samples)
     return float(est), float(half)
@@ -267,18 +335,6 @@ def _groups(cfg: SimConfig) -> Iterator[range]:
         yield range(lo, min(lo + size, cfg.replications))
 
 
-def _count_children(signs: np.ndarray) -> np.ndarray:
-    """Sum a (..., m) int8 array of -1/0/+1 over its last axis (m <= 64, so int8 holds it).
-
-    One strided add per child: a reduction over a short last axis costs
-    about twice as much at small m.
-    """
-    total = signs[..., 0].copy()
-    for k in range(1, signs.shape[-1]):
-        total += signs[..., k]
-    return total
-
-
 def _cut(p: float) -> tuple[int, int]:
     """(hi, lo) of K = ceil(p * 2**53): the 53-bit draw k succeeds iff k < K."""
     K = math.ceil(p * 2**53)
@@ -286,28 +342,39 @@ def _cut(p: float) -> tuple[int, int]:
 
 
 def _bernoulli(
-    heads: np.ndarray, rates: tuple[float, ...], word_at: Callable[[int, int], int]
+    heads: np.ndarray, rates: tuple[float, ...], word_at: Callable[[int, int], int], slot: int = 0
 ) -> list[np.ndarray]:
     """Exact Bernoulli outcomes of a 2-D array of 16-bit heads, one bool array per rate.
 
     A head below a rate's hi succeeds and one above it fails.  The heads that
-    equal some hi with lo != 0 are found with one ``flatnonzero`` over the
-    array, and ``word_at(row, col)`` returns the refinement word of each; such
-    a head succeeds iff the word's top 37 bits are below lo.
+    equal a tied hi (one with lo != 0) are found with one comparison per such
+    hi and one ``flatnonzero`` over them all, and ``word_at(row, col)``
+    returns the refinement word of each; such a head succeeds iff the word's
+    top 37 bits are below lo.  Rate i's outcomes are workspace slot
+    ``slot + i``, valid until the slot's next read.
     """
+    take = _LOCAL.workspace.take
     cuts = [_cut(p) for p in rates]
-    out = [heads < hi for hi, _ in cuts]
+    out = [take(slot + i, heads.shape) for i in range(len(rates))]
     tied = sorted({hi for hi, lo in cuts if lo})
+    ties = []
     if tied:
-        hit = heads == tied[0]
-        for hi in tied[1:]:
-            hit |= heads == hi
-        for j in np.flatnonzero(hit).tolist():
-            r, c = divmod(j, heads.shape[1])
-            low = word_at(r, c) >> (64 - _LOW_BITS)
-            for succ, (hi, lo) in zip(out, cuts):
-                if lo and heads[r, c] == hi:
-                    succ[r, c] = low < lo
+        # the outcome arrays hold the tie masks first, one per tied hi (never
+        # more than the rates), so the tie search needs no buffer of its own
+        hit = out[0]
+        for hi, mask in zip(tied, out):
+            np.equal(heads, hi, mask)
+        for mask in out[1 : len(tied)]:
+            np.bitwise_or(hit, mask, hit)
+        ties = np.flatnonzero(hit).tolist()
+    for succ, (hi, _) in zip(out, cuts):
+        np.less(heads, hi, succ)
+    for j in ties:
+        r, c = divmod(j, heads.shape[1])
+        low = word_at(r, c) >> (64 - _LOW_BITS)
+        for succ, (hi, lo) in zip(out, cuts):
+            if lo and heads[r, c] == hi:
+                succ[r, c] = low < lo
     return out
 
 
@@ -322,11 +389,26 @@ def _adopt(
     the vertex's lead when it is B and succeeds, -1 when it is R and succeeds,
     0 otherwise; the vertex adopts B when the lead is positive, and on a zero
     lead when its ``coin`` (...) is True.
+
+    The signs are (b + r) * c - r in int8, which is b for a B child and -r
+    for an R child.  The lead starts at the coin and adds one sign column per
+    child (m <= 64, so int8 holds it), so it is positive exactly when the
+    vertex adopts B.  One strided add per child: a reduction over a short
+    last axis costs about twice as much at small m.  The signs, the lead and
+    the result are workspace arrays, so the result stays valid until the
+    next call; no argument is written.
     """
-    signs = (succ_b & child).view(np.int8)
-    signs -= (succ_r > child).view(np.int8)
-    lead = _count_children(signs)
-    return (lead > 0) | ((lead == 0) & coin)
+    take = _LOCAL.workspace.take
+    b, r = succ_b.view(np.int8), succ_r.view(np.int8)
+    signs = np.add(b, r, take(_SIGNS, child.shape))
+    np.multiply(signs, child.view(np.int8), signs)
+    np.subtract(signs, r, signs)
+    vertices = child.shape[:-1]
+    lead = take(_LEAD, vertices)
+    np.copyto(lead, coin)
+    for k in range(child.shape[-1]):
+        np.add(lead, signs[..., k], lead)
+    return np.greater(lead, 0, take(_ADOPTED, vertices))
 
 
 def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -372,7 +454,7 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
         for a in range(0, P, width):
             n = min(width, P - a)
             succ_b, succ_r = streams.draw(_STEP, t, reps, m * P, m * a, m * n, (p_b, p_r))
-            (coins,) = streams.draw(_COIN, t, reps, P, a, n, (0.5,))
+            (coins,) = streams.draw(_COIN, t, reps, P, a, n, (0.5,), _COINS)
             window = (G, n, m)
             flat[:, a : a + n] = _adopt(
                 flat[:, 1 + m * a : 1 + m * (a + n)].reshape(window),

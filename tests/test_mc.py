@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -596,6 +598,94 @@ class TestOneStepChunking:
         chunks = math.ceil(samples / 64)
         assert len(calls) == 3 * chunks
         assert contiguous == [True] * chunks
+
+
+def _sim_bits(res):
+    """A simulation's reported values, exactly (NaN by its repr)."""
+    return [a.tolist() for a in (res.pi_hat, res.ci_half_width, res.level_averages)], repr(res.pair_correlation)
+
+
+class TestWorkspace:
+    """The per-thread scratch buffers of the draws and updates never change a result."""
+
+    @staticmethod
+    def _in_new_thread(job):
+        out = []
+        thread = threading.Thread(target=lambda: out.append(job()))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return out[0]
+
+    def test_results_do_not_depend_on_earlier_calls(self, monkeypatch):
+        def a():
+            return (
+                _sim_bits(simulate_tree(_replay_config(3, 6, 4, replications=40))),
+                estimate_g_one_step(ModelParams(3, 0.6, 0.35), 0.4, 5_000, 3),
+            )
+
+        def b():
+            # larger reads than a's at the default budget, then one-parent windows
+            # and one-trial chunks, with other m and shapes
+            simulate_tree(_replay_config(5, 6, 5, replications=41))
+            estimate_g_one_step(ModelParams(64, 0.55, 0.5), 0.45, 20_000, 11)
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "_UNIFORM_BYTES", 8)
+                simulate_tree(_replay_config(4, 4, 3, replications=3))
+                estimate_g_one_step(ModelParams(8, 0.3, 0.7), 0.6, 50, 4)
+
+        first = a()
+        b()
+        assert a() == first
+        # a new thread starts from empty buffers
+        assert self._in_new_thread(a) == first
+
+    def test_concurrent_threads_match_serial_runs(self):
+        # more threads than cores, switching often, each on its own shapes
+        jobs = {
+            "many": lambda: _sim_bits(simulate_tree(_replay_config(3, 7, 7, replications=50))),
+            "wide": lambda: _sim_bits(simulate_tree(_replay_config(5, 6, 3, replications=3))),
+            "onestep": lambda: estimate_g_one_step(ModelParams(8, 0.55, 0.4), 0.45, 40_000, 5),
+        }
+        serial = {name: job() for name, job in jobs.items()}
+        start = threading.Barrier(len(jobs), timeout=60)
+        got, buffers = {}, {}
+
+        def worker(name, job):
+            start.wait()
+            got[name] = [job() for _ in range(3)]
+            buffers[name] = mc._LOCAL.workspace.buffers
+
+        threads = [threading.Thread(target=worker, args=item) for item in jobs.items()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {name: [value] * 3 for name, value in serial.items()}
+        # each thread had buffers of its own
+        assert len({id(b) for b in buffers.values()} | {id(mc._LOCAL.workspace.buffers)}) == len(jobs) + 1
+
+    def test_warm_simulation_allocates_only_states_and_words(self):
+        # one group of 50 trees of V = 3280 vertices; its largest reads, the
+        # initial states and step 0's outcomes, take at most G*V heads, whose
+        # raw Philox words fill 2 bytes a head
+        cfg = sym_config(m=3, p=0.7, depth=7, horizon=7, pi_0=0.4, reps=50)
+        (group,) = mc._groups(cfg)
+        flat = len(group) * sum(3**d for d in range(8))
+        simulate_tree(cfg)
+        tracemalloc.start()
+        try:
+            simulate_tree(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < flat + 2 * flat + 2**15
 
 
 def _two_count_adopt(child, k_x, k_y, p_b, p_r):
