@@ -5,15 +5,10 @@ Fixed points and the symmetric-regime threshold p(m) share one root finder,
 Bernstein coefficients (Lane & Riesenfeld 1981; Mourrain & Rouillier 2009).
 It is given the coefficients of a polynomial h and nothing else: h and h'
 at a point are Horner's rule on them (``model.bernstein_horner``), and it
-counts its own evaluations of h.  A root is bisected to adjacent doubles,
-but a midpoint is evaluated only when its sign is unproved (``_bisect``):
-where the Descartes count shows at most one extremum, |h| has no local
-minimum away from the root, so between two points where h reads above
-twice its error bound, on one side of the root, h has that sign, as it
-would read at the midpoint.  Secant probes place such points near the root
-first.  Fixed points are the roots of h(x) = g(x) - x, with coefficients
-f(k) - k/m; p(m) is the root of T(p) = g'(1/2) - 1 = E|S_N| - 1 as a
-polynomial in p, with N ~ Binomial(m, p) and S a simple symmetric random
+counts its own evaluations of h.  A root is bisected to adjacent doubles
+(``_bisect``).  Fixed points are the roots of h(x) = g(x) - x, with
+coefficients f(k) - k/m; p(m) is the root of T(p) = g'(1/2) - 1 = E|S_N| - 1
+as a polynomial in p, with N ~ Binomial(m, p) and S a simple symmetric random
 walk.  A symmetric map's h is odd about 1/2: its left half is rooted, with
 1/2 divided out and T(p) read for the side of p(m), and mirrored.  Limits of
 the recursion pi_{t+1} = g(pi_t) are predicted from the fixed-point layout
@@ -57,15 +52,12 @@ REPULSIVE = "repulsive"
 NEUTRAL = "neutral"
 
 _STABILITY_TOL = 1e-8
-# the step that ends an orbit (roots are bisected until no double splits their bracket)
+# the step that ends an orbit
 _STEP_TOL = 1e-13
 # h above this many rounding bounds at a gap's midpoint is not flat on the gap (see _bernstein_roots)
 _FLAT_PROBE = 4.0
-# f read above this many of its error bounds E has the exact sign, with E to spare (see _bisect)
+# T(p) read above this many of its error bounds E has the exact sign, with E to spare (see _fixed_points)
 _CERTIFIED = 2.0
-# _bisect's probes may outnumber the midpoints they prove by this many, plus one per _PROBE_EVERY evaluated
-_PROBE_CREDIT = 4
-_PROBE_EVERY = 8
 
 
 class SolverError(RuntimeError):
@@ -145,10 +137,8 @@ def _rounding_bound(m: int) -> float:
       1.002 times this value;
     - the threshold's E|S_s| - 1: up to 5.36 (m = 64), but its one sign
       change is bisected without any decision this bound makes.
-    A map's slope list n (c[k+1] - c[k]) reaches 22 (m = 64, p = 0.95).  So
-    the midpoints ``_bisect`` leaves unevaluated rest on ``_horner_bound``,
-    read from the list evaluated, and this value stays as it is: the
-    decisions it makes set the fixed points to the byte.
+    This value stays as it is: the decisions it makes set the fixed points
+    to the byte.
     """
     return 4.0 * (m + 1) * sys.float_info.epsilon
 
@@ -171,157 +161,28 @@ def _horner_bound(c: list) -> float:
     return len(c) * (1.5 * sys.float_info.epsilon * max(map(abs, c)) + 5e-324)
 
 
-def _bisect(f, a: float, b: float, fa: float, ends: tuple, bound: float, monotone: bool = False) -> tuple:
-    """Final bracket (a, b) of the sign change of f in (a, b): adjacent doubles, or (x, x) on an exact zero.
+def _bisect(scaled: list, a: float, b: float, fa: float) -> tuple:
+    """(final bracket, midpoints evaluated) of the sign change in (a, b) of the form ``scaled``.
 
-    Bisection: the midpoints 0.5 (a + b), each decided by the sign f reads
-    there (``fa`` carries the sign of f just right of a), until no double
-    splits the bracket.  A bracket at 0 halves down the exponent, so a root
-    near 0 keeps relative accuracy; a bracket in [0, 1] has at most 1,074
-    midpoints, for a root at the least subnormal 2^-1074.
-
-    ``bound`` is the error bound E of f's evaluations (``_horner_bound``), or
-    inf for plain bisection, which evaluates every midpoint.  Otherwise the
-    midpoints are the same, but one is evaluated only when its sign is
-    unproved.  The caller's Descartes counts give the premise: f has one root
-    in (a, b) and at most one extremum there (none where ``monotone``).  So
-    |f| has no local minimum away from the root, and on any stretch on one
-    side of the root |f| is at least its smaller value at the stretch's ends.
-    A point where f reads above 2E (``_CERTIFIED`` E) is certified: the exact
-    |f| there exceeds E, with the sign read.  A midpoint between two
-    certified points of one sign, or, where f is monotone, beyond the
-    certified point of its sign nearest the root, has an exact |f| above E,
-    so f reads its exact sign there, nonzero: the decision bisection would
-    take.  The final bracket and any exact-zero midpoint are plain
-    bisection's.
-
-    Probes find certified points near the root ahead of the midpoints.
-    Regula falsi runs on the bracket of the nearest certified points, from
-    the estimates ``ends`` of |f| at a and b, with the Anderson-Bjorck weight
-    on an end that stays twice, and waits while |f| grows as an end moves,
-    as it does beside an extremum.  Once f reads within 2E, each probe steps
-    out of that zone towards a certified end: along the secant to |f| = 4E
-    first, then to the geometric mean of the zone's and the end's distances,
-    and only where that at least halves the gap.  A certified read past the
-    zone shows it held no root, and regula falsi resumes.  Every read inside
-    the secant bracket feeds it.  Probes may outnumber the midpoints they
-    prove by ``_PROBE_CREDIT``, plus one per ``_PROBE_EVERY`` midpoints
-    evaluated, so a call evaluates f at most N + 4 + N // 8 times, N being
-    plain bisection's count.
+    Bisection on Horner's rule (``model.bernstein_horner``) over the
+    ``bernstein_scaled`` list ``scaled``: each midpoint 0.5 (a + b) is decided
+    by the sign read there (``fa`` carries the sign just right of a), until no
+    double splits the bracket, which ends as adjacent doubles, or as (x, x) on
+    a midpoint that reads exactly 0.0.  A bracket at 0 halves down the
+    exponent, so a root near 0 keeps relative accuracy; a bracket in [0, 1]
+    has at most 1,074 midpoints, for a root at the least subnormal 2^-1074.
     """
-    up = fa > 0.0
-    level = _CERTIFIED * bound
-    if level == math.inf:
-        while a < (mid := 0.5 * (a + b)) < b:
-            fm = f(mid)
-            if fm == 0.0:
-                return mid, mid
-            if (fm > 0.0) == up:
-                a = mid
-            else:
-                b = mid
-        return a, b
-    # f is proved to have fa's sign on [left_far, left_near], the other on [right_near, right_far]
-    left_far, left_near = -math.inf if monotone else math.inf, -math.inf
-    right_near, right_far = math.inf, math.inf if monotone else -math.inf
-    # the secant bracket: its ends, |f| there (estimates at a and b until read), their weights
-    x0, x1 = a, b
-    v0, v1 = w0, w1 = ends
-    last, stall = 0, False  # last: the end that moved last, -1 or 1; stall: |f| grew as it did
-    zone = None  # the first read within the level; [zlo, zhi], the hull of such reads
-    zlo = zhi = x1
-    fresh, spare, reads = True, _PROBE_CREDIT, 0
+    up, count = fa > 0.0, 0
     while a < (mid := 0.5 * (a + b)) < b:
-        if left_far <= mid <= left_near:
+        count += 1
+        fm = bernstein_horner(scaled, mid)
+        if fm == 0.0:
+            return (mid, mid), count
+        if (fm > 0.0) == up:
             a = mid
-            spare += 1
-            continue
-        if right_near <= mid <= right_far:
+        else:
             b = mid
-            spare += 1
-            continue
-        x = None  # a probe, or None to evaluate the midpoint
-        if spare > 0 and fresh:
-            fresh = False
-            lo, hi = a if a > x0 else x0, b if b < x1 else x1
-            if zone is None:
-                if not stall and w0 + w1 > 0.0:
-                    t = x0 + (x1 - x0) * (w0 / (w0 + w1))
-                    if lo < t < hi:
-                        x = t
-            else:
-                for side, inner, outer, v_end in ((-1, zone - zlo, zone - x0, v0), (1, zhi - zone, x1 - zone, v1)):
-                    if inner > 0.0:
-                        dist = math.sqrt(inner * outer)
-                    else:
-                        dist = outer * (2.0 * level / v_end) if v_end > 0.0 else outer
-                    t = zone + side * dist
-                    if dist <= 0.5 * outer and (lo < t < zlo and t < hi if side < 0 else lo < t and zhi < t < hi):
-                        x = t
-                        break
-        if x is None:
-            x = mid
-            y = f(mid)
-            if y == 0.0:
-                return mid, mid
-            if (y > 0.0) == up:
-                a = mid
-            else:
-                b = mid
-            reads += 1
-            if reads % _PROBE_EVERY == 0:
-                spare += 1
-            if not (x0 < mid < zlo or zhi < mid < x1 or not left_far <= mid <= right_far):
-                continue  # tells the probes nothing new
-        else:
-            y = f(x)
-            spare -= 1
-            fresh = True
-        if y > level:
-            left = up
-        elif y < -level:
-            left = not up
-        else:
-            if not x0 < x < x1:
-                pass
-            elif zone is None:
-                zone = zlo = zhi = x
-                fresh = True
-            elif x < zlo:
-                zlo = x
-            elif x > zhi:
-                zhi = x
-            continue
-        v = abs(y)
-        if left:
-            if x < left_far:
-                left_far = x
-            if x > left_near:
-                left_near = x
-            if x > x0:
-                stall = False
-                if last < 0:
-                    scale = 1.0 - v / v0
-                    stall = scale <= 0.0
-                    if scale > 0.0:
-                        w1 *= scale
-                x0, w0, v0, last = x, v, v, -1
-        else:
-            if x < right_near:
-                right_near = x
-            if x > right_far:
-                right_far = x
-            if x < x1:
-                stall = False
-                if last > 0:
-                    scale = 1.0 - v / v1
-                    stall = scale <= 0.0
-                    if scale > 0.0:
-                        w0 *= scale
-                x1, w1, v1, last = x, v, v, 1
-        if zone is None or not x0 < zlo <= zhi < x1:
-            zone, zlo, zhi, fresh = None, x1, x1, True
-    return a, b
+    return (a, b), count
 
 
 def _signs(c: list) -> list:
@@ -358,20 +219,17 @@ def _bernstein_roots(coeffs: list) -> tuple:
     doubles; one whose coefficient differences change sign once holds one
     extremum, bisected on h', and the sign of h there decides between no
     root, two simple roots and a double (tangent) root.  Each bisection
-    evaluates only the midpoints whose sign it has not proved (``_bisect``):
-    on h where the differences change sign at most once, on h' where the
-    second differences do, each with the error bound of its own list
-    (``_horner_bound``); elsewhere it evaluates every one.  Any other
-    interval is split at its midpoint, or is one point when no double splits
-    it or its coefficients are all within ``_rounding_bound`` of zero.
-    Adjacent roots merge when h is within that bound of zero on the whole gap
-    between them, which two de Casteljau splits decide; they run only where h
-    at the gap's midpoint is within ``_FLAT_PROBE`` bounds, the one place
-    that can hold.
+    evaluates every midpoint (``_bisect``).  Any other interval is split at
+    its midpoint, or is one point when no double splits it or its
+    coefficients are all within ``_rounding_bound`` of zero.  Adjacent roots
+    merge when h is within that bound of zero on the whole gap between them,
+    which two de Casteljau splits decide; they run only where h at the gap's
+    midpoint is within ``_FLAT_PROBE`` bounds, the one place that can hold.
     """
     n = len(coeffs) - 1
     noise = _rounding_bound(n)
-    values, bound = bernstein_scaled(coeffs), _horner_bound(coeffs)
+    values = bernstein_scaled(coeffs)
+    slopes = None  # h', built on first use: only an extremum reads it
     evaluations = 0
 
     def h(x: float) -> float:
@@ -379,40 +237,38 @@ def _bernstein_roots(coeffs: list) -> tuple:
         evaluations += 1
         return bernstein_horner(values, x)
 
-    slope = slope_bound = None  # h' and its bound E, built on first use: only an extremum reads them
+    def root(a: float, b: float, fa: float) -> tuple:
+        """Final bracket of the root of h in (a, b), where h just right of a has fa's sign."""
+        nonlocal evaluations
+        bracket, count = _bisect(values, a, b, fa)
+        evaluations += count
+        return bracket
 
     # (final bracket, sign of h just right of the root), ascending
     found: list = []
 
     def isolate(c: list, a: float, b: float) -> None:
         """Append the roots of h in the open interval (a, b), where c are its coefficients."""
-        nonlocal slope, slope_bound
+        nonlocal slopes
         s = _signs(c)
         changes = _changes(s)
         if changes == 0:
             return
-        steps = [y - x for x, y in zip(c, c[1:])]
-        d = _signs(steps)
+        d = _signs([y - x for x, y in zip(c, c[1:])])
         left, right, extrema = s[0], s[-1], _changes(d)
-        ends = abs(c[0]), abs(c[-1])
         if changes == 1 or (extrema == 1 and left != right):
-            proved = bound if extrema <= 1 else math.inf
-            found.append((_bisect(h, a, b, left, ends, proved, extrema == 0), right))
+            found.append((root(a, b, left), right))
         elif extrema == 1:
-            if slope is None:
-                c1 = [n * (y - x) for x, y in zip(coeffs, coeffs[1:])]
-                slope, slope_bound = functools.partial(bernstein_horner, bernstein_scaled(c1)), _horner_bound(c1)
-            bends = _changes(_signs([y - x for x, y in zip(steps, steps[1:])]))
-            proved = slope_bound if bends <= 1 else math.inf
-            slope_ends = abs(steps[0]), abs(steps[-1])
-            lo, hi = _bisect(slope, a, b, d[0], slope_ends, proved, bends == 0)
+            if slopes is None:
+                slopes = bernstein_scaled([n * (y - x) for x, y in zip(coeffs, coeffs[1:])])
+            (lo, hi), _ = _bisect(slopes, a, b, d[0])
             xc = 0.5 * (lo + hi)
             v = h(xc)
             if abs(v) <= noise:
                 found.append(((lo, hi), right))
             elif (v > 0.0) != (left > 0.0):
-                found.append((_bisect(h, a, xc, left, (ends[0], abs(v)), bound), _signs([v])[0]))
-                found.append((_bisect(h, xc, b, v, (abs(v), ends[1]), bound), right))
+                found.append((root(a, xc, left), _signs([v])[0]))
+                found.append((root(xc, b, v), right))
         elif not a < 0.5 * (a + b) < b or all(abs(v) <= noise for v in c):
             # a cluster no finer split can resolve: one point
             found.append(((a, b), right))
@@ -495,10 +351,9 @@ def find_fixed_points(params: ModelParams) -> FixedPointSet:
     """All solutions of g(x) = x in [0, 1], with stability and tangency flags.
 
     They are the roots of h(x) = g(x) - x, whose Bernstein coefficients are
-    f(k) - k/m; interior roots are bisected to adjacent doubles, evaluating
-    only the midpoints whose sign is not proved (``_bisect``), so the points
-    are those of plain bisection.  For p_b = p_r, f(m-k) = 1 - f(k): h is odd
-    about 1/2, and the points are alpha, 1/2, 1.0 - alpha (``_fixed_points``).
+    f(k) - k/m; interior roots are bisected to adjacent doubles (``_bisect``).
+    For p_b = p_r, f(m-k) = 1 - f(k): h is odd about 1/2, and the points are
+    alpha, 1/2, 1.0 - alpha (``_fixed_points``).
     """
     return _fixed_points(UpdateMap.from_params(params))
 
@@ -621,10 +476,7 @@ def solve_threshold(m: int) -> ThresholdResult:
     change certifies p(m) unique in (0, 1), and ``_bernstein_roots`` bisects it
     to adjacent doubles; for m = 2 the only root is the endpoint p = 1 (``at_boundary``).
     ``_fixed_points`` reads the same T(p) (``_threshold_form``) for a symmetric map's side of p(m).
-    The polynomial is monotone in p, so the bisection evaluates only the
-    midpoints between the certified points nearest the root (``_bisect``):
-    ``evaluations`` is 15 to 24 for m = 3..64, where plain bisection takes 51
-    to 58, and the bracket is the same.
+    ``evaluations`` counts the midpoints bisected: 51 to 58 for m = 3..64.
     """
     m = _check_int("m", m, 2, MAX_CHILDREN)
     [(p_m, width)], _, evaluations = _bernstein_roots(_threshold_form(m)[0])

@@ -582,19 +582,19 @@ def test_import_builds_no_parser():
 GOLDEN = [
     (
         ["threshold", "--m", "3"],
-        {"m": 3, "p_threshold": 0.5575066659755579, "bracket_width": 1.1102230246251565e-16, "evaluations": 16, "at_boundary": False},
+        {"m": 3, "p_threshold": 0.5575066659755579, "bracket_width": 1.1102230246251565e-16, "evaluations": 53, "at_boundary": False},
     ),
     (
         ["threshold", "--m", "8"],
-        {"m": 8, "p_threshold": 0.22249969378076237, "bracket_width": 0.0, "evaluations": 18, "at_boundary": False},
+        {"m": 8, "p_threshold": 0.22249969378076237, "bracket_width": 0.0, "evaluations": 55, "at_boundary": False},
     ),
     (
         ["threshold", "--m", "16"],
-        {"m": 16, "p_threshold": 0.11340506759468955, "bracket_width": 1.3877787807814457e-17, "evaluations": 21, "at_boundary": False},
+        {"m": 16, "p_threshold": 0.11340506759468955, "bracket_width": 1.3877787807814457e-17, "evaluations": 56, "at_boundary": False},
     ),
     (
         ["threshold", "--m", "64"],
-        {"m": 64, "p_threshold": 0.028760341294702757, "bracket_width": 0.0, "evaluations": 22, "at_boundary": False},
+        {"m": 64, "p_threshold": 0.028760341294702757, "bracket_width": 0.0, "evaluations": 55, "at_boundary": False},
     ),
     (
         ["fixed-points", "--m", "3", "--p", "0.9"],

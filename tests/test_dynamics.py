@@ -295,7 +295,7 @@ class TestRootIsolation:
         # exponent range, 1,074 times, to the exact zero h(5e-324) = 0
         got, gap_signs, evaluations = _bernstein_roots([5e-324, -1.0])
         assert (got, gap_signs) == ([(5e-324, 0.0)], (1, -1))
-        assert evaluations <= 1100
+        assert evaluations == 1074
 
 
 def _h_coeffs(params: ModelParams) -> list:
@@ -365,32 +365,8 @@ class TestMergeProbe:
         assert callers.count("_fixed_points") == 1 and "flat" not in callers
 
 
-def _bisect_pairs(monkeypatch) -> list:
-    """Run each ``dynamics._bisect`` call twice, skipping proved midpoints and not,
-    check that both return the same bracket, and record the two evaluation counts."""
-    pairs, bisect_ = [], dynamics._bisect
-
-    def both(f, a, b, fa, ends, bound, monotone=False):
-        counts = [0, 0]
-
-        def counted(i):
-            def g(x):
-                counts[i] += 1
-                return f(x)
-
-            return g
-
-        got = bisect_(counted(0), a, b, fa, ends, bound, monotone)
-        assert got == bisect_(counted(1), a, b, fa, ends, math.inf, monotone), (a, b)
-        pairs.append(tuple(counts))
-        return got
-
-    monkeypatch.setattr(dynamics, "_bisect", both)
-    return pairs
-
-
-class TestProvedBisection:
-    """Bisection evaluates only the midpoints whose sign is unproved, and ends where plain bisection does."""
+class TestBisection:
+    """Each bracket ``_bisect`` returns is final, and its count is the midpoints it evaluated."""
 
     def _inputs(self):
         yield from (_h_coeffs(params) for params in TestMergeProbe()._cases())
@@ -398,33 +374,34 @@ class TestProvedBisection:
         yield [5e-324, -1.0]
         yield [-1.0, 1e-300]
         # one sign change, but the differences change sign twice: two
-        # extrema inside the one-root interval, where every midpoint is read
+        # extrema inside the one-root interval
         yield [-1.0, -0.25, -0.75, 1.0]
 
-    def test_same_roots_within_worst_case(self, monkeypatch):
-        skipped = plain = 0
-        for c in self._inputs():
-            got = _bernstein_roots(c)
-            with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "_CERTIFIED", math.inf)
-                want = _bernstein_roots(c)
-            assert got[:2] == want[:2], c
-            skipped, plain = skipped + got[2], plain + want[2]
-        # plain bisection evaluates h 92,351 times here, 55% of them within
-        # twice the error bound of zero, where no midpoint can be proved
-        assert skipped <= 0.8 * plain, (skipped, plain)
-        pairs = _bisect_pairs(monkeypatch)
+    def test_brackets_final_and_counted(self, monkeypatch):
+        reads, brackets = [0], []
+        bisect_ = dynamics._bisect
+
+        def counted(scaled, x):
+            reads[0] += 1
+            return bernstein_horner(scaled, x)
+
+        def checked(scaled, a, b, fa):
+            before = reads[0]
+            (lo, hi), count = bisect_(scaled, a, b, fa)
+            assert count == reads[0] - before, (a, b)
+            if lo == hi:
+                assert a < lo < b and bernstein_horner(scaled, lo) == 0.0, (a, b)
+            else:
+                assert a <= lo < hi <= b and math.nextafter(lo, 1.0) == hi, (a, b, lo, hi)
+            brackets.append(lo == hi)
+            return (lo, hi), count
+
+        monkeypatch.setattr(dynamics, "bernstein_horner", counted)
+        monkeypatch.setattr(dynamics, "_bisect", checked)
         for c in self._inputs():
             _bernstein_roots(c)
-        assert len(pairs) > 2000
-        for evaluated, every in pairs:
-            assert evaluated <= every + dynamics._PROBE_CREDIT + every // dynamics._PROBE_EVERY
-
-    def test_two_extrema_read_every_midpoint(self, monkeypatch):
-        pairs = _bisect_pairs(monkeypatch)
-        _bernstein_roots([-1.0, -0.25, -0.75, 1.0])
-        [(evaluated, every)] = pairs
-        assert evaluated == every > 50
+        # both endings occur: adjacent doubles, and midpoints where h reads exactly zero
+        assert len(brackets) > 2000 and 0 < sum(brackets) < len(brackets)
 
 
 def _mp_bernstein(c: list, x: float):
@@ -436,7 +413,7 @@ def _mp_bernstein(c: list, x: float):
 
 
 class TestHornerBound:
-    """The premise of the skipped midpoints: Horner's rule on a list is within
+    """The premise of ``_horner_bound``: Horner's rule on a list is within
     1.5 (n+1) eps max|c| of the exact value, for every list the isolator reads."""
 
     def _lists(self):
@@ -794,11 +771,11 @@ class TestThresholdCertificate:
     def test_bracket_and_evaluations(self):
         # bisected until no double splits the bracket: one ulp wide, or zero
         # where h is exactly 0.0 at a double (m = 8 and 64, among others);
-        # plain bisection evaluates 51 to 58 midpoints, the proved ones are skipped
+        # that takes 51 to 58 midpoints
         for m in range(3, 65):
             res = solve_threshold(m)
             assert 0.0 <= res.bracket_width <= math.ulp(res.p_threshold)
-            assert 0 < res.evaluations <= 24
+            assert 51 <= res.evaluations <= 58
         res = solve_threshold(2)
         assert (res.p_threshold, res.bracket_width, res.evaluations) == (1.0, 0.0, 0)
 
@@ -983,9 +960,13 @@ class TestHalfIsolation:
         assert calls == [True] * 5
 
     def test_grid_evaluations(self, monkeypatch):
-        # rooting all of [0, 1] and snapping the middle root to 1/2 made 4,784 calls here
+        # the reference is the same isolator on all of [0, 1], given each map's full f(k) - k/m
         grid = self._grid()
         calls = _horner_calls(monkeypatch)
         for params, _ in grid:
             find_fixed_points(params)
-        assert len(calls) <= 0.55 * 4784, len(calls)
+        half = len(calls)
+        del calls[:]
+        for params, _ in grid:
+            _bernstein_roots(_h_coeffs(params))
+        assert half <= 0.55 * len(calls), (half, len(calls))
