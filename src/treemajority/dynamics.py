@@ -69,7 +69,7 @@ class UnsupportedRegimeError(RuntimeError):
 
 
 class IdentityMapError(UnsupportedRegimeError):
-    """The update map is the identity, so every point of [0,1] is fixed."""
+    """The update map is the identity, so every point of [0,1] is fixed: every f(k) - k/m is 0.0."""
 
 
 @dataclass(frozen=True)
@@ -326,10 +326,11 @@ def _fixed_points(gm: UpdateMap) -> FixedPointSet:
     undecided, and 1/2 stands alone.  Else h on [0, 1/2], with coefficients
     d_j in w = 2x, is (1 - w) q(w): q has coefficients d_j m / (m - j), j < m,
     the last q(1) = -h'(1/2)/2, set to -T(p)/2.  Each root w of q gives alpha = w/2 and 1.0 - alpha.
+    1/2 alone has gaps sign(c_0), -sign(c_0), as h is odd, also where c_m rounds to 0.0.
     """
     m = gm.params.m
     coeffs = [f - k / m for k, f in enumerate(gm.coeffs)]
-    if max(map(abs, coeffs)) <= _rounding_bound(m):
+    if not any(coeffs):
         raise IdentityMapError("update map coincides with the identity; every point of [0,1] is fixed")
     if not gm.params.is_symmetric:
         roots, gap_signs, _ = _bernstein_roots(coeffs)
@@ -344,7 +345,7 @@ def _fixed_points(gm: UpdateMap) -> FixedPointSet:
             alphas = [0.5 * w for w, _ in roots]
             values = alphas + [0.5] + [1.0 - x for x in reversed(alphas)]
             return _point_set(gm, values, gap_signs + tuple(-s for s in reversed(gap_signs)))
-    return _point_set(gm, [0.5], (signs[0], signs[-1]))
+    return _point_set(gm, [0.5], (signs[0], -signs[0]))
 
 
 def find_fixed_points(params: ModelParams) -> FixedPointSet:
@@ -353,7 +354,8 @@ def find_fixed_points(params: ModelParams) -> FixedPointSet:
     They are the roots of h(x) = g(x) - x, whose Bernstein coefficients are
     f(k) - k/m; interior roots are bisected to adjacent doubles (``_bisect``).
     For p_b = p_r, f(m-k) = 1 - f(k): h is odd about 1/2, and the points are
-    alpha, 1/2, 1.0 - alpha (``_fixed_points``).
+    alpha, 1/2, 1.0 - alpha (``_fixed_points``).  Raises ``IdentityMapError`` only where
+    every coefficient is 0.0 (m = 2, p_b = p_r = 1); m = 2, p = 1 - 1e-9 has one point, 1/2.
     """
     return _fixed_points(UpdateMap.from_params(params))
 
@@ -366,34 +368,6 @@ def classify_stability(gm: UpdateMap, x_star: float) -> str:
     return _stability_label(g_prime(gm, x_star))
 
 
-def _iterate(gm: UpdateMap, pi_0: float, max_steps: int, fixed_points) -> Trajectory:
-    """``iterate_dynamics`` on a map already built; ``fixed_points()`` gives its
-    fixed points and is called only on convergence."""
-    pi_0 = _check_prob("pi_0", pi_0)
-    max_steps = _check_int("max_steps", max_steps, 1)
-    values = [pi_0]
-    x = pi_0
-    converged = False
-    scaled = gm._values
-    for _ in range(max_steps):
-        x_next = g_value(scaled, x)  # g_eval(gm, x) without its checks: x stays in [0, 1]
-        values.append(x_next)
-        if abs(x_next - x) < _STEP_TOL:
-            x = x_next
-            converged = True
-            break
-        x = x_next
-    limit: Optional[float] = None
-    if converged:
-        try:
-            nearest = min(fixed_points().points, key=lambda fp: abs(fp.value - x))
-            if abs(nearest.value - x) <= 100.0 * _STEP_TOL:
-                limit = nearest.value
-        except IdentityMapError:
-            limit = x  # every point is fixed, the trajectory is constant
-    return Trajectory(values=tuple(values), converged=converged, limit=limit)
-
-
 def iterate_dynamics(params: ModelParams, pi_0: float, max_steps: int = 10**6) -> Trajectory:
     """Iterate pi_{t+1} = g(pi_t) until successive iterates differ by < 1e-13.
 
@@ -401,10 +375,9 @@ def iterate_dynamics(params: ModelParams, pi_0: float, max_steps: int = 10**6) -
     creep too slowly near tangencies); on convergence the limit is the nearest
     located fixed point when it lies within 100 times that step (1e-11) of
     the final iterate, else None.  Each iterate is bit-equal to ``g_eval`` of
-    the one before it.
+    the one before it.  The orbit is ``_trajectory_request``'s.
     """
-    gm = UpdateMap.from_params(params)
-    return _iterate(gm, pi_0, max_steps, lambda: _fixed_points(gm))
+    return _trajectory_request(params, pi_0, max_steps, False)[0]
 
 
 def _predict(fps: FixedPointSet, pi_0: float) -> float:
@@ -441,14 +414,37 @@ def predict_limit(params: ModelParams, pi_0: float) -> float:
 def _trajectory_request(params: ModelParams, pi_0: float, max_steps: int, predict: bool) -> tuple:
     """(``iterate_dynamics``, ``predict_limit`` or None) from one map and at most one root set.
 
-    The trajectory names its limit and the prediction reads the basins
-    separately, as the two public functions do, but both read the same fixed
-    points, found at most once.
+    The package's one orbit: it checks pi_0 and ``max_steps``, iterates, and
+    names the limit (the final iterate on the identity map); the prediction
+    reads the same fixed points, found at most once.
     """
+    pi_0 = _check_prob("pi_0", pi_0)
+    max_steps = _check_int("max_steps", max_steps, 1)
     gm = UpdateMap.from_params(params)
-    fixed_points = functools.cache(functools.partial(_fixed_points, gm))
-    traj = _iterate(gm, pi_0, max_steps, fixed_points)
-    return traj, (_predict(fixed_points(), traj.values[0]) if predict else None)
+    values = [pi_0]
+    x = pi_0
+    converged = False
+    scaled = gm._values
+    for _ in range(max_steps):
+        x_next = g_value(scaled, x)  # g_eval(gm, x) without its checks: x stays in [0, 1]
+        values.append(x_next)
+        if abs(x_next - x) < _STEP_TOL:
+            x = x_next
+            converged = True
+            break
+        x = x_next
+    fps = None  # the map's fixed points, found on convergence
+    limit: Optional[float] = None
+    if converged:
+        try:
+            fps = _fixed_points(gm)
+            nearest = min(fps.points, key=lambda fp: abs(fp.value - x))
+            if abs(nearest.value - x) <= 100.0 * _STEP_TOL:
+                limit = nearest.value
+        except IdentityMapError:
+            limit = x  # every point is fixed, the trajectory is constant
+    traj = Trajectory(values=tuple(values), converged=converged, limit=limit)
+    return traj, (_predict(fps or _fixed_points(gm), pi_0) if predict else None)
 
 
 def _threshold_coeffs(m: int) -> list:

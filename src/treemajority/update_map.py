@@ -9,10 +9,11 @@ a degree-m polynomial whose Bernstein coefficients are exactly the policy
 values f(0..m).  Derivatives are taken analytically on the lower-degree
 Bernstein bases, never by numerical differencing: g' has coefficients
 m (f(k+1) - f(k)), built without subtracting policy values
-(``model.policy_differences``), and g'' their differences.  A map builds its
-binomial weight rows once (``model._weight_rows``: m+1 rows, or 2(m+1) when
-p_b != p_r); the policy values read them when the map is built and the steps
-on first use of g' or g''.  Every value is
+(``model.policy_differences``), and g'' their differences.  A map has one
+constructor, ``UpdateMap.from_params``, which builds the binomial weight rows
+once (``model._weight_rows``: m+1 rows, or 2(m+1) when p_b != p_r) and keeps
+them in the map's ``rows`` field; the policy values read them when the map
+is built and the steps on first use of g' or g''.  Every value is
 Horner's rule on binomial-scaled coefficients (``model.bernstein_horner``),
 scaled once per map, in Python floats: within 1.5 (n+1) machine epsilons of
 the exact Bernstein sum of degree n for coefficients in [0, 1].  g is clamped
@@ -22,7 +23,7 @@ to [0, 1], where the exact g lies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .model import (
@@ -54,17 +55,12 @@ class UpdateMap:
 
     params: ModelParams
     coeffs: tuple  # policy values f(0..m), Python floats
+    rows: tuple = field(repr=False, compare=False)  # the weight rows f(0..m) was built from
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "UpdateMap":
         rows = _weight_rows(params)
-        gm = cls(params=params, coeffs=tuple(_policy_table(params, rows)))
-        vars(gm)["_rows"] = rows  # fills the cached property below, so the steps read the same rows
-        return gm
-
-    @cached_property
-    def _rows(self) -> tuple:
-        return _weight_rows(self.params)
+        return cls(params=params, coeffs=tuple(_policy_table(params, rows)), rows=rows)
 
     # Binomial-scaled coefficient lists for bernstein_horner, built on first use.
 
@@ -74,7 +70,7 @@ class UpdateMap:
 
     @cached_property
     def _differences(self) -> list:
-        return _policy_steps(self.params, self._rows)
+        return _policy_steps(self.params, self.rows)
 
     @cached_property
     def _steps(self) -> tuple:

@@ -128,6 +128,15 @@ class TestFixedPointsCommand:
         code, _, err = run_cli(capsys, "fixed-points", "--m", "2", "--p", "1")
         assert code == 3 and "unsupported" in err
 
+    @pytest.mark.parametrize("p", ["0.99999999", "0.999999999"])
+    def test_near_identity_map_answered(self, capsys, p):
+        # a rounding away from the identity is not the identity: 1/2 is the one fixed point
+        code, out, err = run_cli(capsys, "fixed-points", "--m", "2", "--p", p)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["count"] == 1 and report["points"][0]["value"] == 0.5
+        assert report["points"][0]["tangent"] is False
+
 
 class TestThresholdCommand:
     def test_m3_value(self, capsys):
@@ -184,6 +193,29 @@ class TestTrajectoryCommand:
         report = json.loads(out)
         assert report["converged"] is True and report["limit"] != 0.5
         assert report["predicted_limit"] == report["limit"]
+
+    @pytest.mark.parametrize(
+        "m, p_b, p_r, pi0, steps",
+        [
+            (3, 0.8, 0.8, 0.3, 10**6),  # symmetric, above p(3)
+            (3, 0.4, 0.4, 0.9, 10**6),  # symmetric, below p(3)
+            (3, 1.0, 0.9, 0.1, 10**6),  # the m = 3, p_b = 1 line
+            (2, 1.0, 1.0, 0.37, 10**6),  # the identity: the limit is the last iterate
+            (3, 0.8, 0.8, 0.3, 4),  # capped before convergence
+        ],
+    )
+    def test_report_is_iterate_dynamics(self, capsys, m, p_b, p_r, pi0, steps):
+        from treemajority import ModelParams, iterate_dynamics
+
+        argv = ["--m", m, "--p-b", p_b, "--p-r", p_r, "--pi0", pi0, "--steps", steps]
+        code, out, err = run_cli(capsys, "trajectory", *map(str, argv))
+        assert code == 0, err
+        report = json.loads(out)
+        traj = iterate_dynamics(ModelParams(m, p_b, p_r), pi0, steps)
+        assert report["steps_taken"] == len(traj.values) - 1
+        assert report["converged"] is traj.converged
+        assert report["limit"] == traj.limit
+        assert report["values"] == list(traj.values)
 
     def test_predict_identity_exit_3(self, capsys):
         code, _, err = run_cli(

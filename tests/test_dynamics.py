@@ -420,15 +420,13 @@ class TestHornerBound:
         yield from (_threshold_coeffs(m) for m in range(3, 65))
         rng = random.Random(20261019)
         for _ in range(50):
-            c = _h_coeffs(ModelParams(rng.randint(2, 64), rng.random(), rng.random()))
-            yield c
-            yield [(len(c) - 1) * (b - a) for a, b in zip(c, c[1:])]  # h'
+            yield _h_coeffs(ModelParams(rng.randint(2, 64), rng.random(), rng.random()))
 
     def test_error_within_bound_of_list(self):
         rng = random.Random(7)
         eps = sys.float_info.epsilon
         # the bound scales with the list: the threshold's coefficients reach
-        # 5.36 and the slope lists more, not the [-1, 1] of a map's f(k) - k/m
+        # 5.36, not the [-1, 1] of a map's f(k) - k/m
         assert max(max(map(abs, c)) for c in self._lists()) > 5.0
         for c in self._lists():
             n, scaled = len(c) - 1, bernstein_scaled(c)
@@ -837,6 +835,14 @@ class TestM2WholeSquare:
     def test_identity_map_refused(self):
         with pytest.raises(IdentityMapError):
             find_fixed_points(ModelParams(2, 1.0, 1.0))
+
+    @pytest.mark.parametrize("k", range(7, 17))
+    def test_near_identity_keeps_its_half(self, k):
+        # h = (1-p)^2/2 (1 - 2x): f(2) rounds to 1.0 and h is within rounding
+        # of zero, but the map is not the identity and 1/2 crosses the diagonal
+        fps = find_fixed_points(ModelParams.symmetric(2, 1.0 - 10.0**-k))
+        assert fps.values == (0.5,) and fps.gap_signs == (1, -1)
+        assert not fps.points[0].tangent
 
     def test_one_fixed_point_at_the_quadratic_root(self):
         cells = 0

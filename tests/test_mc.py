@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
+import treemajority
 from treemajority import mc
 from treemajority.mc import SimConfig, estimate_g_one_step, independence_check, simulate_tree
 from treemajority.model import ModelParams
@@ -27,6 +28,25 @@ def sym_config(m=3, p=0.5, depth=5, horizon=3, pi_0=0.5, seed=123, reps=200):
         seed=seed,
         replications=reps,
     )
+
+
+class TestPackageNames:
+    """The package resolves its simulator names from ``mc`` on each access."""
+
+    def test_simulator_names_are_mcs_current_bindings(self, monkeypatch):
+        for name in treemajority._MC_NAMES:
+            assert getattr(treemajority, name) is getattr(mc, name)
+            sentinel = object()
+            monkeypatch.setattr(mc, name, sentinel)
+            assert getattr(treemajority, name) is sentinel
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            treemajority.no_such_name
+
+    def test_every_public_name_resolves(self):
+        for name in treemajority.__all__:
+            assert getattr(treemajority, name) is not None, name
 
 
 class TestSimConfig:
