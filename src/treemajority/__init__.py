@@ -24,7 +24,6 @@ from .dynamics import (
     ThresholdResult,
     Trajectory,
     UnsupportedRegimeError,
-    classify_stability,
     find_fixed_points,
     iterate_dynamics,
     m3_pb1_closed_form,
@@ -72,7 +71,6 @@ __all__ = [
     "UnsupportedRegimeError",
     "IdentityMapError",
     "find_fixed_points",
-    "classify_stability",
     "iterate_dynamics",
     "predict_limit",
     "solve_threshold",

@@ -10,9 +10,10 @@ counts its own evaluations of h.  A root is bisected to adjacent doubles
 coefficients f(k) - k/m; p(m) is the root of T(p) = g'(1/2) - 1 = E|S_N| - 1
 as a polynomial in p, with N ~ Binomial(m, p) and S a simple symmetric random
 walk.  A symmetric map's h is odd about 1/2: its left half is rooted, with
-1/2 divided out and T(p) read for the side of p(m), and mirrored.  Limits of
-the recursion pi_{t+1} = g(pi_t) are predicted from the fixed-point layout
-using the cobweb argument for strictly increasing maps.
+1/2 divided out and T(p) read for the side of p(m), and mirrored.  A point's
+stability and the limits of the recursion pi_{t+1} = g(pi_t) are both read
+from the signs of h on the gaps between the points, by the cobweb argument
+for strictly increasing maps, with no slope and no tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 from .model import MAX_CHILDREN, ModelParams, bernstein_horner, bernstein_scaled
 from .model import _check_int, _check_prob
-from .update_map import UpdateMap, g_eval, g_prime, g_value
+from .update_map import UpdateMap, g_eval, g_value
 
 __all__ = [
     "ATTRACTIVE",
@@ -40,7 +41,6 @@ __all__ = [
     "Trajectory",
     "ThresholdResult",
     "find_fixed_points",
-    "classify_stability",
     "iterate_dynamics",
     "predict_limit",
     "solve_threshold",
@@ -51,7 +51,6 @@ ATTRACTIVE = "attractive"
 REPULSIVE = "repulsive"
 NEUTRAL = "neutral"
 
-_STABILITY_TOL = 1e-8
 # the step that ends an orbit
 _STEP_TOL = 1e-13
 # h above this many rounding bounds at a gap's midpoint is not flat on the gap (see _bernstein_roots)
@@ -75,7 +74,7 @@ class IdentityMapError(UnsupportedRegimeError):
 @dataclass(frozen=True)
 class FixedPoint:
     value: float
-    stability: str  # one of ATTRACTIVE / REPULSIVE / NEUTRAL
+    stability: str  # where orbits beside it go (see _point_set): ATTRACTIVE / REPULSIVE / NEUTRAL iff tangent
     tangent: bool  # curve touches the diagonal without crossing it
     residual: float  # |g(value) - value|
 
@@ -111,15 +110,6 @@ class ThresholdResult:
     at_boundary: bool = False  # m = 2: the slope reaches 1 only at p = 1
 
 
-def _stability_label(slope: float) -> str:
-    mag = abs(slope)
-    if mag < 1.0 - _STABILITY_TOL:
-        return ATTRACTIVE
-    if mag > 1.0 + _STABILITY_TOL:
-        return REPULSIVE
-    return NEUTRAL
-
-
 def _rounding_bound(m: int) -> float:
     """Absolute rounding bound on h and on its Bernstein coefficients, for degree m: 4 (m+1) eps.
 
@@ -144,9 +134,20 @@ def _rounding_bound(m: int) -> float:
 
 
 def _point_set(gm: UpdateMap, values: list, gap_signs: tuple) -> FixedPointSet:
-    """Fixed points ``values`` of ``gm``, ascending; a point is tangent iff its two gaps agree."""
+    """Fixed points ``values`` of ``gm``, ascending, labelled from their two gaps alone.
+
+    g is increasing, so orbits beside a point go up where h > 0 and down where
+    h < 0: it attracts iff h >= 0 on its left and <= 0 on its right, is
+    neutral iff tangent (both gaps of one sign), and else repels; gaps (0, 0)
+    would be the identity map, refused before this.
+    """
     points = tuple(
-        FixedPoint(x, _stability_label(g_prime(gm, x)), left == right, abs(g_eval(gm, x) - x))
+        FixedPoint(
+            x,
+            NEUTRAL if left == right else ATTRACTIVE if left >= 0 >= right else REPULSIVE,
+            left == right,
+            abs(g_eval(gm, x) - x),
+        )
         for x, left, right in zip(values, gap_signs, gap_signs[1:])
     )
     return FixedPointSet(points=points, gap_signs=gap_signs)
@@ -358,14 +359,6 @@ def find_fixed_points(params: ModelParams) -> FixedPointSet:
     every coefficient is 0.0 (m = 2, p_b = p_r = 1); m = 2, p = 1 - 1e-9 has one point, 1/2.
     """
     return _fixed_points(UpdateMap.from_params(params))
-
-
-def classify_stability(gm: UpdateMap, x_star: float) -> str:
-    """Attractive / repulsive / neutral by |g'(x*)| against 1 (tolerance 1e-8)."""
-    x_star = float(x_star)
-    if abs(g_eval(gm, x_star) - x_star) > 1e-8:
-        raise ValueError(f"x_star={x_star!r} is not a fixed point of the map")
-    return _stability_label(g_prime(gm, x_star))
 
 
 def iterate_dynamics(params: ModelParams, pi_0: float, max_steps: int = 10**6) -> Trajectory:

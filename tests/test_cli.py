@@ -584,7 +584,6 @@ tm.iterate_dynamics(params, 0.3).values
 tm.predict_limit(params, 0.3)
 tm.m3_pb1_closed_form(0.9).values
 tm.solve_threshold(5)
-tm.classify_stability(gm, fps.points[0].value)
 tm.g_prime_at_half(tm.ModelParams.symmetric(4, 0.7))
 tm.df_dp(5, 1, 0.4)
 print(" ".join(m for m in ("numpy", "numpy.random", "treemajority.mc") if m in sys.modules))

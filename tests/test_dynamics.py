@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemajority import dynamics, model
+from treemajority import cli, dynamics, model, update_map
 from treemajority.dynamics import _bernstein_roots, _rounding_bound, _split, _threshold_coeffs
 from treemajority.dynamics import _fixed_points, _predict, _trajectory_request
 from treemajority.dynamics import (
@@ -19,7 +20,6 @@ from treemajority.dynamics import (
     REPULSIVE,
     IdentityMapError,
     UnsupportedRegimeError,
-    classify_stability,
     find_fixed_points,
     iterate_dynamics,
     m3_pb1_closed_form,
@@ -27,7 +27,7 @@ from treemajority.dynamics import (
     solve_threshold,
 )
 from treemajority.model import ModelParams, bernstein_horner, bernstein_scaled, policy_table
-from treemajority.update_map import UpdateMap, g_eval, g_prime_at_half
+from treemajority.update_map import UpdateMap, g_eval, g_prime, g_prime_at_half
 
 from conftest import enumerate_policy, mp_policy, symmetric_alpha_closed_form
 
@@ -84,6 +84,13 @@ class TestFindFixedPoints:
         assert fps.values[-1] == 1.0
         fps = find_fixed_points(ModelParams(3, 0.9, 1.0))
         assert fps.values[0] == 0.0
+        # next to the m = 2 identity: an endpoint's outer gap is the empty 0, so its inner gap sets its label
+        fps = find_fixed_points(ModelParams(2, 1.0, 1.0 - 2.0**-53))
+        assert fps.gap_signs == (1, 0)
+        assert [(fp.value, fp.stability) for fp in fps.points] == [(1.0, ATTRACTIVE)]
+        fps = find_fixed_points(ModelParams(2, 1.0 - 1e-9, 1.0))  # f(2) = 1 - 5e-19 rounds to 1.0
+        assert fps.gap_signs == (0, -1, 0)
+        assert [(fp.value, fp.stability) for fp in fps.points] == [(0.0, ATTRACTIVE), (1.0, REPULSIVE)]
 
     def test_closed_form_agreement_grid(self):
         for p_r in np.arange(0.0, 1.001, 0.01):
@@ -183,16 +190,23 @@ class TestRootIsolation:
         for g, w in zip(got, want):
             assert g.tangent == w.tangent
             assert g.value == pytest.approx(w.value, abs=1e-6)
+        # below sqrt3 - 1 every orbit goes to 1; above it the quadratic's roots split the square
+        if offset == 0.0:
+            labels = [NEUTRAL, ATTRACTIVE]
+        else:
+            labels = [ATTRACTIVE] if p_r < SQRT3M1 else [ATTRACTIVE, REPULSIVE, ATTRACTIVE]
+        assert [fp.stability for fp in got] == labels, p_r
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 16, 64])
     def test_triple_cluster_at_threshold_is_one_point(self, m):
         # at p(m) the roots alpha, 1/2, 1 - alpha coincide; rounding cannot
-        # separate them, so they must come back as a single neutral point
+        # separate them, so they must come back as a single point, which
+        # attracts every orbit (g'(1/2) = 1, but h is + left of it and - right)
         p = solve_threshold(m).p_threshold
         points = find_fixed_points(ModelParams.symmetric(m, p)).points
         assert len(points) == 1, [fp.value for fp in points]
         assert points[0].value == pytest.approx(0.5, abs=1e-4)
-        assert points[0].stability == NEUTRAL
+        assert points[0].stability == ATTRACTIVE
 
     def test_interior_roots_match_high_precision_polyroots(self):
         rng = np.random.default_rng(20251018)
@@ -488,24 +502,29 @@ class TestOneRowSetPerMap:
         _trajectory_request(params, 0.3, 10**4, False)
         assert len(rows) == rows_per_map
 
+    def test_fixed_points_build_no_policy_steps(self, monkeypatch, capsys):
+        # labels are read from the gap signs, so finding fixed points needs no g'
+        calls, steps = [], update_map._policy_steps
 
-class TestClassifyStability:
-    def test_repulsive_half_supercritical(self):
-        gm = UpdateMap.from_params(ModelParams.symmetric(3, 0.9))
-        assert classify_stability(gm, 0.5) == REPULSIVE
+        def counted(params, rows):
+            calls.append(params)
+            return steps(params, rows)
 
-    def test_attractive_half_subcritical(self):
-        gm = UpdateMap.from_params(ModelParams.symmetric(3, 0.3))
-        assert classify_stability(gm, 0.5) == ATTRACTIVE
-
-    def test_neutral_at_tangency(self):
-        gm = UpdateMap.from_params(ModelParams(3, 1.0, SQRT3M1))
-        assert classify_stability(gm, ALPHA_TANGENT) == NEUTRAL
-
-    def test_rejects_non_fixed_point(self):
-        gm = UpdateMap.from_params(ModelParams.symmetric(3, 0.3))
-        with pytest.raises(ValueError):
-            classify_stability(gm, 0.2)
+        monkeypatch.setattr(update_map, "_policy_steps", counted)
+        for params in (
+            ModelParams.symmetric(3, 0.9),
+            ModelParams.symmetric(5, solve_threshold(5).p_threshold),
+            ModelParams(8, 0.75, 0.55),
+        ):
+            find_fixed_points(params)
+            predict_limit(params, 0.3)
+        m3_pb1_closed_form(SQRT3M1)
+        m3_pb1_closed_form(0.9)
+        assert cli.main(["fixed-points", "--m", "5", "--p", "0.7"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 3
+        assert calls == []
+        g_prime(UpdateMap.from_params(ModelParams.symmetric(3, 0.9)), 0.5)
+        assert len(calls) == 1  # the counter sees the one build that g' makes
 
 
 class TestIterateDynamics:
@@ -842,7 +861,7 @@ class TestM2WholeSquare:
         # of zero, but the map is not the identity and 1/2 crosses the diagonal
         fps = find_fixed_points(ModelParams.symmetric(2, 1.0 - 10.0**-k))
         assert fps.values == (0.5,) and fps.gap_signs == (1, -1)
-        assert not fps.points[0].tangent
+        assert not fps.points[0].tangent and fps.points[0].stability == ATTRACTIVE
 
     def test_one_fixed_point_at_the_quadratic_root(self):
         cells = 0
@@ -894,15 +913,18 @@ class TestSymmetricPitchfork:
     and at or below it the one point 1/2; the oracles are 50-digit roots of the raw rule."""
 
     MS = (3, 4, 5, 8, 16, 32, 64)
-    DELTAS = (1e-8, 1e-10, 1e-12)
+    DELTAS = (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12)
 
     @staticmethod
     def _check_triple(params: ModelParams, alpha) -> None:
-        values = find_fixed_points(params).values
+        fps = find_fixed_points(params)
+        values = fps.values
         assert len(values) == 3, (params, values)
         assert abs((values[0] - 0.5) - (alpha - 0.5)) <= 1e-4 * (0.5 - alpha), (params, values[0], alpha)
         assert values[1] == 0.5 and values[2] == 1.0 - values[0]
         assert predict_limit(params, 0.3) == values[0]
+        stability = [fp.stability for fp in fps.points]
+        assert stability == [ATTRACTIVE, REPULSIVE, ATTRACTIVE], (params, stability)
 
     @pytest.mark.parametrize("m", MS)
     def test_three_mirrored_points_above(self, m):
@@ -912,10 +934,11 @@ class TestSymmetricPitchfork:
 
     @pytest.mark.parametrize("m", MS)
     def test_one_point_at_and_below(self, m):
+        # the paper: for p <= p(m), 1/2 is the only fixed point and attracts every orbit
         p_m = mp_threshold(m)
         for p in [float(p_m)] + [float(p_m - delta) for delta in self.DELTAS]:
-            assert find_fixed_points(ModelParams.symmetric(m, p)).values == (0.5,), (m, p)
-        assert find_fixed_points(ModelParams.symmetric(m, float(p_m))).points[0].stability == NEUTRAL
+            points = find_fixed_points(ModelParams.symmetric(m, p)).points
+            assert [(fp.value, fp.stability) for fp in points] == [(0.5, ATTRACTIVE)], (m, p)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_closed_form_alpha(self, m):
