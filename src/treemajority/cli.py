@@ -130,7 +130,7 @@ def _cmd_gmap(args) -> dict | str:
 
 def _cmd_fixed_points(args) -> dict:
     fps = find_fixed_points(_params_from_args(args))
-    return {"count": len(fps.points), "points": [dict(vars(fp)) for fp in fps.points]}
+    return {"count": len(fps.points), "points": [fp._asdict() for fp in fps.points]}
 
 
 def _cmd_trajectory(args) -> dict:
@@ -148,7 +148,7 @@ def _cmd_trajectory(args) -> dict:
 
 
 def _cmd_threshold(args) -> dict:
-    return dict(vars(solve_threshold(args.m)))
+    return solve_threshold(args.m)._asdict()
 
 
 def _cmd_simulate(args) -> dict:

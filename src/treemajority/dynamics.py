@@ -22,8 +22,7 @@ import bisect
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .model import MAX_CHILDREN, ModelParams, bernstein_horner, bernstein_scaled
 from .model import _check_int, _check_prob
@@ -71,43 +70,33 @@ class IdentityMapError(UnsupportedRegimeError):
     """The update map is the identity, so every point of [0,1] is fixed: every f(k) - k/m is 0.0."""
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    value: float
-    stability: str  # where orbits beside it go (see _point_set): ATTRACTIVE / REPULSIVE / NEUTRAL iff tangent
-    tangent: bool  # curve touches the diagonal without crossing it
-    residual: float  # |g(value) - value|
+# stability: where orbits beside the point go (see _point_set): ATTRACTIVE / REPULSIVE / NEUTRAL iff
+# tangent, the curve touching the diagonal without crossing it; residual: |g(value) - value|
+FixedPoint = namedtuple("FixedPoint", "value stability tangent residual")
 
 
-@dataclass(frozen=True)
-class FixedPointSet:
+class FixedPointSet(namedtuple("FixedPointSet", "points gap_signs")):
     """Fixed points, and the sign of h = g - x on each gap from 0 to 1 around them:
     +1 or -1, or 0 on the empty gap beside a point at 0 or 1 where h is exactly
     zero; a symmetric map's gaps right of 1/2 are those left of it, negated.
-    A point is tangent iff the gaps on its two sides have the same sign."""
+    A point is tangent iff the gaps on its two sides have the same sign.
+    ``points`` holds FixedPoint entries, ascending by value; gap i ends at
+    point i, so ``gap_signs`` has one more entry than ``points``."""
 
-    points: tuple  # FixedPoint entries, ascending by value
-    gap_signs: tuple  # gap i ends at point i; one more entry than points
+    __slots__ = ()
 
     @property
     def values(self) -> tuple:
         return tuple(fp.value for fp in self.points)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    values: tuple  # pi_0 .. pi_T, Python floats
-    converged: bool
-    limit: Optional[float]
+# values: pi_0 .. pi_T, Python floats; limit: a fixed point, or None
+Trajectory = namedtuple("Trajectory", "values converged limit")
 
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    m: int
-    p_threshold: float
-    bracket_width: float
-    evaluations: int
-    at_boundary: bool = False  # m = 2: the slope reaches 1 only at p = 1
+# at_boundary: m = 2, where the slope reaches 1 only at p = 1
+ThresholdResult = namedtuple(
+    "ThresholdResult", "m p_threshold bracket_width evaluations at_boundary", defaults=(False,)
+)
 
 
 def _rounding_bound(m: int) -> float:
@@ -427,7 +416,7 @@ def _trajectory_request(params: ModelParams, pi_0: float, max_steps: int, predic
             break
         x = x_next
     fps = None  # the map's fixed points, found on convergence
-    limit: Optional[float] = None
+    limit: float | None = None
     if converged:
         try:
             fps = _fixed_points(gm)

@@ -81,8 +81,8 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -242,53 +242,41 @@ def _check_seed(seed) -> int:
     return seed
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Tree-simulation run description.
+class SimConfig(namedtuple("SimConfig", "params depth horizon pi_0 seed replications")):
+    """Tree-simulation run description, checked and coerced on construction.
 
     ``depth`` is the truncation depth D (leaves sit at depth D); ``horizon``
     is the number of synchronous updates T, which must not exceed D so the
     root marginal stays inside the validity window.
     """
 
-    params: ModelParams
-    depth: int
-    horizon: int
-    pi_0: float
-    seed: int
-    replications: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "depth", _check_int("depth", self.depth, 1))
-        object.__setattr__(self, "horizon", _check_int("horizon", self.horizon, 0, self.depth))
-        object.__setattr__(self, "pi_0", _check_prob("pi_0", self.pi_0))
-        object.__setattr__(self, "replications", _check_int("replications", self.replications, 1))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        if self.params.m**self.depth > _LEAF_GUARD:
-            raise ValueError(
-                f"m**depth = {self.params.m}**{self.depth} exceeds the {_LEAF_GUARD:.0e} leaf guard"
-            )
+    def __new__(
+        cls, params: ModelParams, depth: int, horizon: int, pi_0: float, seed: int, replications: int
+    ) -> "SimConfig":
+        depth = _check_int("depth", depth, 1)
+        horizon = _check_int("horizon", horizon, 0, depth)
+        pi_0 = _check_prob("pi_0", pi_0)
+        replications = _check_int("replications", replications, 1)
+        seed = _check_seed(seed)
+        if params.m**depth > _LEAF_GUARD:
+            raise ValueError(f"m**depth = {params.m}**{depth} exceeds the {_LEAF_GUARD:.0e} leaf guard")
+        return super().__new__(cls, params, depth, horizon, pi_0, seed, replications)
+
+    @classmethod
+    def _make(cls, iterable) -> "SimConfig":
+        return cls(*iterable)  # so _replace checks its fields too
 
 
-@dataclass(frozen=True)
-class SimResult:
-    """Root-marginal estimates across replications, with diagnostics.
-
-    ``pi_hat[t]`` averages the root state at time t over replications;
-    ``ci_half_width`` is the 95% binomial half-width 1.96*sqrt(p(1-p)/R).
-    ``pair_correlation`` is the maximum absolute empirical correlation among
-    the root's children at the latest time their marginal is valid (NaN when
-    every such state is constant across replications).  ``level_averages[d]``
-    is the within-tree mean state of depth-d vertices at time min(T, D-d),
-    averaged over replications.
-    """
-
-    config: SimConfig
-    pi_hat: np.ndarray
-    ci_half_width: np.ndarray
-    pair_correlation: float
-    replications_used: int
-    level_averages: np.ndarray
+# pi_hat[t]: the root state at time t averaged over replications; ci_half_width: the 95%
+# binomial half-width 1.96*sqrt(p(1-p)/R); pair_correlation: the maximum absolute empirical
+# correlation among the root's children at the latest time their marginal is valid (NaN when
+# every such state is constant across replications); level_averages[d]: the within-tree mean
+# state of depth-d vertices at time min(T, D-d), averaged over replications.
+SimResult = namedtuple(
+    "SimResult", "config pi_hat ci_half_width pair_correlation replications_used level_averages"
+)
 
 
 def estimate_g_one_step(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "MAX_CHILDREN",
@@ -68,22 +68,24 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "m p_b p_r")):
     """Full model specification: children per vertex and the two success rates.
 
     ``p_b`` (``p_r``) is the probability that an experiment performed with
-    technology B (R) succeeds.
+    technology B (R) succeeds.  A named tuple whose fields are checked and
+    coerced on construction.
     """
 
-    m: int
-    p_b: float
-    p_r: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _check_int("m", self.m, 2, MAX_CHILDREN))
-        object.__setattr__(self, "p_b", _check_prob("p_b", self.p_b))
-        object.__setattr__(self, "p_r", _check_prob("p_r", self.p_r))
+    def __new__(cls, m: int, p_b: float, p_r: float) -> "ModelParams":
+        return super().__new__(
+            cls, _check_int("m", m, 2, MAX_CHILDREN), _check_prob("p_b", p_b), _check_prob("p_r", p_r)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "ModelParams":
+        return cls(*iterable)  # so _replace checks its fields too
 
     @classmethod
     def symmetric(cls, m: int, p: float) -> "ModelParams":

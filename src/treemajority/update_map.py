@@ -12,7 +12,7 @@ m (f(k+1) - f(k)), built without subtracting policy values
 (``model.policy_differences``), and g'' their differences.  A map has one
 constructor, ``UpdateMap.from_params``, which builds the binomial weight rows
 once (``model._weight_rows``: m+1 rows, or 2(m+1) when p_b != p_r) and keeps
-them in the map's ``rows`` field; the policy values read them when the map
+them in the map's ``rows`` attribute; the policy values read them when the map
 is built and the steps on first use of g' or g''.  Every value is
 Horner's rule on binomial-scaled coefficients (``model.bernstein_horner``),
 scaled once per map, in Python floats: within 1.5 (n+1) machine epsilons of
@@ -23,7 +23,7 @@ to [0, 1], where the exact g lies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .model import (
@@ -49,18 +49,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UpdateMap:
-    """Bernstein-form polynomial pushing the B-marginal forward one step."""
+class UpdateMap(namedtuple("UpdateMap", "params coeffs")):
+    """Bernstein-form polynomial pushing the B-marginal forward one step.
 
-    params: ModelParams
-    coeffs: tuple  # policy values f(0..m), Python floats
-    rows: tuple = field(repr=False, compare=False)  # the weight rows f(0..m) was built from
+    A named tuple of ``params`` and ``coeffs``, the policy values f(0..m) as
+    Python floats, so equality, hash and repr read those two alone.  The
+    weight rows f(0..m) was built from are the instance attribute ``rows``.
+    """
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "UpdateMap":
         rows = _weight_rows(params)
-        return cls(params=params, coeffs=tuple(_policy_table(params, rows)), rows=rows)
+        gm = cls(params, tuple(_policy_table(params, rows)))
+        gm.rows = rows
+        return gm
 
     # Binomial-scaled coefficient lists for bernstein_horner, built on first use.
 
