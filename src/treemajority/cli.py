@@ -14,16 +14,21 @@ them.
 
 ``main`` parses with one parser per process, built on its first call: argparse
 keeps no state between ``parse_args`` calls, and each handler looks up the
-functions it calls when it runs.  ``build_parser`` returns a new parser.
+functions it calls when it runs.  A request whose first argument names a
+subcommand is parsed by that subcommand's parser alone, which skips the
+top-level pass; anything else (no argument, an unknown command, top-level
+``-h``, or arguments the subcommand leaves over) goes to the whole parser, so
+argparse writes its own usage, help and errors.  ``build_parser`` returns a
+new parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .dynamics import (
     SolverError,
@@ -80,25 +85,64 @@ def _spec(args: argparse.Namespace) -> dict:
 def _to_json(report: dict) -> str:
     """``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, byte for byte.
 
-    Any indent sends json to its pure-Python encoder, one call per item.  So a
-    top-level list of Python floats (trajectory ``values``, gmap's curves) is
-    written by one join of ``float.__repr__``, json's own float text, and
-    spliced in where the report, dumped once with ``[]`` in its place, reads
-    ``"key": []`` at indent 2 (report keys are strings): nested entries sit
-    deeper, and json escapes newlines inside strings, so that text is unique.
-    The report is dumped once, not once per key: the indented encoder leaves
-    reference cycles, and the tree workloads' times move with them.  RFC 8259
-    JSON has no NaN or Infinity: a report holding one raises ValueError (exit 2).
+    Any indent sends json to its pure-Python encoder, one call per item, whose
+    generators leave reference cycles behind.  ``_write`` writes the same text
+    in one recursive pass: ``float.__repr__`` and ``int.__repr__`` for numbers,
+    ``encode_basestring_ascii`` for strings and keys, two spaces per level.  A
+    list of Python floats only (trajectory ``values``, gmap's curves) is one
+    join.  RFC 8259 JSON has no NaN or Infinity: a report holding one raises
+    ValueError (exit 2).
     """
-    floats = [key for key, value in report.items() if type(value) is list and set(map(type, value)) == {float}]
-    text = json.dumps({**report, **dict.fromkeys(floats, [])}, indent=2, allow_nan=False)
-    for key in floats:
-        values = report[key]
-        if not all(map(math.isfinite, values)):
-            raise ValueError("Out of range float values are not JSON compliant")
-        anchor = "\n  " + json.dumps(key) + ": ["
-        text = text.replace(anchor + "]", anchor + "\n    " + ",\n    ".join(map(float.__repr__, values)) + "\n  ]", 1)
-    return text + "\n"
+    out: list = []
+    _write(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` ends a line and indents the next to its level."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+        out.append(float.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        if not value:
+            out.append("[]")
+        elif set(map(type, value)) == {float}:
+            if not all(map(math.isfinite, value)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            out += ("[", inner, ("," + inner).join(map(float.__repr__, value)), newline, "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, out, inner)
+                sep = "," + inner
+            out += (newline, "]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        if not value:
+            out.append("{}")
+        else:
+            sep = "{" + inner
+            for key, item in value.items():
+                out += (sep, encode_basestring_ascii(key), ": ")
+                _write(item, out, inner)
+                sep = "," + inner
+            out += (newline, "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cmd_policy(args) -> dict | str:
@@ -252,7 +296,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.parse_args(argv)  # argparse's own "unrecognized arguments" error
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
     try:
         report = args.handler(args)
         text = report if isinstance(report, str) else _to_json({"spec": _spec(args), **report})

@@ -271,6 +271,7 @@ def _bernstein_roots(coeffs: list) -> tuple:
             isolate(upper, mid, b)
 
     isolate(coeffs, 0.0, 1.0)
+    del isolate  # its closure cell refers to itself: a reference cycle per call
 
     def flat(a: float, b: float) -> bool:
         """h is within rounding of zero on all of [a, b].

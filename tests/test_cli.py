@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -354,12 +355,18 @@ _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), _FINITE, st.sampled_from(["a\nb", "\n  \"x\": []"]), st.text(max_size=6)
 )
 _NESTED = st.recursive(
-    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=10
+    _SCALARS | _EXTREME | _FINITE.map(np.float64),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=10,
 )
 _TOP_VALUES = st.one_of(
     _NESTED,
     st.lists(_FINITE | _EXTREME, max_size=8),
-    st.sampled_from([[], [0.5], [1, 2.0], [2.0, True], [np.float64(0.1), np.float64(-0.0)]]),
+    st.lists(_FINITE | _EXTREME, max_size=8).map(tuple),
+    st.lists(_SCALARS | st.just(-0.0), max_size=6),
+    st.sampled_from([[], (), [0.5], [1, 2.0], [2.0, True], [-0.0, None], [np.float64(0.1), np.float64(-0.0)]]),
     st.lists(_FINITE.map(np.float64), max_size=4),
 )
 
@@ -395,18 +402,19 @@ class TestReportEncoding:
             cli._to_json({"x": [float("-inf")]})
 
     @pytest.mark.parametrize("command", list(TestSimulateCommand.REPLAYED))
-    def test_one_indented_dump_per_report(self, capsys, monkeypatch, command):
-        # json's indented encoder leaves reference cycles behind: one call per
-        # report leaves the collector what it saw before the float-list splice
-        dumps, indented = json.dumps, []
-
-        def counted(obj, **kwargs):
-            indented.append(kwargs.get("indent") == 2)
-            return dumps(obj, **kwargs)
-
-        monkeypatch.setattr(json, "dumps", counted)
-        code, _, _ = run_cli(capsys, *TestSimulateCommand.REPLAYED[command])
-        assert code == 0 and indented.count(True) == 1
+    def test_request_leaves_no_reference_cycles(self, capsys, command):
+        # garbage in cycles waits for the collector, which then runs inside
+        # whatever comes next: a warm request leaves none
+        argv = TestSimulateCommand.REPLAYED[command]
+        run_cli(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run_cli(capsys, *argv)
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0 and left == 0
 
 
 @pytest.mark.parametrize(
@@ -448,6 +456,42 @@ class TestEstimateCommand:
         )
         assert code == 2 and out == ""
         assert err == "error: seed must fit in 64 unsigned bits\n"
+
+
+class TestParseParity:
+    """``main`` parses a request as ``build_parser().parse_args`` would, refusals and help included."""
+
+    ARGVS = {
+        "empty": [],
+        "help": ["-h"],
+        "unknown command": ["dcheck"],
+        "subcommand help": ["fixed-points", "-h"],
+        "leftover flag": ["threshold", "--m", "3", "--bogus"],
+        "extra positional": ["fixed-points", "--m", "3", "--p", "0.8", "extra"],
+        "missing --m": ["fixed-points", "--p", "0.8"],
+        "non-float --p": ["fixed-points", "--m", "3", "--p", "high"],
+        "--format on a JSON-only command": ["threshold", "--m", "3", "--format", "json"],
+    }
+
+    @staticmethod
+    def _outcome(capsys, call):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", list(ARGVS.values()), ids=list(ARGVS))
+    def test_same_outcome_as_parse_args(self, capsys, argv):
+        got = self._outcome(capsys, lambda: cli.main(list(argv)))
+        want = self._outcome(capsys, lambda: cli.build_parser().parse_args(list(argv)))
+        assert got == want and got[0] in (0, 2)
+
+    def test_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["treemajority", "trajectory", "--m", "3", "--pi0", "0.3", "--bogus"])
+        got = self._outcome(capsys, cli.main)
+        want = self._outcome(capsys, lambda: cli.build_parser().parse_args())
+        assert got == want and got[0] == 2
 
 
 def test_dcheck_is_not_a_subcommand(capsys):

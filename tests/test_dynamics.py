@@ -797,6 +797,22 @@ class TestThresholdCertificate:
         assert (res.p_threshold, res.bracket_width, res.evaluations) == (1.0, 0.0, 0)
 
 
+class TestLargeMThreshold:
+    """p(m) ~ lambda*/m: with p = lambda/m and m -> oo, N ~ Binomial(m, p) tends to
+    Poisson(lambda) and g'(1/2) = E|S_N| to lambda e^-lambda (I0(lambda) + I1(lambda))."""
+
+    def test_gap_to_the_poisson_limit(self):
+        with mpmath.workdps(30):
+            limit = mpmath.findroot(lambda x: x * mpmath.exp(-x) * (mpmath.besseli(0, x) + mpmath.besseli(1, x)) - 1, 1.8)
+        lam = float(limit)
+        assert lam == pytest.approx(1.8494325437505266, abs=1e-15)
+        ms = range(3, 65)
+        scaled = [m * solve_threshold(m).p_threshold for m in ms]
+        assert all(a < b for a, b in zip(scaled, scaled[1:]))
+        gaps = [m * (lam - s) for m, s in zip(ms, scaled)]
+        assert 0.53 <= min(gaps) and max(gaps) <= 0.562
+
+
 class TestClosedFormM3:
     def test_unique_below_boundary(self):
         fps = m3_pb1_closed_form(0.5)
