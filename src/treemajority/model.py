@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import namedtuple
 
 __all__ = [
@@ -97,6 +98,17 @@ class ModelParams(namedtuple("ModelParams", "m p_b p_r")):
         return self.p_b == self.p_r
 
 
+@functools.cache
+def _step_factors(n: int) -> tuple:
+    """The factors (n-k)/(k+1) for k = 0..n-1, each an integer quotient rounded once.
+
+    ``bernstein_weights`` caches them for degrees up to ``MAX_CHILDREN``, the
+    degrees of a map's rows; a larger degree, which only ``binomial_pmf`` asks
+    for, reads ``_step_factors.__wrapped__`` and leaves the cache as it was.
+    """
+    return tuple((n - k) / (k + 1) for k in range(n))
+
+
 def bernstein_weights(n: int, x: float) -> list:
     """Weights C(n,k) x^k (1-x)^(n-k) for k = 0..n at one point x, as Python floats.
 
@@ -105,16 +117,17 @@ def bernstein_weights(n: int, x: float) -> list:
     ``bernstein_horner`` instead.  w[k+1] = w[k] * (n-k)/(k+1) * x/(1-x), run
     from the smaller tail (so from (1-x)^n when x <= 1/2, and mirrored above),
     so nothing underflows for x near 1 and the weights are exact at x in
-    {0, 1}.  Each weight carries a relative error of about 3n machine
-    epsilons.
+    {0, 1}.  The factors (n-k)/(k+1) come from ``_step_factors``.  Each weight
+    carries a relative error of about 3n machine epsilons.
     """
     flip = x > 0.5
     base = 1.0 - x if flip else x
     w = (1.0 - base) ** n
     ratio = base / (1.0 - base)  # base <= 1/2, so the denominator is >= 1/2
     out = [w]
-    for k in range(n):
-        w = w * ((n - k) / (k + 1)) * ratio
+    steps = _step_factors(n) if n <= MAX_CHILDREN else _step_factors.__wrapped__(n)
+    for step in steps:
+        w = w * step * ratio
         out.append(w)
     if flip:
         out.reverse()
@@ -189,8 +202,19 @@ def bernstein_horner(scaled: tuple, x: float) -> float:
 
 
 def binomial_pmf(n: int, p: float) -> list:
-    """Exact Binomial(n, p) masses on outcomes 0..n; degenerate at 0 when n = 0 or p = 0."""
-    return bernstein_weights(_check_int("n", n, 0), _check_prob("p", p))
+    """Exact Binomial(n, p) masses on outcomes 0..n; degenerate at 0 when n = 0 or p = 0.
+
+    Raises ``ValueError`` when the masses lose their accuracy to underflow:
+    for large n the recurrence's start (1 - min(p, 1-p))^n rounds to a
+    subnormal or to 0, every mass inherits its error, and their sum leaves
+    1 by more than the 3n machine epsilons the recurrence allows.
+    """
+    n, p = _check_int("n", n, 0), _check_prob("p", p)
+    masses = bernstein_weights(n, p)
+    total = math.fsum(masses)
+    if abs(total - 1.0) > 3 * (n + 1) * sys.float_info.epsilon:
+        raise ValueError(f"Binomial({n}, {p!r}) masses underflow in double precision: they sum to {total!r}")
+    return masses
 
 
 def _weight_rows(params: ModelParams) -> tuple:
@@ -208,14 +232,19 @@ def _weight_rows(params: ModelParams) -> tuple:
 
 
 def _value(a: list, b: list) -> float:
-    """P[win] + P[tie] / 2 from the masses a and b of the success counts of the B- and R-children."""
-    last = len(b) - 1
-    win = below = 0.0  # below: P[R-successes < i], saturating once i > last
-    for i, ai in enumerate(a):
+    """P[win] + P[tie] / 2 from the masses a and b of the success counts of the B- and R-children.
+
+    One pass over the pairs (a[i], b[i]) adds up both sums in index order:
+    win gets a[i] P[R-successes < i] and tie gets a[i] b[i].  Entries of a
+    past the end of b each add a[i] times the whole of b.
+    """
+    win = tie = below = 0.0  # below: P[R-successes < i]
+    for ai, bi in zip(a, b):
         win += ai * below
-        if i <= last:
-            below += b[i]
-    tie = _dot(a, b)
+        tie += ai * bi
+        below += bi
+    for ai in a[len(b):]:
+        win += ai * below
     return min(max(win + 0.5 * tie, 0.0), 1.0)
 
 

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treemajority import model
 from treemajority.dynamics import iterate_dynamics, solve_threshold
 from treemajority.mc import SimConfig, estimate_g_one_step, independence_check
 from treemajority.model import (
     MAX_CHILDREN,
     ModelParams,
+    _value,
     bernstein_scaled,
+    bernstein_weights,
     binomial_pmf,
     policy_differences,
     policy_table,
@@ -18,7 +21,7 @@ from treemajority.model import (
 )
 from treemajority.update_map import df_dp
 
-from conftest import enumerate_policy
+from conftest import enumerate_policy, mp_policy
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -76,6 +79,115 @@ class TestBinomialPMF:
         assert mass.size == n + 1
         assert np.all(mass >= 0.0) and np.all(mass <= 1.0)
         assert abs(mass.sum() - 1.0) <= 1e-12
+
+    def test_largest_n_at_half_kept(self):
+        # 0.5^1074 is the least subnormal, exactly, so the masses keep their accuracy
+        assert abs(math.fsum(binomial_pmf(1074, 0.5)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (1075, 0.5),  # 0.5^1075 rounds to 0: every mass would be 0
+            (3000, 0.4),
+            (3000, 0.6),  # mirrored: the start 0.4^3000 sits at the far end
+            (1245, 0.45),  # 0.55^1245 is a subnormal with a bit or two: the masses would sum to 0.88
+        ],
+    )
+    def test_underflow_refused(self, n, p):
+        with pytest.raises(ValueError, match="underflow"):
+            binomial_pmf(n, p)
+
+
+def _weights_by_division(n: int, x: float) -> list:
+    """``bernstein_weights`` as it was before its step factors were cached: each
+    factor (n - k) / (k + 1) divided inside the loop."""
+    flip = x > 0.5
+    base = 1.0 - x if flip else x
+    w = (1.0 - base) ** n
+    ratio = base / (1.0 - base)
+    out = [w]
+    for k in range(n):
+        w = w * ((n - k) / (k + 1)) * ratio
+        out.append(w)
+    if flip:
+        out.reverse()
+    return out
+
+
+def _value_two_pass(a: list, b: list) -> float:
+    """``model._value`` as it was before it took one pass: the win sum with a
+    saturating index test, then the tie sum as a separate running dot product."""
+    last = len(b) - 1
+    win = below = 0.0
+    for i, ai in enumerate(a):
+        win += ai * below
+        if i <= last:
+            below += b[i]
+    tie = 0.0
+    for ai, bi in zip(a, b):
+        tie += ai * bi
+    return min(max(win + 0.5 * tie, 0.0), 1.0)
+
+
+def _hex(values: list) -> list:
+    return [v.hex() for v in values]
+
+
+class TestKernelParity:
+    """The map-build kernels give the bits of the loops they replaced."""
+
+    EDGES = [0.0, 0.5, 1.0, 1e-300, 1.0 - 2.0**-53]
+    points = st.one_of(st.sampled_from(EDGES), probs)
+
+    @pytest.mark.parametrize("x", EDGES)
+    def test_weights_at_edge_points(self, x):
+        for n in range(MAX_CHILDREN + 1):
+            assert _hex(bernstein_weights(n, x)) == _hex(_weights_by_division(n, x))
+
+    @given(n=st.integers(min_value=0, max_value=MAX_CHILDREN), x=points)
+    @settings(max_examples=300, deadline=None)
+    def test_weights_match_division(self, n, x):
+        assert _hex(bernstein_weights(n, x)) == _hex(_weights_by_division(n, x))
+
+    @given(n=st.integers(min_value=MAX_CHILDREN + 1, max_value=400), x=points)
+    @settings(max_examples=50, deadline=None)
+    def test_uncached_degrees_match_division(self, n, x):
+        assert _hex(bernstein_weights(n, x)) == _hex(_weights_by_division(n, x))
+
+    def test_cache_stops_at_max_children(self):
+        bernstein_weights(MAX_CHILDREN, 0.3)
+        before = model._step_factors.cache_info()
+        binomial_pmf(500, 0.3)
+        bernstein_weights(MAX_CHILDREN + 1, 0.3)
+        after = model._step_factors.cache_info()
+        assert after.currsize == before.currsize and after.misses == before.misses
+
+    @given(
+        la=st.integers(min_value=0, max_value=MAX_CHILDREN),
+        lb=st.integers(min_value=0, max_value=MAX_CHILDREN),
+        x=points,
+        y=points,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_value_matches_two_pass_on_rows(self, la, lb, x, y):
+        a, b = bernstein_weights(la, x), bernstein_weights(lb, y)
+        assert _value(a, b).hex() == _value_two_pass(a, b).hex()
+
+    masses = st.lists(
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=MAX_CHILDREN + 1,
+    )
+
+    @given(a=masses, b=masses)
+    @settings(max_examples=300, deadline=None)
+    def test_value_matches_two_pass(self, a, b):
+        assert _value(a, b).hex() == _value_two_pass(a, b).hex()
+
+    @pytest.mark.parametrize("la, lb", [(1, 65), (65, 1), (40, 3), (3, 40), (33, 32), (32, 33)])
+    def test_value_with_one_row_longer(self, la, lb):
+        a, b = bernstein_weights(la - 1, 0.37), bernstein_weights(lb - 1, 0.61)
+        assert _value(a, b).hex() == _value_two_pass(a, b).hex()
 
 
 def _scaled_by_integers(c: list) -> list:
@@ -182,6 +294,19 @@ class TestPolicyTable:
     def test_symmetry_criterion(self, m, p):
         values = np.array(policy_table(ModelParams.symmetric(m, p)))
         np.testing.assert_allclose(values + values[::-1], 1.0, atol=1e-12)
+
+
+class TestPolicyTableAccuracy:
+    """At m = 16, 32 and the cap, the table is within 1e-14 of the 50-digit raw rule."""
+
+    @pytest.mark.parametrize("m", [16, 32, MAX_CHILDREN])
+    @pytest.mark.parametrize("p", [0.01, "p(m)", 0.3, 0.97])
+    def test_within_1e14_of_oracle(self, m, p):
+        if p == "p(m)":
+            p = solve_threshold(m).p_threshold
+        table = policy_table(ModelParams.symmetric(m, p))
+        errors = [abs(got - exact) for got, exact in zip(table, mp_policy(m, p))]
+        assert max(errors) <= 1e-14
 
 
 class TestPolicyDifferences:
