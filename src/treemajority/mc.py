@@ -25,7 +25,7 @@ breadth-first windows of parents that fit the same budget, so a group never
 holds more draws than that, whatever the tree size; the one-step estimator
 sizes its chunks of trials by it too.
 
-Only a read's raw Philox words (and a tie search's indices) are allocated
+Only a read's raw words (and a tie search's indices) are allocated
 per read.  The outcomes (which hold the tie masks before them), the signs,
 the lead and the update's result are written with ``out=`` into one
 grow-only ``_Workspace`` per thread, kept across calls, so warm requests
@@ -38,18 +38,23 @@ workspace: every array taken from it is written in full before it is read,
 and no kernel writes into its arguments.  What outlives a read is copied
 out of it: the initial states and each update into the group's states.
 
-Randomness comes from counter-based Philox streams keyed by seed, purpose
-and time step.  Every Bernoulli variable owns one position i in its stream
-and reads the stream's i-th 16-bit head, the i-th uint16 of its raw words
-(word i // 4, so 16 variables per Philox block).  A rate p is cut at
+Randomness comes from streams keyed by seed, purpose and time step, each
+the 2**64 words of one PCG64DXSM sequence per seed that start at word
+((purpose << 32) | time) << 64, reached by jump-ahead (``_Streams``; layout
+version ``STREAM_LAYOUT``).  Every Bernoulli variable owns one position i in
+its stream and reads the stream's i-th 16-bit head, the i-th uint16 of its
+raw words (word i // 4, so 4 variables per word).  A rate p is cut at
 K = ceil(p * 2**53) into hi = K >> 37 and lo = K mod 2**37: a head below hi
 succeeds, one above fails, and only a head equal to hi with lo != 0 (one
 draw in 2**16) reads the 64-bit word at position i of the purpose's
-refinement stream (purpose + ``_REFINE``, same seed and time word) and
+refinement stream (purpose + ``_REFINE``, same seed and time) and
 succeeds iff its top 37 bits are below lo.  That is k < K for the 53-bit
 k = head * 2**37 + low, so each outcome has probability K / 2**53, exactly as
 for a 53-bit uniform compared with p.  A coin is a draw at rate 1/2, whose
-cut is (2**15, 0): a head below 2**15, never a refinement word.
+cut is (2**15, 0): a head below 2**15, never a refinement word.  Since a
+refinement word sits at its variable's position, every position stays below
+2**64: ``SimConfig`` refuses R * V >= 2**64 and the one-step estimator
+samples * m >= 2**64, V the tree's vertex count.
 
 Step t updates the P_t = 1 + m + ... + m**(D-t-1) parents of levels
 0..D-t-1.  Their m * P_t experiment outcomes, for the children at levels
@@ -60,7 +65,7 @@ positions r*P_t .. (r+1)*P_t - 1.  Its initial states are positions r*V ..
 (r+1)*V - 1 of stream (seed, ``_INIT``, 0), V the tree's vertex count.  So
 a group's replications sit next to each other, and every read is one run of
 consecutive heads, whole rows of a group or a window of a group of one: one
-counter reset to the block of the first head and one ``random_raw``
+jump to the word of the first head and one ``random_raw``
 (``_Streams.rows``).  ``_Streams.draw`` alone turns such a read into
 Bernoulli outcomes and maps a tied head back to its position.  Which bits
 feed which vertex depends only on the replication, the step, the vertex and
@@ -69,7 +74,7 @@ order, so results are reproducible bit-for-bit, and the first replications
 of a run are those of any shorter run with the same seed.  Leaves have no
 children in the truncation and stay frozen at their initial draw.
 
-The one-step estimator has no time, so its time word names the kind of
+The one-step estimator has no time, so its time names the kind of
 variable: trial i reads its children's states at positions i*m .. i*m + m - 1
 of stream (seed, ``_ONESTEP``, 0), their outcomes at the same positions of
 stream (seed, ``_ONESTEP``, 1) and its coin at position i of stream (seed,
@@ -86,7 +91,7 @@ from collections.abc import Callable, Iterator
 from itertools import accumulate
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, PCG64DXSM
 
 from .model import ModelParams, _as_int, _check_int, _check_prob
 
@@ -106,15 +111,23 @@ _LEAF_GUARD = 10**8
 # chunk of one-step trials.  Their 16-bit heads fill a quarter of it.
 _UNIFORM_BYTES = 2 * 2**20
 
-# stream purposes (second counter word); purpose + _REFINE holds the
-# refinement words of the purpose's tied heads, so no purpose may equal
-# another's purpose + _REFINE
+# the stream layout's version: which word of which stream feeds which
+# variable.  Version 1 was Philox counter streams; version 2 is jump-ahead
+# streams of one PCG64DXSM sequence per seed (``_Streams``)
+STREAM_LAYOUT = 2
+
+# stream purposes; purpose + _REFINE holds the refinement words of the
+# purpose's tied heads, so no purpose may equal another's purpose + _REFINE
 _INIT = 1
 _STEP = 0
 _ONESTEP = 2
 _PAIRS = 3
 _REFINE = 4
-_COIN = 7
+_COIN = 8
+
+# a stream holds 2**64 words, and a refinement word sits at its variable's
+# position, so every position must stay below this
+_STREAM_WORDS = 2**64
 
 # a 53-bit draw k = head * 2**37 + low splits into a 16-bit head and 37 low bits
 _LOW_BITS = 37
@@ -165,31 +178,30 @@ _LOCAL = _Local()
 
 
 class _Streams:
-    """One Philox generator that visits every stream of a seed.
+    """One PCG64DXSM sequence per seed, reached at any stream's word by jump-ahead.
 
-    Stream (seed, purpose, time) is the Philox stream with key ``seed`` that
-    opens at counter [0, purpose, time, 0].  Philox emits four 64-bit words
-    per block and steps its counter before each block, so the stream's block
-    b is computed at counter [b + 1, purpose, time, 0].  ``_block`` sets the
-    counter to [b, purpose, time, 0] with an empty buffer, so the next word
-    read is block b's first whatever came before: one state reset, not a new
-    generator, per stream visited.
+    Stream (seed, purpose, time) is the 2**64 words of ``PCG64DXSM(seed)``'s
+    sequence that start at word ((purpose << 32) | time) << 64, so streams
+    never overlap while purpose and time fit in 32 bits.  ``_seek`` restores
+    the state the generator was built with and advances it to a word of a
+    stream, so the next word read is that word whatever came before: one
+    state restore and one jump, not a new generator, per read.
     """
 
     def __init__(self, seed: int) -> None:
-        # a fresh state, so its buffer is empty; ``_block`` rewrites only the counter
-        self._bitgen = Philox(key=np.uint64(seed))
+        self._bitgen = PCG64DXSM(seed)
         self._state = self._bitgen.state
 
-    def _block(self, purpose: int, time: int, block: int) -> Philox:
-        self._state["state"]["counter"][:] = (block, purpose, time, 0)
-        self._bitgen.state = self._state
-        return self._bitgen
+    def _seek(self, purpose: int, time: int, word: int) -> PCG64DXSM:
+        bitgen = self._bitgen
+        bitgen.state = self._state
+        bitgen.advance((((purpose << 32) | time) << 64) + word)
+        return bitgen
 
     def heads(self, purpose: int, time: int, pos: int, n: int) -> np.ndarray:
-        """The stream's 16-bit heads pos..pos+n-1 (16 per block)."""
-        skip = pos % 16
-        raw = self._block(purpose, time, pos // 16).random_raw((skip + n + 3) // 4)
+        """The stream's 16-bit heads pos..pos+n-1 (4 per word)."""
+        skip = pos % 4
+        raw = self._seek(purpose, time, pos // 4).random_raw((skip + n + 3) // 4)
         return raw.view(np.uint16)[skip : skip + n]
 
     def rows(self, purpose: int, time: int, reps: range, size: int, pos: int, n: int) -> np.ndarray:
@@ -231,7 +243,7 @@ class _Streams:
 
     def word(self, purpose: int, time: int, pos: int) -> int:
         """The stream's 64-bit word ``pos``."""
-        return int(self._block(purpose, time, pos // 4).random_raw(pos % 4 + 1)[-1])
+        return self._seek(purpose, time, pos).random_raw()
 
 
 def _check_seed(seed) -> int:
@@ -262,6 +274,12 @@ class SimConfig(namedtuple("SimConfig", "params depth horizon pi_0 seed replicat
         seed = _check_seed(seed)
         if params.m**depth > _LEAF_GUARD:
             raise ValueError(f"m**depth = {params.m}**{depth} exceeds the {_LEAF_GUARD:.0e} leaf guard")
+        # replication r's initial states are positions r*V .. (r+1)*V - 1, and no step reads more
+        vertices = sum(params.m**d for d in range(depth + 1))
+        if replications * vertices >= _STREAM_WORDS:
+            raise ValueError(
+                f"replications * vertices = {replications} * {vertices} reaches a stream's 2**64 positions"
+            )
         return super().__new__(cls, params, depth, horizon, pi_0, seed, replications)
 
     @classmethod
@@ -292,6 +310,8 @@ def estimate_g_one_step(
     samples = _check_int("samples", samples, 1)
     seed = _check_seed(seed)
     m, p_b, p_r = params.m, params.p_b, params.p_r
+    if samples * m >= _STREAM_WORDS:
+        raise ValueError(f"samples * m = {samples} * {m} reaches a stream's 2**64 positions")
     streams = _Streams(seed)
     adopted = 0
     chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * (2 * m + 1))))
@@ -519,7 +539,7 @@ def independence_check(config: SimConfig, level: int, pairs: int) -> float:
         raise ValueError(f"level {level} has a single vertex; no pairs exist")
     pairs = _check_int("pairs", pairs, 1)
 
-    gen = Generator(Philox(key=np.uint64(config.seed), counter=[0, _PAIRS, 0, 0]))
+    gen = Generator(_Streams(config.seed)._seek(_PAIRS, 0, 0))
     total = n * (n - 1) // 2
     chosen: set[tuple[int, int]] = set()
     if pairs >= total:

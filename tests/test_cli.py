@@ -292,11 +292,12 @@ class TestSimulateCommand:
         assert report["pair_correlation"] is None
 
     def test_exact_correlation_reads_one(self, capsys):
-        # two of the root's children differ in each of the 3 replications, a
-        # correlation of exactly -1 whose rounded magnitude read 1.0000000000000002
+        # the root's first and last children differ in each of the 3
+        # replications, a correlation of exactly -1 whose rounded magnitude
+        # reads 1.0000000000000002 unclamped
         code, out, _ = run_cli(
             capsys, "simulate", "--m", "3", "--p", "0.7", "--depth", "2", "--horizon", "0",
-            "--pi0", "0.3", "--reps", "3", "--seed", "1",
+            "--pi0", "0.3", "--reps", "3", "--seed", "3",
         )
         assert code == 0
         assert json.loads(out)["pair_correlation"] == 1.0

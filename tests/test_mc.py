@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Philox
+from numpy.random import PCG64DXSM
 
 import treemajority
 from treemajority import mc
@@ -83,6 +83,14 @@ class TestSimConfig:
     def test_zero_horizon_allowed(self):
         assert sym_config(horizon=0).horizon == 0
 
+    def test_positions_stay_inside_a_stream(self):
+        # replication r's initial states are positions r*V .. (r+1)*V - 1 of one
+        # stream of 2**64 words; only the config is built, nothing is drawn
+        V = 1 + 4 + 16  # m = 4, D = 2
+        assert sym_config(m=4, depth=2, horizon=1, reps=(2**64 - 1) // V).replications * V < 2**64
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            sym_config(m=4, depth=2, horizon=1, reps=(2**64 - 1) // V + 1)
+
 
 class TestOneStepEstimator:
     def test_pb1_x1_exact_one(self):
@@ -119,6 +127,14 @@ class TestOneStepEstimator:
             estimate_g_one_step(ModelParams(3, 0.5, 0.5), 1.2, 100, seed=1)
         with pytest.raises(ValueError):
             estimate_g_one_step(ModelParams(3, 0.5, 0.5), 0.5, 0, seed=1)
+
+    @pytest.mark.parametrize("m,samples", [(4, 2**62), (3, 2**64 // 3 + 1), (64, 2**58)])
+    def test_positions_stay_inside_a_stream(self, monkeypatch, m, samples):
+        # trial i's children read positions i*m .. i*m + m - 1 of a stream of
+        # 2**64 words; the estimator refuses before it opens any stream
+        monkeypatch.setattr(mc, "_Streams", None)
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            estimate_g_one_step(ModelParams(m, 0.5, 0.5), 0.3, samples, seed=1)
 
     def test_fractional_seed_refused(self):
         # truncating 1.5 would silently replay the seed-1 stream
@@ -221,52 +237,59 @@ class TestIndependenceCheck:
 
 
 class TestStreamLayoutGolden:
-    """Exact outputs pinned to the Philox draw layout.
+    """Exact outputs pinned to the draw layout, version ``LAYOUT``.
 
-    Streams are keyed by (seed, purpose, t); in step t each replication
-    owns m * P_t positions of the outcome stream (purpose 0), for levels
-    1..D-t, and P_t positions of the coin stream (purpose 7), for levels
-    0..D-t-1, P_t the parents the step updates; one 16-bit head per
-    variable, with refinement words in stream purpose + 4.  Level means are
-    exact counts over R * m**d.  Any change to that layout, or to which draw
-    feeds which vertex, moves these bits.  The values come from the
-    full-precision replay below (``_reference_outputs``, ``_all_pairs_correlation`` and the
-    pairs drawn from purpose 3), not from ``mc``.
+    Stream (seed, purpose, t) is the 2**64 words of PCG64DXSM(seed) from
+    word ((purpose << 32) | t) << 64.  In step t each replication owns
+    m * P_t positions of the outcome stream (purpose 0), for levels 1..D-t,
+    and P_t positions of the coin stream (purpose 8), for levels 0..D-t-1,
+    P_t the parents the step updates; one 16-bit head per variable, with
+    refinement words in stream purpose + 4.  Level means are exact counts
+    over R * m**d.  Any change to that layout, or to which draw feeds which
+    vertex, moves these bits and must bump ``mc.STREAM_LAYOUT``.  The values
+    come from the full-precision replay below (``_reference_outputs``,
+    ``_all_pairs_correlation`` and the pairs drawn from purpose 3), not from
+    ``mc``.
     """
+
+    LAYOUT = 2
 
     CASES = {
         "horizon_below_depth": (
             dict(params=ModelParams(3, 0.7, 0.4), depth=5, horizon=3, pi_0=0.4, seed=2024, replications=60),
-            [0.48333333333333334, 0.5666666666666667, 0.7, 0.8166666666666667],
+            [0.48333333333333334, 0.5666666666666667, 0.65, 0.6666666666666666],
             [
-                0.8166666666666667,
-                0.7277777777777777,
-                0.8185185185185185,
-                0.667283950617284,
-                0.5316872427983539,
-                0.3987654320987654,
+                0.6666666666666666,
+                0.8,
+                0.7666666666666667,
+                0.6604938271604939,
+                0.5368312757201646,
+                0.39814814814814814,
             ],
-            0.20998026278290408,
+            0.14159484396097866,
         ),
         "horizon_zero": (
             dict(params=ModelParams(4, 0.6, 0.5), depth=3, horizon=0, pi_0=0.35, seed=7, replications=40),
-            [0.3],
-            [0.3, 0.35, 0.3328125, 0.365234375],
-            0.20770355624952197,
+            [0.175],
+            [0.175, 0.3, 0.3703125, 0.360546875],
+            0.3078139691063839,
         ),
         "binary": (
             dict(params=ModelParams(2, 0.9, 0.6), depth=6, horizon=6, pi_0=0.5, seed=99, replications=50),
-            [0.58, 0.6, 0.74, 0.74, 0.86, 0.86, 0.84],
-            [0.84, 0.8, 0.805, 0.73, 0.67625, 0.57625, 0.4884375],
-            0.09320982345263387,
+            [0.6, 0.58, 0.74, 0.8, 0.76, 0.78, 0.9],
+            [0.9, 0.89, 0.81, 0.745, 0.66, 0.585, 0.486875],
+            0.11945220005766038,
         ),
         "depth_one": (
             dict(params=ModelParams(5, 0.8, 0.3), depth=1, horizon=1, pi_0=0.6, seed=3, replications=80),
-            [0.65, 0.7625],
-            [0.7625, 0.5825],
-            0.3006190332260428,
+            [0.55, 0.8625],
+            [0.8625, 0.595],
+            0.2584427052941764,
         ),
     }
+
+    def test_layout_version(self):
+        assert mc.STREAM_LAYOUT == self.LAYOUT
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_simulate_tree_bits(self, name):
@@ -278,36 +301,39 @@ class TestStreamLayoutGolden:
 
     def test_independence_check_bits_at_horizon_zero(self):
         cfg = SimConfig(ModelParams.symmetric(3, 0.5), depth=4, horizon=0, pi_0=0.5, seed=21, replications=100)
-        assert independence_check(cfg, level=2, pairs=12) == 0.361443144554628
+        assert independence_check(cfg, level=2, pairs=12) == 0.3005414623878228
 
     def test_independence_check_bits_after_steps(self):
         cfg = SimConfig(ModelParams(3, 0.8, 0.6), depth=6, horizon=2, pi_0=0.45, seed=22, replications=100)
-        assert independence_check(cfg, level=3, pairs=15) == 0.3037665094675386
+        assert independence_check(cfg, level=3, pairs=15) == 0.26518127698376337
 
 
 # The per-replication replay the grouped simulator replaced, kept as an
 # independent oracle at full precision.  It opens one fresh generator per
-# stream and reads every variable of every replication eagerly from the
-# stream's start: the variable at position i takes the i-th uint16 of its
+# stream, PCG64DXSM(seed) advanced to word ((purpose << 32) | time) << 64,
+# and reads every variable of every replication eagerly from the stream's
+# start: the variable at position i takes the i-th uint16 of its
 # stream's raw words as its head and the i-th raw word of the refinement
 # stream as its low bits, and succeeds at rate p iff the 53-bit
 # k = head * 2**37 + (word >> 27) is below ceil(p * 2**53), computed in exact
-# rationals.  Stream purposes: 0 for step outcomes, 7 for step coins, 1 for
+# rationals.  Stream purposes: 0 for step outcomes, 8 for step coins, 1 for
 # initial states, 2 for the one-step estimator (3 draws independence pairs);
 # purpose + 4 is a purpose's refinement stream.  Replication r's initial
 # states are positions r*V + v of stream (1, 0), V the vertex count.  Step t
 # updates the P_t = 1 + m + ... + m**(D-t-1) parents of levels 0..D-t-1:
 # replication r's outcomes of levels 1..D-t are positions r*m*P_t + i of
 # stream (0, t), and its coins of levels 0..D-t-1 positions r*P_t + i of
-# stream (7, t), both in breadth-first order.  One-step trial i reads its
+# stream (8, t), both in breadth-first order.  One-step trial i reads its
 # children's states at positions i*m + k of stream (2, 0), their outcomes at
 # positions i*m + k of stream (2, 1) and its coin at position i of stream
 # (2, 2).
-_STEP, _INIT, _ONESTEP, _REFINE, _COIN = 0, 1, 2, 4, 7
+_STEP, _INIT, _ONESTEP, _PAIRS, _REFINE, _COIN = 0, 1, 2, 3, 4, 8
 
 
-def _stream(seed: int, purpose: int, time: int = 0) -> Philox:
-    return Philox(key=np.uint64(seed), counter=[0, purpose, time, 0])
+def _stream(seed: int, purpose: int, time: int = 0) -> PCG64DXSM:
+    bitgen = PCG64DXSM(seed)
+    bitgen.advance(((purpose << 32) | time) << 64)
+    return bitgen
 
 
 def _stream_heads(seed, purpose, time, n):
@@ -460,9 +486,10 @@ class TestGroupedReplay:
 
 
 class TestStreamJump:
-    @pytest.mark.parametrize("seed,purpose,time", [(5, 0, 3), (2**64 - 1, 1, 2**40)])
+    # the largest seed, purpose (the coins' refinement stream) and time
+    @pytest.mark.parametrize("seed,purpose,time", [(5, 0, 3), (2**64 - 1, _COIN + _REFINE, 2**32 - 1)])
     def test_at_matches_one_long_draw(self, seed, purpose, time):
-        # heads from every position, most of them inside a Philox block
+        # heads from every position, most of them inside a word
         long = _stream_heads(seed, purpose, time, 320)
         words = _stream(seed, purpose, time).random_raw(60)
         streams = mc._Streams(seed)
@@ -475,7 +502,7 @@ class TestStreamJump:
 
     @pytest.mark.parametrize("size", [1, 7, 16, 37])
     def test_rows_match_one_long_draw(self, size):
-        # replication r's heads are r*size .. (r+1)*size - 1, at and off block boundaries
+        # replication r's heads are r*size .. (r+1)*size - 1, at and off word boundaries
         long = _stream_heads(9, 0, 2, 12 * size)
         streams = mc._Streams(9)
         for first in range(4):
@@ -496,7 +523,7 @@ class TestStreamJump:
 class TestStreamPurposes:
     def test_purposes_never_collide(self, monkeypatch):
         # every purpose the estimators draw from, each with its refinement
-        # stream, and the pairs stream are distinct second counter words
+        # stream, and the pairs stream are distinct purposes
         drawn, draw = set(), mc._Streams.draw
 
         def recorded(self, purpose, *args):
@@ -509,6 +536,28 @@ class TestStreamPurposes:
         assert {mc._STEP, mc._COIN, mc._INIT, mc._ONESTEP} <= drawn
         purposes = sorted(drawn) + [mc._PAIRS] + [p + mc._REFINE for p in sorted(drawn)]
         assert len(set(purposes)) == len(purposes), purposes
+
+    def test_no_purpose_is_anothers_refinement(self):
+        purposes = [mc._STEP, mc._INIT, mc._ONESTEP, mc._PAIRS, mc._COIN]
+        streams = purposes + [p + mc._REFINE for p in purposes]
+        assert len(set(streams)) == len(streams), streams
+        # a stream's offset packs its purpose above a 32-bit time
+        assert max(streams) < 2**32
+
+    def test_stream_starts_are_distinct(self):
+        # the first words of every purpose's stream, and of its refinement
+        # stream, at t = 0..9: a slip in packing (purpose, time) into the
+        # offset would start two of them at one word, or one a word or three
+        # into another
+        purposes = [mc._STEP, mc._INIT, mc._ONESTEP, mc._PAIRS, mc._COIN]
+        streams = mc._Streams(2024)
+        words = [
+            streams.word(p, t, i)
+            for p in purposes + [p + mc._REFINE for p in purposes]
+            for t in range(10)
+            for i in range(4)
+        ]
+        assert len(set(words)) == len(words)
 
 
 class TestReplicationLayout:
@@ -587,7 +636,7 @@ class TestOneStepChunking:
         est, _ = estimate_g_one_step(params, x, samples, seed)
         assert est == adopted / samples
 
-    # chunks of one trial, of trials that split a Philox block, and of many blocks
+    # chunks of one trial, of trials that split a word, and of many words
     @pytest.mark.parametrize("budget", [8, 200, 4096])
     def test_any_budget_matches_the_replay(self, monkeypatch, budget):
         params, x, samples, seed = ModelParams(3, 0.6, 0.35), 0.4, 6_000, 12
@@ -694,7 +743,7 @@ class TestWorkspace:
     def test_warm_simulation_allocates_only_states_and_words(self):
         # one group of 50 trees of V = 3280 vertices; its largest reads, the
         # initial states and step 0's outcomes, take at most G*V heads, whose
-        # raw Philox words fill 2 bytes a head
+        # raw words fill 2 bytes a head
         cfg = sym_config(m=3, p=0.7, depth=7, horizon=7, pi_0=0.4, reps=50)
         (group,) = mc._groups(cfg)
         flat = len(group) * sum(3**d for d in range(8))
