@@ -101,12 +101,12 @@ CONFIG_REFUSED = [
     (dict(seed=-1), r"^seed must fit in 64 unsigned bits$"),
     (dict(seed=2**64), r"^seed must fit in 64 unsigned bits$"),
     (dict(params=ModelParams(64, 0.5, 0.5), depth=5, horizon=1), r"^m\*\*depth = 64\*\*5 exceeds the 1e\+08 leaf guard$"),
+    (dict(horizon=5, pi_0=2.0, seed=-1, replications=0), r"^horizon must be at most 4, got 5$"),
     # CONFIG's trees have 121 vertices, and R * 121 positions must fit a stream's 2**64
     (
         dict(replications=-(-(2**64) // 121)),
         rf"^replications \* vertices = {-(-(2**64) // 121)} \* 121 reaches a stream's 2\*\*64 positions$",
     ),
-    (dict(horizon=5, pi_0=2.0, seed=-1, replications=0), r"^horizon must be at most 4, got 5$"),
 ]
 
 
