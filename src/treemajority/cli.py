@@ -184,7 +184,7 @@ def _cmd_trajectory(args) -> dict:
         "steps_taken": len(traj.values) - 1,
         "converged": traj.converged,
         "limit": traj.limit,
-        "values": list(traj.values),
+        "values": traj.values,
     }
     if args.predict:
         report["predicted_limit"] = predicted

@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .model import MAX_CHILDREN, ModelParams, bernstein_horner, bernstein_scaled
 from .model import _check_int, _check_prob
-from .update_map import UpdateMap, g_eval, g_value
+from .update_map import UpdateMap, g_eval
 
 __all__ = [
     "ATTRACTIVE",
@@ -405,13 +405,28 @@ def _trajectory_request(params: ModelParams, pi_0: float, max_steps: int, predic
     max_steps = _check_int("max_steps", max_steps, 1)
     gm = UpdateMap.from_params(params)
     values = [pi_0]
+    push, tol = values.append, _STEP_TOL
+    up, down = gm._values
+    n = len(up) - 1
     x = pi_0
     converged = False
-    scaled = gm._values
     for _ in range(max_steps):
-        x_next = g_value(scaled, x)  # g_eval(gm, x) without its checks: x stays in [0, 1]
-        values.append(x_next)
-        if abs(x_next - x) < _STEP_TOL:
+        # g_eval(gm, x) without its checks, as x stays in [0, 1]: bernstein_horner and
+        # the clamp inline, each operation in the same order, so the same bits (a test
+        # pins them); the two calls a step cost about a sixth of a long orbit's time
+        if x > 0.5:
+            b, terms = 1.0 - x, up  # 1 - b == x exactly
+        else:
+            b, terms = x, down
+        a = 1.0 - b
+        r = b / a
+        acc = 0.0
+        for s in terms:
+            acc = acc * r + s
+        x_next = acc * a**n
+        x_next = 0.0 if x_next < 0.0 else (1.0 if x_next > 1.0 else x_next)
+        push(x_next)
+        if abs(x_next - x) < tol:
             x = x_next
             converged = True
             break

@@ -17,7 +17,8 @@ is built and the steps on first use of g' or g''.  Every value is
 Horner's rule on binomial-scaled coefficients (``model.bernstein_horner``),
 scaled once per map, in Python floats: within 1.5 (n+1) machine epsilons of
 the exact Bernstein sum of degree n for coefficients in [0, 1].  g is clamped
-to [0, 1], where the exact g lies.
+to [0, 1], where the exact g lies, by ``g_eval``, whose operations the orbit
+loop (``dynamics._trajectory_request``) repeats inline, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,20 +85,16 @@ class UpdateMap(namedtuple("UpdateMap", "params coeffs")):
         return bernstein_scaled([b - a for a, b in zip(steps, steps[1:])])
 
 
-def g_value(values: tuple, x: float) -> float:
-    """g at one point x in [0, 1] from ``UpdateMap._values``, clamped to [0, 1].
+def g_eval(gm: UpdateMap, x: float) -> float:
+    """Value of the update map at one point x in [0, 1], clamped to [0, 1].
 
     The exact g lies in [0, 1] because every f(k) does, so the clamp only
     removes rounding: unclamped, g comes out an ulp or two above 1 near x = 1
-    on maps with p_b = 1 or p_r = 0.
+    on maps with p_b = 1 or p_r = 0.  The orbit loop
+    (``dynamics._trajectory_request``) runs the same operations inline.
     """
-    v = bernstein_horner(values, x)
+    v = bernstein_horner(gm._values, _check_prob("x", x))
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
-
-
-def g_eval(gm: UpdateMap, x: float) -> float:
-    """Value of the update map at one point x in [0, 1], itself in [0, 1]."""
-    return g_value(gm._values, _check_prob("x", x))
 
 
 def g_prime(gm: UpdateMap, x: float) -> float:

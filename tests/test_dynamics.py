@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treemajority import cli, dynamics, model, update_map
@@ -568,6 +568,41 @@ class TestIterateDynamics:
             gm = UpdateMap.from_params(params)
             values = np.array(iterate_dynamics(params, float(rng.random()), max_steps=200).values)
             assert values[1:].tolist() == [g_eval(gm, x) for x in values[:-1].tolist()]
+
+    # the orbit loop runs g_eval's Horner step and clamp inline; these starts reach both
+    # branch ends: at x = 1/2 the two Horner branches differ in bits on most maps, and
+    # p_b = 1 maps evaluate above 1.0 unclamped just below x = 1
+    @given(
+        m=st.integers(min_value=2, max_value=64),
+        p_b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        p_r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        pi_0=st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 1.0 - 2.0**-53, 5e-324]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+    )
+    @example(m=3, p_b=0.3, p_r=0.6, pi_0=0.5)
+    @example(m=23, p_b=1.0, p_r=0.0, pi_0=0.8312026801722365)
+    @settings(max_examples=300, deadline=None)
+    def test_step_bits_are_g_eval(self, m, p_b, p_r, pi_0):
+        params = ModelParams(m, p_b, p_r)
+        gm = UpdateMap.from_params(params)
+        values = iterate_dynamics(params, pi_0, max_steps=200).values
+        assert [x.hex() for x in values[1:]] == [g_eval(gm, x).hex() for x in values[:-1]]
+
+    def test_no_horner_call_per_step(self, monkeypatch):
+        # a capped orbit searches no fixed points, so every Horner call would be a step's
+        calls = []
+
+        def counted(scaled, x):
+            calls.append(x)
+            return model.bernstein_horner(scaled, x)
+
+        monkeypatch.setattr(update_map, "bernstein_horner", counted)
+        monkeypatch.setattr(dynamics, "bernstein_horner", counted)
+        traj = iterate_dynamics(ModelParams(3, 1.0, SQRT3M1), 0.05, max_steps=1000)
+        assert not traj.converged and len(traj.values) == 1001
+        assert calls == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
