@@ -15,28 +15,32 @@ The simulation runs replications in groups: a group's trees are one
 ``(group size, V)`` boolean array, V the vertex count, each row one tree in
 breadth-first order, so the children of consecutive parents are consecutive
 and a window of parents is one set of array operations per group, not per
-replication or level.  It replays the raw rule, never
-f(k): each child's draw is compared with the two scalar rates, and one
-signed int8 per child (+1 for a B success, -1 for an R success) is summed
-into the vertex's lead, broken by a coin on zero.  A group holds as many
-replications as fit one step's variables in ``_UNIFORM_BYTES`` (at least
-one, counted at 8 bytes a variable), and reads each step's draws in
+replication or level.  It replays the raw rule, never f(k): each child's
+draw is compared with the two scalar rates, and one signed int8 per child
+(+1 for a B success, -1 for an R success) is summed into the vertex's
+lead, broken by a coin on zero.  The sums run over the window's flat signs
+by doubling (``_lead``): floor(log2 m) contiguous adds and one strided add
+per set bit of m, not one strided add per child, and no partial sum leaves
+-(m + 1)..m + 1, so int8 holds each exactly for m <= 64.  A group holds as
+many replications as fit one step's variables in ``_UNIFORM_BYTES`` (at
+least one, counted at 8 bytes a variable), and reads each step's draws in
 breadth-first windows of parents that fit the same budget, so a group never
 holds more draws than that, whatever the tree size; the one-step estimator
 sizes its chunks of trials by it too.
 
-Only a read's raw words (and a tie search's indices) are allocated
-per read.  The outcomes (which hold the tie masks before them), the signs,
-the lead and the update's result are written with ``out=`` into one
-grow-only ``_Workspace`` per thread, kept across calls, so warm requests
-reuse pages they have already touched instead of freeing them to the kernel
-and faulting them in on the next window.  A buffer holds one byte per
-variable of the largest read it has served, so within ``_UNIFORM_BYTES / 8``
-bytes (or one parent's variables, when the budget holds fewer), and a
-thread keeps a few; threads never share one.  Results do not depend on the
-workspace: every array taken from it is written in full before it is read,
-and no kernel writes into its arguments.  What outlives a read is copied
-out of it: the initial states and each update into the group's states.
+Only a read's raw words (and a tie search's indices) are allocated per
+read.  The outcomes (which hold the tie masks before them), the signs
+(then their partial sums), the lead and the update's result are written
+with ``out=`` into one grow-only ``_Workspace`` per thread, kept across
+calls, so warm requests reuse pages they have already touched instead of
+freeing them to the kernel and faulting them in on the next window.  A buffer
+holds one byte per variable of the largest read it has served, so within
+``_UNIFORM_BYTES / 8`` bytes (or one parent's variables, when the budget
+holds fewer), and a thread keeps a few; threads never share one.  Results
+do not depend on the workspace: every array taken from it is written in
+full before it is read, and no kernel writes into its arguments.  What
+outlives a read is copied out of it: the initial states and each update
+into the group's states.
 
 Randomness comes from streams keyed by seed, purpose and time step, each
 the 2**64 words of one PCG64DXSM sequence per seed that start at word
@@ -129,6 +133,9 @@ _COIN = 8
 # position, so every position must stay below this
 _STREAM_WORDS = 2**64
 
+# the period of a PCG64DXSM sequence, whose state is a 128-bit LCG
+_PERIOD = 2**128
+
 # a 53-bit draw k = head * 2**37 + low splits into a 16-bit head and 37 low bits
 _LOW_BITS = 37
 
@@ -182,26 +189,30 @@ class _Streams:
 
     Stream (seed, purpose, time) is the 2**64 words of ``PCG64DXSM(seed)``'s
     sequence that start at word ((purpose << 32) | time) << 64, so streams
-    never overlap while purpose and time fit in 32 bits.  ``_seek`` restores
-    the state the generator was built with and advances it to a word of a
-    stream, so the next word read is that word whatever came before: one
-    state restore and one jump, not a new generator, per read.
+    never overlap while purpose and time fit in 32 bits.  ``_at`` is the
+    word of the sequence the generator stands at, kept through every read
+    made here, and ``_seek`` advances it by the distance to a word of a
+    stream, modulo the period 2**128, so the next word read is that word
+    whatever came before: one jump, not a new generator or a state restore,
+    per read.  A generator handed out by ``_seek`` and read elsewhere leaves
+    ``_at`` behind, so its ``_Streams`` is read no more.
     """
 
     def __init__(self, seed: int) -> None:
         self._bitgen = PCG64DXSM(seed)
-        self._state = self._bitgen.state
+        self._at = 0
 
     def _seek(self, purpose: int, time: int, word: int) -> PCG64DXSM:
-        bitgen = self._bitgen
-        bitgen.state = self._state
-        bitgen.advance((((purpose << 32) | time) << 64) + word)
-        return bitgen
+        target = (((purpose << 32) | time) << 64) + word
+        self._bitgen.advance((target - self._at) % _PERIOD)
+        self._at = target
+        return self._bitgen
 
     def heads(self, purpose: int, time: int, pos: int, n: int) -> np.ndarray:
         """The stream's 16-bit heads pos..pos+n-1 (4 per word)."""
-        skip = pos % 4
-        raw = self._seek(purpose, time, pos // 4).random_raw((skip + n + 3) // 4)
+        skip, words = pos % 4, (pos % 4 + n + 3) // 4
+        raw = self._seek(purpose, time, pos // 4).random_raw(words)
+        self._at += words
         return raw.view(np.uint16)[skip : skip + n]
 
     def rows(self, purpose: int, time: int, reps: range, size: int, pos: int, n: int) -> np.ndarray:
@@ -243,7 +254,9 @@ class _Streams:
 
     def word(self, purpose: int, time: int, pos: int) -> int:
         """The stream's 64-bit word ``pos``."""
-        return self._seek(purpose, time, pos).random_raw()
+        word = self._seek(purpose, time, pos).random_raw()
+        self._at += 1
+        return word
 
 
 def _check_seed(seed) -> int:
@@ -356,9 +369,9 @@ def _bernoulli(
 
     A head below a rate's hi succeeds and one above it fails.  The heads that
     equal a tied hi (one with lo != 0) are found with one comparison per such
-    hi and one ``flatnonzero`` over them all, and ``word_at(row, col)``
-    returns the refinement word of each; such a head succeeds iff the word's
-    top 37 bits are below lo.  Rate i's outcomes are workspace slot
+    hi and one ``_set_positions`` scan over them all, and ``word_at(row,
+    col)`` returns the refinement word of each; such a head succeeds iff the
+    word's top 37 bits are below lo.  Rate i's outcomes are workspace slot
     ``slot + i``, valid until the slot's next read.
     """
     take = _LOCAL.workspace.take
@@ -374,7 +387,7 @@ def _bernoulli(
             np.equal(heads, hi, mask)
         for mask in out[1 : len(tied)]:
             np.bitwise_or(hit, mask, hit)
-        ties = np.flatnonzero(hit).tolist()
+        ties = _set_positions(hit.reshape(-1))
     for succ, (hi, _) in zip(out, cuts):
         np.less(heads, hi, succ)
     for j in ties:
@@ -384,6 +397,24 @@ def _bernoulli(
             if lo and heads[r, c] == hi:
                 succ[r, c] = low < lo
     return out
+
+
+def _set_positions(mask: np.ndarray) -> list[int]:
+    """The indices of a 1-D bool array's True elements, ``np.flatnonzero``'s, in order.
+
+    Each ``argmax`` stops at the first True past the last one found, so the
+    at most k + 1 scans of a mask with k True elements read it once, with
+    none of the count and gather passes of ``flatnonzero``: a read's tied
+    heads are about one in 2**16.
+    """
+    found, i = [], 0
+    while i < mask.size:
+        i += int(mask[i:].argmax())
+        if not mask[i]:
+            break
+        found.append(i)
+        i += 1
+    return found
 
 
 def _adopt(
@@ -399,24 +430,49 @@ def _adopt(
     lead when its ``coin`` (...) is True.
 
     The signs are (b + r) * c - r in int8, which is b for a B child and -r
-    for an R child.  The lead starts at the coin and adds one sign column per
-    child (m <= 64, so int8 holds it), so it is positive exactly when the
-    vertex adopts B.  One strided add per child: a reduction over a short
-    last axis costs about twice as much at small m.  The signs, the lead and
-    the result are workspace arrays, so the result stays valid until the
-    next call; no argument is written.
+    for an R child, and ``_lead`` sums them onto the coin, so the lead is
+    positive exactly when the vertex adopts B.  The signs, the lead and the
+    result are workspace arrays, so the result stays valid until the next
+    call; no argument is written.
     """
     take = _LOCAL.workspace.take
     b, r = succ_b.view(np.int8), succ_r.view(np.int8)
     signs = np.add(b, r, take(_SIGNS, child.shape))
     np.multiply(signs, child.view(np.int8), signs)
     np.subtract(signs, r, signs)
-    vertices = child.shape[:-1]
+    lead = _lead(signs, coin)
+    return np.greater(lead, 0, take(_ADOPTED, lead.shape))
+
+
+def _lead(signs: np.ndarray, coin: np.ndarray) -> np.ndarray:
+    """``coin`` plus the sum of each vertex's m signs, the last axis of ``signs``, in int8.
+
+    With W_P[i] the sum of the P signs i .. i+P-1 of the flat signs, the
+    doubling W_2P[i] = W_P[i] + W_P[i+P] is one contiguous add, and a vertex
+    v's m signs are the sum of W_P[v*m + L] over the set bits P of m, L the
+    lower bits of m (Hillis and Steele's scan).  So the lead costs
+    floor(log2 m) contiguous adds plus one strided add per set bit of m,
+    against m strided adds for a column at a time.  Every W_P sums
+    P <= m <= 64 signs and the lead at most m + 1 values in -1..1, so int8
+    holds each exactly.  W_P overwrites the flat ``signs`` in place, P
+    entries shorter each doubling: numpy defines an add whose input overlaps
+    its output as the add without the overlap, and reads W_P[i+P] ahead of
+    the write to W_2P[i] without a copy, so the sums need no buffer of their
+    own.  The lead is a workspace array, valid until the next call.
+    """
+    take = _LOCAL.workspace.take
+    m, vertices = signs.shape[-1], signs.shape[:-1]
     lead = take(_LEAD, vertices)
     np.copyto(lead, coin)
-    for k in range(child.shape[-1]):
-        np.add(lead, signs[..., k], lead)
-    return np.greater(lead, 0, take(_ADOPTED, vertices))
+    flat, sums = lead.reshape(-1), signs.reshape(-1)
+    P = 1
+    while True:
+        if m & P:
+            np.add(flat, sums[m & (P - 1) :: m], flat)
+        if 2 * P > m:
+            return lead
+        sums = np.add(sums[:-P], sums[P:], sums[:-P])
+        P *= 2
 
 
 def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -466,6 +466,19 @@ class TestGroupedReplay:
             for horizon in sorted({0, depth // 2, depth}):
                 _assert_replays_reference(_replay_config(m, depth, horizon, replications=3))
 
+    # every shape of the lead's doubling schedule: odd and even m, one set
+    # bit (8, 64) and many (7, 47); budgets of the default, one-parent
+    # windows and five-parent windows that split a level
+    @pytest.mark.parametrize("budget", [None, 8, 40])
+    @pytest.mark.parametrize("m,max_depth", [(6, 4), (7, 3), (8, 3), (18, 2), (47, 2), (64, 2)])
+    def test_large_m_matches_reference_replay(self, monkeypatch, budget, m, max_depth):
+        if budget is not None:
+            monkeypatch.setattr(mc, "_UNIFORM_BYTES", budget * (m + 1))
+        for depth in range(1, max_depth + 1):
+            for horizon in sorted({0, depth // 2, depth}):
+                reps = 3 if budget else None
+                _assert_replays_reference(_replay_config(m, depth, horizon, replications=reps))
+
     def test_independence_check_ignores_the_budget(self, monkeypatch):
         cfg = sym_config(m=3, p=0.7, depth=5, horizon=3, reps=120)
         expected = independence_check(cfg, level=2, pairs=20)
@@ -518,6 +531,30 @@ class TestStreamJump:
                     if n < size:
                         with pytest.raises(ValueError):
                             streams.rows(0, 2, range(first, first + 2), size, pos, n)
+
+
+    def test_reads_in_any_order_match_the_replay(self):
+        # backward and forward jumps from wherever the last read left the
+        # generator, across purposes, times and refinement streams
+        seed, size = 2**64 - 1, 50
+        keys = [(_STEP, 0), (_STEP, 5), (_INIT, 0), (_COIN, 2**32 - 1), (_STEP + _REFINE, 5), (_COIN + _REFINE, 0)]
+        heads = {key: _stream_heads(seed, *key, 8 * size) for key in keys}
+        words = {key: _stream(seed, *key).random_raw(2 * size) for key in keys}
+        rng = np.random.default_rng(37)
+        streams = mc._Streams(seed)
+        for _ in range(300):
+            key = keys[rng.integers(len(keys))]
+            kind = rng.integers(3)
+            if kind == 0:
+                pos, n = (int(v) for v in rng.integers(0, 4 * size, 2))
+                assert np.array_equal(streams.heads(*key, pos, n), heads[key][pos : pos + n])
+            elif kind == 1:
+                first, count = int(rng.integers(0, 4)), int(rng.integers(1, 5))
+                got = streams.rows(*key, range(first, first + count), size, 0, size)
+                assert np.array_equal(got.ravel(), heads[key][first * size : (first + count) * size])
+            else:
+                pos = int(rng.integers(0, 2 * size))
+                assert streams.word(*key, pos) == int(words[key][pos])
 
 
 class TestStreamPurposes:
@@ -822,6 +859,81 @@ class TestAdoptRule:
         got = mc._adopt(child, succ, succ, np.full(3, head < 2**15))
         assert got.tolist() == [True, False, coin < 0.5]
         assert np.array_equal(got, _two_count_adopt(child, k_x, k_y, 1.0 - 2**-53, 1.0 - 2**-53))
+
+
+class TestLead:
+    """``mc._lead``'s int8 doubling sums against an int64 sum over the children."""
+
+    @given(
+        m=st.integers(2, 64),
+        groups=st.integers(1, 4),
+        parents=st.integers(1, 6),
+        flat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_sum_of_the_signs_and_the_coin(self, m, groups, parents, flat, seed):
+        # a window (G, n, m), or an estimator chunk (n, m); one parent at G = n = 1
+        shape = (groups * parents, m) if flat else (groups, parents, m)
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(-1, 2, shape, dtype=np.int8)
+        # some vertices at the int8 extremes: every child +1, or every child -1
+        extreme = rng.integers(0, 3, shape[:-1])
+        signs[extreme == 1] = 1
+        signs[extreme == 2] = -1
+        coin = rng.random(shape[:-1]) < 0.5
+        want = signs.sum(axis=-1, dtype=np.int64) + coin
+        got = mc._lead(signs.copy(), coin)
+        assert got.dtype == np.int8 and got.shape == shape[:-1]
+        assert np.array_equal(got.astype(np.int64), want)
+
+
+class TestTieScan:
+    """``mc._set_positions`` and the tie search of ``mc._bernoulli`` find every tied head, in order."""
+
+    MASKS = {
+        "none": (9, []),
+        "first": (9, [0]),
+        "last": (9, [8]),
+        "adjacent": (9, [3, 4, 5]),
+        "all": (9, range(9)),
+        "one_element": (1, [0]),
+        "ends_of_a_long_mask": (70_000, [0, 1, 35_000, 69_998, 69_999]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MASKS))
+    def test_positions_are_flatnonzero(self, name):
+        size, tied = self.MASKS[name]
+        mask = np.zeros(size, dtype=bool)
+        mask[list(tied)] = True
+        assert mc._set_positions(mask) == np.flatnonzero(mask).tolist()
+
+    @given(st.lists(st.booleans(), max_size=300))
+    def test_random_masks(self, mask):
+        mask = np.array(mask, dtype=bool)
+        assert mc._set_positions(mask) == np.flatnonzero(mask).tolist()
+
+    # 2-D reads: one row (a window of a group of one), one column (a coin per
+    # trial) and whole rows of a group
+    @pytest.mark.parametrize("rows,cols", [(1, 9), (9, 1), (3, 3)])
+    @pytest.mark.parametrize("name", ["none", "first", "last", "adjacent", "all"])
+    def test_bernoulli_reads_each_tie_at_its_row_and_column(self, rows, cols, name):
+        p = math.nextafter(_HEAD / 2**16, 1.0)
+        hi, lo = mc._cut(p)
+        assert lo
+        tied = np.zeros(rows * cols, dtype=bool)
+        tied[list(self.MASKS[name][1])] = True
+        heads = np.where(tied, hi, hi + 1).astype(np.uint16).reshape(rows, cols)
+        words = (np.arange(rows * cols, dtype=np.uint64).reshape(rows, cols) % 2) * np.uint64(lo << 27)
+        read = []
+
+        def word_at(r, c):
+            read.append((r, c))
+            return int(words[r, c])
+
+        (got,) = mc._bernoulli(heads, (p,), word_at)
+        assert read == [tuple(rc) for rc in np.argwhere(tied.reshape(rows, cols)).tolist()]
+        assert got.tolist() == _below(_exact_draws(heads, words), p).tolist()
 
 
 _HEAD = 0x5A3C  # an arbitrary 16-bit head for the rates cut at a head boundary
