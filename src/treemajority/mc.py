@@ -210,7 +210,8 @@ class _Streams:
 
     def heads(self, purpose: int, time: int, pos: int, n: int) -> np.ndarray:
         """The stream's 16-bit heads pos..pos+n-1 (4 per word)."""
-        skip, words = pos % 4, (pos % 4 + n + 3) // 4
+        skip = pos % 4
+        words = (skip + n + 3) // 4
         raw = self._seek(purpose, time, pos // 4).random_raw(words)
         self._at += words
         return raw.view(np.uint16)[skip : skip + n]
