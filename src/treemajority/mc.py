@@ -16,31 +16,31 @@ The simulation runs replications in groups: a group's trees are one
 breadth-first order, so the children of consecutive parents are consecutive
 and a window of parents is one set of array operations per group, not per
 replication or level.  It replays the raw rule, never f(k): each child's
-draw is compared with the two scalar rates, and one signed int8 per child
-(+1 for a B success, -1 for an R success) is summed into the vertex's
-lead, broken by a coin on zero.  The sums run over the window's flat signs
-by doubling (``_lead``): floor(log2 m) contiguous adds and one strided add
-per set bit of m, not one strided add per child, and no partial sum leaves
--(m + 1)..m + 1, so int8 holds each exactly for m <= 64.  A group holds as
-many replications as fit one step's variables in ``_UNIFORM_BYTES`` (at
-least one, counted at 8 bytes a variable), and reads each step's draws in
-breadth-first windows of parents that fit the same budget, so a group never
-holds more draws than that, whatever the tree size; the one-step estimator
-sizes its chunks of trials by it too.
+draw is compared with its own state's rate (one uint16 cut per child), and
+one signed int8 per child (+1 for a B success, -1 for an R success) is
+summed into the vertex's lead, broken by a coin on zero.  The sums run over
+the window's flat signs by doubling (``_lead``): floor(log2 m) contiguous
+adds and one strided add per set bit of m, not one strided add per child,
+and no partial sum leaves -(m + 1)..m + 1, so int8 holds each exactly for
+m <= 64.  A group holds as many replications as fit one step's variables in
+``_UNIFORM_BYTES`` (at least one, counted at 8 bytes a variable), and reads
+each step's draws in breadth-first windows of parents that fit the same
+budget, so a group never holds more draws than that, whatever the tree
+size; the one-step estimator sizes its chunks of trials by it too.
 
 Only a read's raw words (and a tie search's indices) are allocated per
-read.  The outcomes (which hold the tie masks before them), the signs
-(then their partial sums), the lead and the update's result are written
-with ``out=`` into one grow-only ``_Workspace`` per thread, kept across
-calls, so warm requests reuse pages they have already touched instead of
-freeing them to the kernel and faulting them in on the next window.  A buffer
-holds one byte per variable of the largest read it has served, so within
-``_UNIFORM_BYTES / 8`` bytes (or one parent's variables, when the budget
-holds fewer), and a thread keeps a few; threads never share one.  Results
-do not depend on the workspace: every array taken from it is written in
-full before it is read, and no kernel writes into its arguments.  What
-outlives a read is copied out of it: the initial states and each update
-into the group's states.
+read.  The outcomes (which hold the tie mask before them), the per-child
+cuts, the signs (then their partial sums), the lead and the update's result
+are written with ``out=`` into one grow-only ``_Workspace`` per thread, kept
+across calls, so warm requests reuse pages they have already touched instead
+of freeing them to the kernel and faulting them in on the next window.  A
+buffer holds one byte (a cut two) per variable of the largest read it has
+served, so at most ``_UNIFORM_BYTES / 8`` variables (or one parent's, when
+the budget holds fewer), and a thread keeps a few; threads never share one.
+Results do not depend on the workspace: every array taken from it is
+written in full before it is read, and no kernel writes into its arguments.
+What outlives a read is copied out of it: the initial states and each
+update into the group's states.
 
 Randomness comes from streams keyed by seed, purpose and time step, each
 the 2**64 words of one PCG64DXSM sequence per seed that start at word
@@ -48,17 +48,18 @@ the 2**64 words of one PCG64DXSM sequence per seed that start at word
 version ``STREAM_LAYOUT``).  Every Bernoulli variable owns one position i in
 its stream and reads the stream's i-th 16-bit head, the i-th uint16 of its
 raw words (word i // 4, so 4 variables per word).  A rate p is cut at
-K = ceil(p * 2**53) into hi = K >> 37 and lo = K mod 2**37: a head below hi
-succeeds, one above fails, and only a head equal to hi with lo != 0 (one
-draw in 2**16) reads the 64-bit word at position i of the purpose's
-refinement stream (purpose + ``_REFINE``, same seed and time) and
-succeeds iff its top 37 bits are below lo.  That is k < K for the 53-bit
-k = head * 2**37 + low, so each outcome has probability K / 2**53, exactly as
-for a 53-bit uniform compared with p.  A coin is a draw at rate 1/2, whose
-cut is (2**15, 0): a head below 2**15, never a refinement word.  Since a
-refinement word sits at its variable's position, every position stays below
-2**64: ``SimConfig`` refuses R * V >= 2**64 and the one-step estimator
-samples * m >= 2**64, V the tree's vertex count.
+K = ceil(p * 2**53) into hi = K >> 37 and lo = K mod 2**37 (p = 1 into
+2**16 - 1 and 2**37, see ``_cut``): a head below hi succeeds, one above
+fails, and only a head equal to hi with lo != 0 (one draw in 2**16) reads
+the 64-bit word at position i of the purpose's refinement stream (purpose +
+``_REFINE``, same seed and time) and succeeds iff its top 37 bits are below
+lo.  That is k < K for the 53-bit k = head * 2**37 + low, so each outcome
+has probability K / 2**53, exactly as for a 53-bit uniform compared with p.
+A coin is a draw at rate 1/2, whose cut is (2**15, 0): a head below 2**15,
+never a refinement word.  Since a refinement word sits at its variable's
+position, every position stays below 2**64: ``SimConfig`` refuses
+R * V >= 2**64 and the one-step estimator samples * m >= 2**64, V the
+tree's vertex count.
 
 Step t updates the P_t = 1 + m + ... + m**(D-t-1) parents of levels
 0..D-t-1.  Their m * P_t experiment outcomes, for the children at levels
@@ -139,10 +140,11 @@ _PERIOD = 2**128
 # a 53-bit draw k = head * 2**37 + low splits into a 16-bit head and 37 low bits
 _LOW_BITS = 37
 
-# workspace slots: a read's outcomes at rate i go to slot i, or to slot
-# _COINS or _STATES for the coins and the estimator's child states read
-# beside them; then an update's signs, lead and result
-_COINS, _STATES, _SIGNS, _LEAD, _ADOPTED = range(2, 7)
+# workspace slots: a read's outcomes go to slot _OUTCOMES, or to slot _COINS
+# or _STATES for the coins and the estimator's child states read beside them,
+# and its per-element cuts to _CUT; then an update's signs, lead and result
+_OUTCOMES, _COINS, _STATES, _CUT, _SIGNS, _LEAD, _ADOPTED = range(7)
+_DTYPES = {_CUT: np.uint16, _SIGNS: np.int8, _LEAD: np.int8}
 
 
 class _Workspace:
@@ -155,9 +157,7 @@ class _Workspace:
     """
 
     def __init__(self) -> None:
-        self.buffers = [
-            np.empty(0, dtype=np.int8 if slot in (_SIGNS, _LEAD) else bool) for slot in range(_ADOPTED + 1)
-        ]
+        self.buffers = [np.empty(0, dtype=_DTYPES.get(slot, bool)) for slot in range(_ADOPTED + 1)]
         self.views = list(self.buffers)
 
     def take(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -237,20 +237,21 @@ class _Streams:
         pos: int,
         n: int,
         rates: tuple[float, ...],
-        slot: int = 0,
-    ) -> list[np.ndarray]:
-        """Exact Bernoulli outcomes of ``rows(...)``, one (len(reps), n) bool array per rate.
+        slot: int = _OUTCOMES,
+        state: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Exact Bernoulli outcomes of ``rows(...)`` (see ``_bernoulli``), one (len(reps), n) bool array.
 
         The head at row r, column c sits at position (reps.start + r) * size
         + pos + c, and a tied one reads the refinement word at the same
-        position of stream (seed, purpose + ``_REFINE``, time).  Rate i's
-        outcomes are workspace slot ``slot + i`` (see ``_bernoulli``).
+        position of stream (seed, purpose + ``_REFINE``, time).
         """
         return _bernoulli(
             self.rows(purpose, time, reps, size, pos, n),
             rates,
             lambda r, c: self.word(purpose + _REFINE, time, (reps.start + r) * size + pos + c),
             slot,
+            state,
         )
 
     def word(self, purpose: int, time: int, pos: int) -> int:
@@ -318,7 +319,8 @@ def estimate_g_one_step(
 
     Each trial draws m child states i.i.d. Bernoulli(x), a success for each
     child at its state's rate, and a fair tie-break coin; returns the adopting
-    fraction and its 95% half-width sqrt-based on the binomial variance.
+    fraction and its 95% half-width, 1.96 times the binomial standard error
+    sqrt(est * (1 - est) / samples).
     """
     x = _check_prob("x", x)
     samples = _check_int("samples", samples, 1)
@@ -331,10 +333,10 @@ def estimate_g_one_step(
     chunk = max(1, min(samples, _UNIFORM_BYTES // (8 * (2 * m + 1))))
     for done in range(0, samples, chunk):
         trials = range(done, min(done + chunk, samples))
-        (child,) = streams.draw(_ONESTEP, 0, trials, m, 0, m, (x,), _STATES)
-        succ_b, succ_r = streams.draw(_ONESTEP, 1, trials, m, 0, m, (p_b, p_r))
-        (coin,) = streams.draw(_ONESTEP, 2, trials, 1, 0, 1, (0.5,), _COINS)
-        adopted += np.count_nonzero(_adopt(child, succ_b, succ_r, coin[:, 0]))
+        child = streams.draw(_ONESTEP, 0, trials, m, 0, m, (x,), _STATES)
+        succ = streams.draw(_ONESTEP, 1, trials, m, 0, m, (p_b, p_r), state=child)
+        coin = streams.draw(_ONESTEP, 2, trials, 1, 0, 1, (0.5,), _COINS)
+        adopted += np.count_nonzero(_adopt(child, succ, coin[:, 0]))
     est = adopted / samples
     half = 1.96 * np.sqrt(est * (1.0 - est) / samples)
     return float(est), float(half)
@@ -358,45 +360,47 @@ def _groups(cfg: SimConfig) -> Iterator[range]:
 
 
 def _cut(p: float) -> tuple[int, int]:
-    """(hi, lo) of K = ceil(p * 2**53): the 53-bit draw k succeeds iff k < K."""
+    """(hi, lo), hi * 2**37 + lo = K = ceil(p * 2**53): the 53-bit draw k succeeds iff k < K.
+
+    hi, a head's cut, fits a uint16: p = 1 cuts at (2**16 - 1, 2**37), so its
+    top head reads a refinement word, whose top 37 bits are below lo.
+    """
     K = math.ceil(p * 2**53)
-    return K >> _LOW_BITS, K & ((1 << _LOW_BITS) - 1)
+    hi = min(K >> _LOW_BITS, 2**16 - 1)
+    return hi, K - (hi << _LOW_BITS)
 
 
 def _bernoulli(
-    heads: np.ndarray, rates: tuple[float, ...], word_at: Callable[[int, int], int], slot: int = 0
-) -> list[np.ndarray]:
-    """Exact Bernoulli outcomes of a 2-D array of 16-bit heads, one bool array per rate.
+    heads: np.ndarray,
+    rates: tuple[float, ...],
+    word_at: Callable[[int, int], int],
+    slot: int = _OUTCOMES,
+    state: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact Bernoulli outcomes of a 2-D array of 16-bit heads, one bool array.
 
-    A head below a rate's hi succeeds and one above it fails.  The heads that
-    equal a tied hi (one with lo != 0) are found with one comparison per such
-    hi and one ``_set_positions`` scan over them all, and ``word_at(row,
-    col)`` returns the refinement word of each; such a head succeeds iff the
-    word's top 37 bits are below lo.  Rate i's outcomes are workspace slot
-    ``slot + i``, valid until the slot's next read.
+    A head is drawn at rates[0] where ``state`` is True (everywhere when it
+    is None) and at rates[-1] where it is False: its cut hi_r + state *
+    (hi_b - hi_r), in uint16 modulo 2**16, is workspace slot ``_CUT``.  A head
+    below its hi succeeds, one above fails, and one equal to it, found by one
+    ``_set_positions`` scan, reads ``word_at(row, col)`` when its own lo != 0
+    and succeeds iff the word's top 37 bits are below that lo.  The outcomes
+    are workspace slot ``slot``, valid until the slot's next read.
     """
     take = _LOCAL.workspace.take
-    cuts = [_cut(p) for p in rates]
-    out = [take(slot + i, heads.shape) for i in range(len(rates))]
-    tied = sorted({hi for hi, lo in cuts if lo})
-    ties = []
-    if tied:
-        # the outcome arrays hold the tie masks first, one per tied hi (never
-        # more than the rates), so the tie search needs no buffer of its own
-        hit = out[0]
-        for hi, mask in zip(tied, out):
-            np.equal(heads, hi, mask)
-        for mask in out[1 : len(tied)]:
-            np.bitwise_or(hit, mask, hit)
-        ties = _set_positions(hit.reshape(-1))
-    for succ, (hi, _) in zip(out, cuts):
-        np.less(heads, hi, succ)
+    (hi_b, lo_b), (hi_r, lo_r) = _cut(rates[0]), _cut(rates[-1])
+    hi = hi_b
+    if state is not None:
+        hi = np.multiply(state, np.uint16((hi_b - hi_r) % 2**16), take(_CUT, heads.shape))
+        np.add(hi, np.uint16(hi_r), hi)
+    out = take(slot, heads.shape)
+    ties = _set_positions(np.equal(heads, hi, out).reshape(-1)) if lo_b or lo_r else []
+    np.less(heads, hi, out)
     for j in ties:
         r, c = divmod(j, heads.shape[1])
-        low = word_at(r, c) >> (64 - _LOW_BITS)
-        for succ, (hi, lo) in zip(out, cuts):
-            if lo and heads[r, c] == hi:
-                succ[r, c] = low < lo
+        lo = lo_b if state is None or state[r, c] else lo_r
+        if lo:
+            out[r, c] = word_at(r, c) >> (64 - _LOW_BITS) < lo
     return out
 
 
@@ -418,29 +422,26 @@ def _set_positions(mask: np.ndarray) -> list[int]:
     return found
 
 
-def _adopt(
-    child: np.ndarray, succ_b: np.ndarray, succ_r: np.ndarray, coin: np.ndarray
-) -> np.ndarray:
+def _adopt(child: np.ndarray, succ: np.ndarray, coin: np.ndarray) -> np.ndarray:
     """The raw update rule, replayed from its draws.
 
-    ``child`` (..., m) holds the children's states (True for B), and
-    ``succ_b`` and ``succ_r`` whether each child's experiment succeeds at the
-    B and at the R rate; a child uses its own state's.  Each child adds +1 to
-    the vertex's lead when it is B and succeeds, -1 when it is R and succeeds,
-    0 otherwise; the vertex adopts B when the lead is positive, and on a zero
-    lead when its ``coin`` (...) is True.
+    ``child`` (..., m) holds the children's states (True for B), and ``succ``
+    whether each child's experiment, at its own state's rate, succeeds.  Each
+    child adds +1 to the vertex's lead when it is B and succeeds, -1 when it
+    is R and succeeds, 0 otherwise; the vertex adopts B when the lead is
+    positive, and on a zero lead when its ``coin`` (...) is True.
 
-    The signs are (b + r) * c - r in int8, which is b for a B child and -r
+    The signs are 2 * (s & c) - s in int8, which is s for a B child and -s
     for an R child, and ``_lead`` sums them onto the coin, so the lead is
     positive exactly when the vertex adopts B.  The signs, the lead and the
     result are workspace arrays, so the result stays valid until the next
     call; no argument is written.
     """
     take = _LOCAL.workspace.take
-    b, r = succ_b.view(np.int8), succ_r.view(np.int8)
-    signs = np.add(b, r, take(_SIGNS, child.shape))
-    np.multiply(signs, child.view(np.int8), signs)
-    np.subtract(signs, r, signs)
+    s = succ.view(np.int8)
+    signs = np.bitwise_and(s, child.view(np.int8), take(_SIGNS, child.shape))
+    np.add(signs, signs, signs)
+    np.subtract(signs, s, signs)
     lead = _lead(signs, coin)
     return np.greater(lead, 0, take(_ADOPTED, lead.shape))
 
@@ -510,7 +511,7 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
     flat = np.empty((G, V), dtype=bool)
     for a in range(0, V, span):
         n = min(span, V - a)
-        (flat[:, a : a + n],) = streams.draw(_INIT, 0, reps, V, a, n, (cfg.pi_0,))
+        flat[:, a : a + n] = streams.draw(_INIT, 0, reps, V, a, n, (cfg.pi_0,))
     roots = np.empty((G, T + 1), dtype=bool)
     roots[:, 0] = flat[:, 0]
 
@@ -518,15 +519,11 @@ def _evolve(cfg: SimConfig, reps: range) -> tuple[np.ndarray, list[np.ndarray]]:
         P = starts[D - t]
         for a in range(0, P, width):
             n = min(width, P - a)
-            succ_b, succ_r = streams.draw(_STEP, t, reps, m * P, m * a, m * n, (p_b, p_r))
-            (coins,) = streams.draw(_COIN, t, reps, P, a, n, (0.5,), _COINS)
+            child = flat[:, 1 + m * a : 1 + m * (a + n)]
+            succ = streams.draw(_STEP, t, reps, m * P, m * a, m * n, (p_b, p_r), state=child)
+            coins = streams.draw(_COIN, t, reps, P, a, n, (0.5,), _COINS)
             window = (G, n, m)
-            flat[:, a : a + n] = _adopt(
-                flat[:, 1 + m * a : 1 + m * (a + n)].reshape(window),
-                succ_b.reshape(window),
-                succ_r.reshape(window),
-                coins,
-            )
+            flat[:, a : a + n] = _adopt(child.reshape(window), succ.reshape(window), coins)
         roots[:, t + 1] = flat[:, 0]
 
     return roots, [flat[:, starts[d] : starts[d + 1]] for d in range(D + 1)]

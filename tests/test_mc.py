@@ -563,9 +563,9 @@ class TestStreamPurposes:
         # stream, and the pairs stream are distinct purposes
         drawn, draw = set(), mc._Streams.draw
 
-        def recorded(self, purpose, *args):
+        def recorded(self, purpose, *args, **kwargs):
             drawn.add(purpose)
-            return draw(self, purpose, *args)
+            return draw(self, purpose, *args, **kwargs)
 
         monkeypatch.setattr(mc._Streams, "draw", recorded)
         independence_check(sym_config(depth=3, horizon=2, reps=100), level=1, pairs=3)
@@ -650,9 +650,9 @@ class TestReplicationLayout:
         assert len(group) == 30
         adopt, calls = mc._adopt, []
 
-        def counted(*arrays):
+        def counted(*arrays, **kwargs):
             calls.append(arrays)
-            return adopt(*arrays)
+            return adopt(*arrays, **kwargs)
 
         monkeypatch.setattr(mc, "_adopt", counted)
         mc._evolve(cfg, group)
@@ -694,9 +694,9 @@ class TestOneStepChunking:
             calls.append(args)
             return heads(self, *args)
 
-        def checked(*arrays):
-            contiguous.append(all(a.flags.c_contiguous for a in arrays))
-            return adopt(*arrays)
+        def checked(*arrays, **kwargs):
+            contiguous.append(all(a.flags.c_contiguous for a in (*arrays, *kwargs.values())))
+            return adopt(*arrays, **kwargs)
 
         monkeypatch.setattr(mc._Streams, "heads", counted)
         monkeypatch.setattr(mc, "_adopt", checked)
@@ -836,12 +836,12 @@ class TestAdoptRule:
         hit = rng.random((vertices, m))
         for rate, on_cut in ((p_b, hit < 0.1), (p_r, hit > 0.9)):
             hi, lo = mc._cut(rate)
-            heads[on_cut] = min(hi, 2**16 - 1)
-            words[on_cut & (rng.random((vertices, m)) < 0.5)] = lo << 27
+            heads[on_cut] = hi
+            words[on_cut & (rng.random((vertices, m)) < 0.5)] = min(lo, 2**37 - 1) << 27
         # half the coins on each side of 1/2, so ties go both ways
         coins = (rng.integers(0, 2**15, vertices) + 2**15 * (np.arange(vertices) % 2)).astype(np.uint16)
-        succ_b, succ_r = mc._bernoulli(heads, (p_b, p_r), _refine_from(words))
-        got = mc._adopt(child, succ_b, succ_r, coins < 2**15)
+        succ = mc._bernoulli(heads, (p_b, p_r), _refine_from(words), state=child)
+        got = mc._adopt(child, succ, coins < 2**15)
         assert got.dtype == bool and got.shape == (vertices,)
         k_y = coins.astype(np.uint64) << np.uint64(37)
         assert np.array_equal(got, _two_count_adopt(child, _exact_draws(heads, words), k_y, p_b, p_r))
@@ -856,7 +856,7 @@ class TestAdoptRule:
         succ = _below(k_x, 1.0 - 2**-53)
         head = int(coin * 2**16)  # the coin's 53-bit draw is coin * 2**53
         k_y = np.full(3, head << 37, dtype=np.uint64)
-        got = mc._adopt(child, succ, succ, np.full(3, head < 2**15))
+        got = mc._adopt(child, succ, np.full(3, head < 2**15))
         assert got.tolist() == [True, False, coin < 0.5]
         assert np.array_equal(got, _two_count_adopt(child, k_x, k_y, 1.0 - 2**-53, 1.0 - 2**-53))
 
@@ -931,7 +931,7 @@ class TestTieScan:
             read.append((r, c))
             return int(words[r, c])
 
-        (got,) = mc._bernoulli(heads, (p,), word_at)
+        got = mc._bernoulli(heads, (p,), word_at)
         assert read == [tuple(rc) for rc in np.argwhere(tied.reshape(rows, cols)).tolist()]
         assert got.tolist() == _below(_exact_draws(heads, words), p).tolist()
 
@@ -958,8 +958,10 @@ class TestBernoulliExactness:
     )
     def test_forced_ties(self, p):
         K = math.ceil(Fraction(p) * 2**53)
-        hi, lo = K >> 37, K % 2**37
-        assert mc._cut(p) == (hi, lo)
+        hi, lo = mc._cut(p)
+        # hi is K's top 16 bits, except at p = 1, whose 2**16 would not fit a uint16 head
+        assert (hi, lo) == ((2**16 - 1, 2**37) if p == 1.0 else (K >> 37, K % 2**37))
+        assert hi * 2**37 + lo == K
         # every head on and next to the cut, each against low bits on and next to lo
         head_values = sorted({min(max(h, 0), 2**16 - 1) for h in (hi - 1, hi, hi + 1)})
         low_values = sorted({min(max(v, 0), 2**37 - 1) for v in (0, lo - 1, lo, lo + 1, 2**37 - 1)})
@@ -972,7 +974,7 @@ class TestBernoulliExactness:
             read.append((r, c))
             return int(words[r, c])
 
-        (got,) = mc._bernoulli(heads, (p,), word_at)
+        got = mc._bernoulli(heads, (p,), word_at)
         k = _exact_draws(heads, words)
         assert got.tolist() == (k < K).tolist()
         # only heads equal to the cut read a refinement word, and only when lo != 0
@@ -984,19 +986,87 @@ class TestBernoulliExactness:
         for states in mc._evolve(cfg, range(3))[1]:
             assert states.all() if pi_0 == 1.0 else not states.any()
 
-    def test_two_rates_share_one_tie_search(self):
-        # a head tied with both cuts reads one refinement word per tie, each rate its own lo
+    def test_each_element_reads_at_its_own_rate(self):
+        # every head ties both cuts, which share hi: each element reads one
+        # refinement word, and its own state's lo decides it
         p_b, p_r = _HEAD / 2**16 + 2.0**-30, _HEAD / 2**16 + 2.0**-20
-        hi = mc._cut(p_b)[0]
-        assert mc._cut(p_r)[0] == hi
+        (hi, lo_b), (hi_r, lo_r) = mc._cut(p_b), mc._cut(p_r)
+        assert hi_r == hi and lo_b < lo_r
         heads = np.full((2, 3), hi, dtype=np.uint16)
-        lows = [[0, 2**34, 2**36], [2**23, 2**13, 2**37 - 1]]
+        state = np.array([[True, False, True], [False, True, False]])
+        # (0, 2) and (1, 0) sit between the two lows: their own rate decides the other way
+        lows = [[0, 2**34, 2**30], [2**23, 2**13, 2**37 - 1]]
         words = np.array(lows, dtype=np.uint64) << np.uint64(27)
-        succ_b, succ_r = mc._bernoulli(heads, (p_b, p_r), _refine_from(words))
+        read = []
+
+        def word_at(r, c):
+            read.append((r, c))
+            return int(words[r, c])
+
+        got = mc._bernoulli(heads, (p_b, p_r), word_at, state=state)
         k = _exact_draws(heads, words)
-        assert succ_b.tolist() == _below(k, p_b).tolist()
-        assert succ_r.tolist() == _below(k, p_r).tolist()
-        assert succ_b.tolist() != succ_r.tolist()
+        assert read == [(r, c) for r in range(2) for c in range(3)]
+        assert got.tolist() == np.where(state, _below(k, p_b), _below(k, p_r)).tolist()
+        assert got.tolist() == [[True, False, False], [True, True, False]]
+
+
+def _exact_rate(K):
+    """The float p whose ceil(p * 2**53) is the 53-bit K: K / 2**53 exactly."""
+    return float(Fraction(K, 2**53))
+
+
+# rates at the ends of [0, 1], uniform rates, and pairs that share a head's cut but differ below it
+edge_rates = st.sampled_from([0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53])
+rate_pairs = st.one_of(
+    st.tuples(st.one_of(edge_rates, st.floats(0.0, 1.0)), st.one_of(edge_rates, st.floats(0.0, 1.0))),
+    st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**37 - 1), st.integers(0, 2**37 - 1)).map(
+        lambda t: (_exact_rate(t[0] << 37 | t[1]), _exact_rate(t[0] << 37 | t[2]))
+    ),
+)
+
+
+class TestOwnRate:
+    """``mc._bernoulli`` draws each element at its own state's rate, as k < K on the exact 53-bit draw."""
+
+    @given(
+        rates=rate_pairs,
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 40),
+        with_state=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_exact_draw(self, rates, rows, cols, with_state, seed):
+        p_b, p_r = rates
+        rng = np.random.default_rng(seed)
+        shape = (rows, cols)
+        state = rng.random(shape) < 0.5 if with_state else None
+        heads = rng.integers(0, 2**16, shape, dtype=np.uint16)
+        words = rng.integers(0, 2**64, shape, dtype=np.uint64)
+        # heads forced onto both cuts, each with low bits on, next to or off its lo
+        K = {p: math.ceil(Fraction(p) * 2**53) for p in rates}
+        own = np.where(state, K[p_b], K[p_r]) if with_state else np.full(shape, K[p_b])
+        for p, on_cut in ((p_b, rng.random(shape) < 0.3), (p_r, rng.random(shape) < 0.3)):
+            hi = min(K[p] >> 37, 2**16 - 1)
+            lo = K[p] - (hi << 37)
+            heads[on_cut] = hi
+            low = np.clip(lo + rng.integers(-1, 2, shape), 0, 2**37 - 1).astype(np.uint64)
+            near = on_cut & (rng.random(shape) < 0.7)
+            words[near] = low[near] << np.uint64(27) | rng.integers(0, 2**27, shape, dtype=np.uint64)[near]
+        read = []
+
+        def word_at(r, c):
+            read.append((r, c))
+            return int(words[r, c])
+
+        got = mc._bernoulli(heads, rates, word_at, state=state)
+        k = _exact_draws(heads, words)
+        want = np.where(state, k < K[p_b], k < K[p_r]) if with_state else k < K[p_b]
+        assert got.dtype == bool and got.tolist() == want.tolist()
+        # a refinement word is read only where the head ties its own rate's cut and that cut's lo != 0
+        own_hi = np.minimum(own >> 37, 2**16 - 1)
+        own_tie = (heads == own_hi) & (own != own_hi << 37)
+        assert read == [tuple(rc) for rc in np.argwhere(own_tie).tolist()]
 
 
 def _all_pairs_correlation(columns, pairs=None):
