@@ -30,13 +30,14 @@ size; the one-step estimator sizes its chunks of trials by it too.
 
 Only a read's raw words (and a tie search's indices) are allocated per
 read.  The outcomes (which hold the tie mask before them), the per-child
-cuts, the signs (then their partial sums), the lead and the update's result
-are written with ``out=`` into one grow-only ``_Workspace`` per thread, kept
-across calls, so warm requests reuse pages they have already touched instead
-of freeing them to the kernel and faulting them in on the next window.  A
-buffer holds one byte (a cut two) per variable of the largest read it has
-served, so at most ``_UNIFORM_BYTES / 8`` variables (or one parent's, when
-the budget holds fewer), and a thread keeps a few; threads never share one.
+cuts, the signs (then their partial sums) and the lead (then the update's
+result, over the lead's bytes) are written with ``out=`` into one grow-only
+``_Workspace`` per thread, kept across calls, so warm requests reuse pages
+they have already touched instead of freeing them to the kernel and faulting
+them in on the next window.  A buffer holds one byte (a cut two) per
+variable of the largest read it has served, so at most ``_UNIFORM_BYTES /
+8`` variables (or one parent's, when the budget holds fewer), and a thread
+keeps six; threads never share one.
 Results do not depend on the workspace: every array taken from it is
 written in full before it is read, and no kernel writes into its arguments.
 What outlives a read is copied out of it: the initial states and each
@@ -142,22 +143,24 @@ _LOW_BITS = 37
 
 # workspace slots: a read's outcomes go to slot _OUTCOMES, or to slot _COINS
 # or _STATES for the coins and the estimator's child states read beside them,
-# and its per-element cuts to _CUT; then an update's signs, lead and result
-_OUTCOMES, _COINS, _STATES, _CUT, _SIGNS, _LEAD, _ADOPTED = range(7)
+# and its per-element cuts to _CUT; then an update's signs and lead, which
+# the update's result overwrites
+_OUTCOMES, _COINS, _STATES, _CUT, _SIGNS, _LEAD = range(6)
 _DTYPES = {_CUT: np.uint16, _SIGNS: np.int8, _LEAD: np.int8}
 
 
-class _Workspace:
-    """One thread's scratch arrays for ``_bernoulli`` and ``_adopt``, kept between calls.
+class _Workspace(threading.local):
+    """Each thread's own scratch arrays for ``_bernoulli`` and ``_adopt``, kept between calls.
 
     ``take(slot, shape)`` returns the first prod(shape) elements of the
     slot's buffer in that shape; the buffer grows to the largest array it
     has served and never shrinks.  The view of the slot's last shape is
-    kept, so a run of equal windows costs one tuple comparison a take.
+    kept, so a run of equal windows costs one tuple comparison a take.  A
+    thread's first attribute read makes its buffers.
     """
 
     def __init__(self) -> None:
-        self.buffers = [np.empty(0, dtype=_DTYPES.get(slot, bool)) for slot in range(_ADOPTED + 1)]
+        self.buffers = [np.empty(0, dtype=_DTYPES.get(slot, bool)) for slot in range(_LEAD + 1)]
         self.views = list(self.buffers)
 
     def take(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -170,18 +173,7 @@ class _Workspace:
         return view
 
 
-class _Local(threading.local):
-    """Each thread's own ``workspace``, made on the thread's first use.
-
-    A plain object inside the thread-local one, since every attribute read
-    on a ``threading.local`` costs a lookup of the thread's dict.
-    """
-
-    def __init__(self) -> None:
-        self.workspace = _Workspace()
-
-
-_LOCAL = _Local()
+_LOCAL = _Workspace()
 
 
 class _Streams:
@@ -387,7 +379,7 @@ def _bernoulli(
     and succeeds iff the word's top 37 bits are below that lo.  The outcomes
     are workspace slot ``slot``, valid until the slot's next read.
     """
-    take = _LOCAL.workspace.take
+    take = _LOCAL.take
     (hi_b, lo_b), (hi_r, lo_r) = _cut(rates[0]), _cut(rates[-1])
     hi = hi_b
     if state is not None:
@@ -433,17 +425,16 @@ def _adopt(child: np.ndarray, succ: np.ndarray, coin: np.ndarray) -> np.ndarray:
 
     The signs are 2 * (s & c) - s in int8, which is s for a B child and -s
     for an R child, and ``_lead`` sums them onto the coin, so the lead is
-    positive exactly when the vertex adopts B.  The signs, the lead and the
-    result are workspace arrays, so the result stays valid until the next
-    call; no argument is written.
+    positive exactly when the vertex adopts B.  The result overwrites the
+    lead's bytes, so like the signs it is a workspace array, valid until the
+    next call; no argument is written.
     """
-    take = _LOCAL.workspace.take
     s = succ.view(np.int8)
-    signs = np.bitwise_and(s, child.view(np.int8), take(_SIGNS, child.shape))
+    signs = np.bitwise_and(s, child.view(np.int8), _LOCAL.take(_SIGNS, child.shape))
     np.add(signs, signs, signs)
     np.subtract(signs, s, signs)
     lead = _lead(signs, coin)
-    return np.greater(lead, 0, take(_ADOPTED, lead.shape))
+    return np.greater(lead, 0, lead.view(np.bool_))
 
 
 def _lead(signs: np.ndarray, coin: np.ndarray) -> np.ndarray:
@@ -462,9 +453,8 @@ def _lead(signs: np.ndarray, coin: np.ndarray) -> np.ndarray:
     the write to W_2P[i] without a copy, so the sums need no buffer of their
     own.  The lead is a workspace array, valid until the next call.
     """
-    take = _LOCAL.workspace.take
     m, vertices = signs.shape[-1], signs.shape[:-1]
-    lead = take(_LEAD, vertices)
+    lead = _LOCAL.take(_LEAD, vertices)
     np.copyto(lead, coin)
     flat, sums = lead.reshape(-1), signs.reshape(-1)
     P = 1

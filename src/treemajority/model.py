@@ -9,12 +9,12 @@ is ``P[win] + P[tie] / 2`` computed by a double sum over the two mass
 functions.
 
 Every binomial mass comes from one pure-Python recurrence,
-``bernstein_weights``, run from the smaller tail.  A map's policy table and
-its steps read one set of rows, the masses of the success counts among n
-B-children and among n R-children for n = 0..m (``_weight_rows``): 2(m+1)
-rows, or m+1 when p_b == p_r.  A Bernstein form is evaluated at a point by
-Horner's rule on its binomial-scaled coefficients (``bernstein_scaled``,
-``bernstein_horner``), never by building its weights.
+``bernstein_weights``, run from the smaller tail.  ``policy_table`` and
+``policy_differences`` each build the rows they read, the masses of the
+success counts among n B-children and among n R-children for n = 0..m
+(``_weight_rows``): 2(m+1) rows, or m+1 when p_b == p_r.  A Bernstein form
+is evaluated at a point by Horner's rule on its binomial-scaled coefficients
+(``bernstein_scaled``, ``bernstein_horner``), never by building its weights.
 """
 
 from __future__ import annotations
@@ -222,8 +222,9 @@ def _weight_rows(params: ModelParams) -> tuple:
 
     Row n of rows_b holds the masses of the success count among n B-children,
     row n of rows_r the same among n R-children.  Every policy value and every
-    step reads two of them, so a map builds its 2(m+1) rows once, and m+1 when
-    p_b == p_r, where the two lists are one.
+    step reads two of them, so ``policy_table`` and ``policy_differences`` each
+    build the 2(m+1) rows once, and m+1 when p_b == p_r, where the two lists
+    are one.
     """
     m, p_b, p_r = params.m, params.p_b, params.p_r
     rows_b = [bernstein_weights(n, p_b) for n in range(m + 1)]
@@ -248,27 +249,6 @@ def _value(a: list, b: list) -> float:
     return min(max(win + 0.5 * tie, 0.0), 1.0)
 
 
-def _policy_table(params: ModelParams, rows: tuple) -> list:
-    """``policy_table`` from the map's ``_weight_rows``."""
-    rows_b, rows_r = rows
-    m = params.m
-    return [_value(rows_b[k], rows_r[m - k]) for k in range(m + 1)]
-
-
-def _policy_steps(params: ModelParams, rows: tuple) -> list:
-    """``policy_differences`` from the map's ``_weight_rows``."""
-    rows_b, rows_r = rows
-    m, p_b, p_r = params.m, params.p_b, params.p_r
-    steps = []
-    for k in range(m):
-        a, b = rows_b[k], rows_r[m - 1 - k]  # the other k B-children and m-1-k R-children
-        tie = _dot(a, b)  # P[d = 0]
-        behind = _dot(a, b[1:])  # P[d = -1]
-        ahead = _dot(a[1:], b)  # P[d = 1]
-        steps.append(0.5 * (p_b * (behind + tie) + p_r * (tie + ahead)))
-    return steps
-
-
 def policy_value(params: ModelParams, k: int) -> float:
     """Probability of adopting B given exactly k of the m children are in state B."""
     k = _check_int("k", k, 0, params.m)
@@ -278,7 +258,9 @@ def policy_value(params: ModelParams, k: int) -> float:
 def policy_table(params: ModelParams) -> list:
     """Adoption probabilities f(0..m) as Python floats: entry k is the chance a
     parent adopts B given exactly k of its m children are in state B."""
-    return _policy_table(params, _weight_rows(params))
+    rows_b, rows_r = _weight_rows(params)
+    m = params.m
+    return [_value(rows_b[k], rows_r[m - k]) for k in range(m + 1)]
 
 
 def policy_differences(params: ModelParams) -> list:
@@ -295,4 +277,13 @@ def policy_differences(params: ModelParams) -> list:
     to itself even where f(k) and f(k+1) both round to 1, and it is never
     negative: the policy values are nondecreasing in k.
     """
-    return _policy_steps(params, _weight_rows(params))
+    rows_b, rows_r = _weight_rows(params)
+    m, p_b, p_r = params.m, params.p_b, params.p_r
+    steps = []
+    for k in range(m):
+        a, b = rows_b[k], rows_r[m - 1 - k]  # the other k B-children and m-1-k R-children
+        tie = _dot(a, b)  # P[d = 0]
+        behind = _dot(a, b[1:])  # P[d = -1]
+        ahead = _dot(a[1:], b)  # P[d = 1]
+        steps.append(0.5 * (p_b * (behind + tie) + p_r * (tie + ahead)))
+    return steps

@@ -9,16 +9,17 @@ a degree-m polynomial whose Bernstein coefficients are exactly the policy
 values f(0..m).  Derivatives are taken analytically on the lower-degree
 Bernstein bases, never by numerical differencing: g' has coefficients
 m (f(k+1) - f(k)), built without subtracting policy values
-(``model.policy_differences``), and g'' their differences.  A map has one
-constructor, ``UpdateMap.from_params``, which builds the binomial weight rows
-once (``model._weight_rows``: m+1 rows, or 2(m+1) when p_b != p_r) and keeps
-them in the map's ``rows`` attribute; the policy values read them when the map
-is built and the steps on first use of g' or g''.  Every value is
-Horner's rule on binomial-scaled coefficients (``model.bernstein_horner``),
-scaled once per map, in Python floats: within 1.5 (n+1) machine epsilons of
-the exact Bernstein sum of degree n for coefficients in [0, 1].  g is clamped
-to [0, 1], where the exact g lies, by ``g_eval``, whose operations the orbit
-loop (``dynamics._trajectory_request``) repeats inline, bit for bit.
+(``model.policy_differences``), and g'' their differences.  A map is its
+params and its policy table: its one constructor, ``UpdateMap.from_params``,
+reads the table from ``model.policy_table``, and the first use of g' or g''
+reads the steps from ``model.policy_differences``.  Each builds the binomial
+weight rows it reads, so a map's first g' builds them a second time.  Every
+value is Horner's rule on binomial-scaled coefficients
+(``model.bernstein_horner``), scaled once per map, in Python floats: within
+1.5 (n+1) machine epsilons of the exact Bernstein sum of degree n for
+coefficients in [0, 1].  g is clamped to [0, 1], where the exact g lies, by
+``g_eval``, whose operations the orbit loop (``dynamics._trajectory_request``)
+repeats inline, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from .model import (
     ModelParams,
     _check_int,
     _check_prob,
-    _policy_steps,
-    _policy_table,
-    _weight_rows,
     bernstein_horner,
     bernstein_scaled,
+    policy_differences,
+    policy_table,
     policy_value,
 )
 
@@ -54,16 +54,13 @@ class UpdateMap(namedtuple("UpdateMap", "params coeffs")):
     """Bernstein-form polynomial pushing the B-marginal forward one step.
 
     A named tuple of ``params`` and ``coeffs``, the policy values f(0..m) as
-    Python floats, so equality, hash and repr read those two alone.  The
-    weight rows f(0..m) was built from are the instance attribute ``rows``.
+    Python floats, so equality, hash and repr read those two alone.  Its
+    instance dict holds only the lists below, each once it is first read.
     """
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "UpdateMap":
-        rows = _weight_rows(params)
-        gm = cls(params, tuple(_policy_table(params, rows)))
-        gm.rows = rows
-        return gm
+        return cls(params, tuple(policy_table(params)))
 
     # Binomial-scaled coefficient lists for bernstein_horner, built on first use.
 
@@ -73,7 +70,7 @@ class UpdateMap(namedtuple("UpdateMap", "params coeffs")):
 
     @cached_property
     def _differences(self) -> list:
-        return _policy_steps(self.params, self.rows)
+        return policy_differences(self.params)
 
     @cached_property
     def _steps(self) -> tuple:

@@ -27,7 +27,7 @@ from treemajority.dynamics import (
     solve_threshold,
 )
 from treemajority.model import ModelParams, bernstein_horner, bernstein_scaled, policy_table
-from treemajority.update_map import UpdateMap, g_eval, g_prime, g_prime_at_half
+from treemajority.update_map import UpdateMap, g_double_prime, g_eval, g_prime, g_prime_at_half
 
 from conftest import enumerate_policy, mp_policy, symmetric_alpha_closed_form
 
@@ -469,7 +469,7 @@ def test_rounding_bound_reach_on_symmetric_maps(monkeypatch):
 
 
 class TestOneRowSetPerMap:
-    """A map builds its binomial weight rows once: m+1 of them, or 2(m+1) when p_b != p_r."""
+    """A map's build makes one set of binomial weight rows: m+1 of them, or 2(m+1) when p_b != p_r."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
@@ -504,13 +504,13 @@ class TestOneRowSetPerMap:
 
     def test_fixed_points_build_no_policy_steps(self, monkeypatch, capsys):
         # labels are read from the gap signs, so finding fixed points needs no g'
-        calls, steps = [], update_map._policy_steps
+        calls, steps = [], update_map.policy_differences
 
-        def counted(params, rows):
+        def counted(params):
             calls.append(params)
-            return steps(params, rows)
+            return steps(params)
 
-        monkeypatch.setattr(update_map, "_policy_steps", counted)
+        monkeypatch.setattr(update_map, "policy_differences", counted)
         for params in (
             ModelParams.symmetric(3, 0.9),
             ModelParams.symmetric(5, solve_threshold(5).p_threshold),
@@ -525,6 +525,22 @@ class TestOneRowSetPerMap:
         assert calls == []
         g_prime(UpdateMap.from_params(ModelParams.symmetric(3, 0.9)), 0.5)
         assert len(calls) == 1  # the counter sees the one build that g' makes
+
+    @pytest.mark.parametrize(
+        "params, rows_per_map",
+        [(ModelParams.symmetric(3, 0.9), 4), (ModelParams(64, 0.55, 0.5), 130)],
+    )
+    def test_first_slope_builds_one_more_row_set(self, rows, params, rows_per_map):
+        # a map keeps no rows, so its first g' builds them again; the steps it
+        # reads are cached, and later g' and g'' build none
+        gm = UpdateMap.from_params(params)
+        assert len(rows) == rows_per_map
+        g_prime(gm, 0.3)
+        assert len(rows) == 2 * rows_per_map
+        g_prime(gm, 0.7)
+        g_double_prime(gm, 0.3)
+        g_double_prime(gm, 0.7)
+        assert len(rows) == 2 * rows_per_map
 
 
 class TestIterateDynamics:

@@ -760,7 +760,7 @@ class TestWorkspace:
         def worker(name, job):
             start.wait()
             got[name] = [job() for _ in range(3)]
-            buffers[name] = mc._LOCAL.workspace.buffers
+            buffers[name] = mc._LOCAL.buffers
 
         threads = [threading.Thread(target=worker, args=item) for item in jobs.items()]
         interval = sys.getswitchinterval()
@@ -775,7 +775,7 @@ class TestWorkspace:
         assert not any(thread.is_alive() for thread in threads)
         assert got == {name: [value] * 3 for name, value in serial.items()}
         # each thread had buffers of its own
-        assert len({id(b) for b in buffers.values()} | {id(mc._LOCAL.workspace.buffers)}) == len(jobs) + 1
+        assert len({id(b) for b in buffers.values()} | {id(mc._LOCAL.buffers)}) == len(jobs) + 1
 
     def test_warm_simulation_allocates_only_states_and_words(self):
         # one group of 50 trees of V = 3280 vertices; its largest reads, the

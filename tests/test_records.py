@@ -67,14 +67,20 @@ class TestRecordContract:
 
 
 class TestUpdateMapRows:
-    """``rows`` is not a field: equality, hash and repr read ``params`` and ``coeffs`` alone."""
+    """A map is its ``params`` and ``coeffs``: equality, hash and repr read those two alone."""
 
     def test_rows_ignored(self):
+        # the cached scaled lists live in the instance dict, outside the fields
         a = UpdateMap.from_params(PARAMS)
         b = UpdateMap.from_params(PARAMS)
-        b.rows = ([], [])
+        b._values
+        assert "_values" in vars(b)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert a._fields == ("params", "coeffs") and "rows" not in repr(a)
+        assert a._fields == ("params", "coeffs") and "_values" not in repr(b)
+
+    @pytest.mark.parametrize("params", [ModelParams.symmetric(5, 0.7), PARAMS])
+    def test_keeps_no_rows(self, params):
+        assert vars(UpdateMap.from_params(params)) == {}
 
     def test_other_params_differ(self):
         assert UpdateMap.from_params(PARAMS) != UpdateMap.from_params(ModelParams(3, 0.8, 0.5))
